@@ -117,17 +117,16 @@ def cmd_spectrum(args) -> int:
     out = _ensure_out(args.out)
     tag = "adj" if model[0] == "adj" else f"h{model[1]}_{model[2]}"
 
-    curves = {}
+    curves, spectra = {}, {}
     for k in args.k:
         group = _load_quotient(args.p, args.q, args.s, k, args.cache_dir)
-        mat = operators.represent_periodic(element, group)
         name = f"{tag}_{args.p}_{args.q}_s{args.s}_k{k}"
         use_kpm = args.method == "kpm" or (
             args.method == "auto" and group.order > spectral.DENSE_CAP
         )
         if use_kpm:
             density = spectral.kpm_dos(
-                mat,
+                operators.represent_periodic(element, group),
                 moments=args.moments,
                 random_states=args.states,
                 grid_points=args.grid,
@@ -139,7 +138,8 @@ def cmd_spectrum(args) -> int:
             curves[k] = idos
             print(f"k={k}: dim {group.order}, KPM curve written")
         else:
-            spec = spectral.exact_spectrum(mat)
+            spec = spectral.block_spectrum(element, group)
+            spectra[k] = spec
             spectral.write_spectrum_csv(spec, os.path.join(out, f"spectrum_{name}.csv"))
             lo, hi = spec.eigenvalues[0], spec.eigenvalues[-1]
             pad = 0.05 * (hi - lo)
@@ -157,17 +157,17 @@ def cmd_spectrum(args) -> int:
             print(f"k={k}: dim {group.order}, {len(gaps)} gap(s) of width >= 0.05")
 
     if len(args.k) > 1:
-        # convergence table against the largest run, on its grid
+        # convergence table against the largest run, on its grid, from each level's own result
         k_ref = max(args.k)
         ref = curves[k_ref]
         table = {}
         for k in sorted(args.k):
             if k == k_ref:
                 continue
-            group = _load_quotient(args.p, args.q, args.s, k, args.cache_dir)
-            mat = operators.represent_periodic(element, group)
-            spec = spectral.exact_spectrum(mat)
-            vals = np.searchsorted(spec.eigenvalues, ref.energies, side="right") / group.order
+            if k in spectra:
+                vals = spectral.idos_curve(spectra[k], ref.energies).values
+            else:
+                vals = np.interp(ref.energies, curves[k].energies, curves[k].values)
             table[str(k)] = float(np.mean((vals - ref.values) ** 2))
         with open(os.path.join(out, f"mse_{tag}_s{args.s}.json"), "w") as fh:
             json.dump({"reference_k": k_ref, "mse": table}, fh, indent=2, sort_keys=True)
@@ -201,6 +201,9 @@ def cmd_flow(args) -> int:
 
     if len(args.models) != 6:
         raise ConfigError("--models needs six integers: a1 k1 a2 k2 a3 k3")
+    if args.samples < 2:
+        # with one sample per edge the loop has no interior point to report on
+        raise ConfigError(f"--samples must be at least 2, got {args.samples}")
     specs = [(args.models[0], args.models[1]), (args.models[2], args.models[3]), (args.models[4], args.models[5])]
     group = _load_quotient(args.p, args.q, args.s, args.k, args.cache_dir)
     models = [operators.model_hamiltonian(a, kk, args.eps, args.p, args.q) for a, kk in specs]

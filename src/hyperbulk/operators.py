@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import cmath
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .quotient import QuotientGroup
+from .quotient import QuotientGroup, Sectors
 from .triangle import (
     GEN_A,
     GEN_A_INV,
@@ -47,6 +48,8 @@ __all__ = [
     "model_hamiltonian",
     "interpolate",
     "represent_periodic",
+    "BlockOperator",
+    "represent_blocks",
     "represent_open",
     "hermiticity_defect",
     "algebra_to_json",
@@ -213,6 +216,55 @@ def represent_periodic(h: AlgebraElement, group: QuotientGroup) -> sp.csr_matrix
     ).tocsr()
     mat.sum_duplicates()
     return mat
+
+
+@dataclass(frozen=True)
+class BlockOperator:
+    """A right-regular operator split over the character sectors of a quotient.
+
+    Entry e adds values[e] * chi(kernel[e]) to block chi at (rows[e],
+    cols[e]); rows and columns index the sectors' transversal.
+    """
+
+    sectors: Sectors
+    rows: np.ndarray
+    cols: np.ndarray
+    kernel: np.ndarray
+    values: np.ndarray
+
+    def block(self, j: int) -> np.ndarray:
+        """Dense block of character j."""
+        chars = self.sectors.chars[j]
+        b = self.sectors.block_size
+        out = np.zeros((b, b), dtype=np.result_type(self.values, chars))
+        np.add.at(out, (self.rows, self.cols), self.values * chars[self.kernel])
+        return out
+
+
+def represent_blocks(h: AlgebraElement, group: QuotientGroup) -> BlockOperator:
+    """Character blocks of represent_periodic(h, group).
+
+    The periodic operator has (H psi)(x) = sum_g w_g psi(x g).  On a
+    sector, psi(n t) = chi(n) psi(t), so for each transversal row t and
+    each term, t g = n t'' adds w_g chi(n) to the block entry (t, t'').
+    """
+    sec = group.sectors
+    b = sec.block_size
+    targets = []
+    for w in h.terms:
+        idx = sec.transversal
+        for t in w:
+            idx = group.gen_perm[t][idx]
+        targets.append(idx)
+    target = np.array(targets, dtype=np.int64).reshape(-1)
+    coeffs = np.array(list(h.terms.values()), dtype=np.complex128)
+    return BlockOperator(
+        sec,
+        np.tile(np.arange(b, dtype=np.int64), len(h)),
+        sec.coset[target],
+        sec.kernel[target],
+        np.repeat(coeffs.real if _is_real(h) else coeffs, b),
+    )
 
 
 def represent_open(h: AlgebraElement, ball: Ball) -> sp.csr_matrix:

@@ -10,16 +10,23 @@ The group is enumerated breadth-first with batched integer matmuls; the
 result records, per generator, the permutation it induces by right
 multiplication, plus an inverse table, which is all the operator layer
 needs.
+
+For k >= 2 the kernel N of G_k -> G_(k-1) is abelian, because
+(1 + s^(k-1) X)(1 + s^(k-1) Y) = 1 + s^(k-1) (X + Y) mod s^k.  Its
+characters split every right-regular operator into |N| blocks of size
+|G_(k-1)| (twisted boundary conditions); see QuotientGroup.sectors.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ResourceLimitError
+from .errors import ConfigError, NumericalContractError, ResourceLimitError
 from .ring import make_context
 from .triangle import (
     GEN_A,
@@ -27,11 +34,12 @@ from .triangle import (
     TessellationParams,
     build_generators,
     inverse_token,
+    inverse_word,
     matrix_to_flat,
     ring_index,
 )
 
-__all__ = ["QuotientGroup", "build_quotient", "quotient_project", "element_order"]
+__all__ = ["QuotientGroup", "Sectors", "build_quotient", "quotient_project", "element_order"]
 
 DEFAULT_ELEMENT_CAP = 500_000
 
@@ -48,8 +56,16 @@ def _mod_tables(ctx, flats, m: int):
     """Right-multiplication tables mod m for a list of flat exact matrices.
 
     Table K[(l, r), (j, s)] = sum_t flat[l][j]_t * (xi^(r+t))_s mod m.
+    Every modular matmul in this module (the BFS and _permutations) takes
+    rows of 3d entries below m times such a table in int64, so the sums
+    must stay below 2^63; larger moduli are refused instead of wrapping.
     """
     d = ctx.d
+    if 3 * d * (m - 1) ** 2 >= 2**63:
+        raise ResourceLimitError(
+            f"modulus {m} is too large for int64 table products of width {3 * d}: "
+            f"3d (m - 1)^2 >= 2^63"
+        )
     powers = np.array([ctx.power(e) for e in range(2 * d - 1)], dtype=object)
     powers = (powers.astype(object) % m).astype(np.int64)  # (2d-1, d)
     tables = []
@@ -132,6 +148,11 @@ class QuotientGroup:
                 raise RuntimeError("order exceeded group size; table corrupt")
         return order
 
+    @cached_property
+    def sectors(self) -> "Sectors":
+        """Character sectors of ker(G_k -> G_(k-1)), computed on first use and never saved."""
+        return _sectors(self)
+
     def key(self, i: int) -> bytes:
         return self.elements[i].tobytes()
 
@@ -191,6 +212,120 @@ class QuotientGroup:
             tokens=data["tokens"],
             torsion=torsion,
         )
+
+
+@dataclass(frozen=True)
+class Sectors:
+    """Block structure of a quotient over the abelian kernel N of G_k -> G_(k-1).
+
+    Each element factors uniquely as x = n t, with n in N and t the
+    transversal element of its coset: the coset's first element in BFS
+    order.  Right-regular operators commute with left translations, so
+    each maps the sector of a character chi of N (the functions with
+    psi(n x) = chi(n) psi(x)) into itself: one block of size |G_k| / |N|
+    per character.  For k = 1, or an s that is not prime, N is taken
+    trivial and the single block is the whole operator.
+
+    transversal[c] is the element index of coset c's representative,
+    coset[x] the coset of element x, kernel[x] the position in N of
+    x t^-1, and chars[j, n] the value of character j on N's element n.
+    """
+
+    transversal: np.ndarray
+    coset: np.ndarray
+    kernel: np.ndarray
+    chars: np.ndarray
+
+    @property
+    def block_size(self) -> int:
+        return len(self.transversal)
+
+    @property
+    def count(self) -> int:
+        return len(self.chars)
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def _row_reduce(rows: np.ndarray, s: int):
+    """Pivot columns of the rows' reduced row echelon basis over GF(s), s prime.
+
+    Since the basis is reduced, a row's coordinates in it are its entries
+    at the pivot columns.  Also returns the indices of the rows that
+    raised the rank, which span the same space.
+    """
+    basis = np.zeros((0, rows.shape[1]), dtype=np.int64)
+    pivots, picked = [], []
+    for i, row in enumerate(rows):
+        v = row.copy()
+        for b, p in zip(basis, pivots):
+            v = (v - v[p] * b) % s
+        nonzero = np.flatnonzero(v)
+        if nonzero.size == 0:
+            continue
+        p = int(nonzero[0])
+        v = v * pow(int(v[p]), -1, s) % s
+        basis = np.vstack([(basis - np.outer(basis[:, p], v)) % s, v])
+        pivots.append(p)
+        picked.append(i)
+    return pivots, picked
+
+
+def _sectors(group: QuotientGroup) -> Sectors:
+    s, order = group.s, group.order
+    level = group.k - 1 if group.k >= 2 and _is_prime(s) else group.k
+    flat = group.elements.reshape(order, -1).astype(np.int64)
+
+    # cosets of N are the fibres over G_level, numbered in BFS order of their first element
+    _, first, labels = np.unique(flat % s**level, axis=0, return_index=True, return_inverse=True)
+    by_bfs = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[by_bfs] = np.arange(len(first))
+    transversal = first[by_bfs]
+    coset = rank[labels.ravel()]
+
+    members = np.flatnonzero(coset == 0)  # N is the identity's coset; members[0] = 0
+    position = np.full(order, -1, dtype=np.int64)
+    position[members] = np.arange(len(members))
+    kernel = np.empty(order, dtype=np.int64)
+    by_coset = np.argsort(coset, kind="stable")
+    for c, xs in enumerate(np.split(by_coset, np.cumsum(np.bincount(coset))[:-1])):
+        n = xs
+        for t in inverse_word(group.word(int(transversal[c]))):
+            n = group.gen_perm[t][n]
+        kernel[xs] = position[n]
+    if np.any(kernel < 0):
+        raise NumericalContractError("x t^-1 left the kernel for some element; group tables are corrupt")
+
+    # n = 1 + s^level X with X mod s; characters read X in a GF(s) basis of its span
+    X = ((flat[members] - flat[0]) // s**level) % s
+    pivots, gens = _row_reduce(X, s)
+    coords = X[:, pivots]
+    if len(members) != s ** len(pivots):
+        raise NumericalContractError(
+            f"kernel of order {len(members)} is not an elementary abelian group of rank {len(pivots)}"
+        )
+    # X must be a homomorphism: right multiplication by each basis element b
+    # of N translates every X(a) by X(b)
+    for b in gens:
+        ab = members
+        for t in group.word(int(members[b])):
+            ab = group.gen_perm[t][ab]
+        ab = position[ab]
+        if np.any(ab < 0) or np.any(X[ab] != (X + X[b]) % s):
+            raise NumericalContractError(
+                f"kernel map is not a homomorphism: X(ab) != X(a) + X(b) mod {s} "
+                f"for basis element b = {members[b]}"
+            )
+    digits = np.array(list(itertools.product(range(s), repeat=len(pivots))), dtype=np.int64)
+    phase = (digits @ coords.T) % s
+    if np.all(2 * phase % s == 0):
+        chars = np.where(phase == 0, 1.0, -1.0)
+    else:
+        chars = np.exp(2j * np.pi * phase / s)
+    return Sectors(transversal, coset, kernel, chars)
 
 
 def build_quotient(

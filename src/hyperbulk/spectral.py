@@ -1,6 +1,7 @@
 """Spectra, densities of states, spectral flows and local densities.
 
-Exact diagonalization (dense) for desk-scale operators, a kernel
+Exact diagonalization (dense) for desk-scale operators, block by block
+over the character sectors of a quotient for periodic ones, a kernel
 polynomial method (Chebyshev moments with Jackson damping, stochastic
 trace over seeded random states) for large sparse ones.  All stochastic
 steps take an explicit seed so outputs are reproducible bit for bit.
@@ -17,7 +18,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigError, ResourceLimitError
+from .errors import ConfigError, NumericalContractError, ResourceLimitError
+from .tolerances import HERMITICITY
 
 __all__ = [
     "SpectrumResult",
@@ -25,6 +27,7 @@ __all__ = [
     "Gap",
     "DENSE_CAP",
     "exact_spectrum",
+    "block_spectrum",
     "idos",
     "idos_curve",
     "idos_mse",
@@ -101,6 +104,35 @@ def exact_spectrum(mat, want_vectors: bool = False, dense_cap: int = DENSE_CAP) 
         vals, vecs = sla.eigh(dense)
         return SpectrumResult(vals, vecs)
     return SpectrumResult(sla.eigvalsh(dense))
+
+
+def block_spectrum(h, group, dense_cap: int = DENSE_CAP) -> SpectrumResult:
+    """Full spectrum of represent_periodic(h, group), one character sector at a time.
+
+    The quotient's kernel N = ker(G_k -> G_(k-1)) gives |N| blocks of
+    size |G_k| / |N| (see QuotientGroup.sectors); dense_cap applies to
+    the block size.  Raises NumericalContractError when a block is not
+    Hermitian.
+    """
+    from .operators import represent_blocks
+
+    op = represent_blocks(h, group)
+    b = op.sectors.block_size
+    if b > dense_cap:
+        raise ResourceLimitError(
+            f"block size {b} exceeds the dense diagonalization cap {dense_cap}; "
+            f"use kpm_dos, or raise dense_cap"
+        )
+    vals = []
+    for j in range(op.sectors.count):
+        block = op.block(j)
+        defect = float(np.abs(block - block.conj().T).max())
+        if defect > HERMITICITY:
+            raise NumericalContractError(
+                f"sector block {j} has Hermiticity defect {defect:.2e} > {HERMITICITY:.0e}"
+            )
+        vals.append(exact_spectrum(block, dense_cap=dense_cap).eigenvalues)
+    return SpectrumResult(np.sort(np.concatenate(vals)))
 
 
 def idos(spec: SpectrumResult, energy: float) -> float:
@@ -294,16 +326,20 @@ def simplex_path(samples_per_edge: int = 40) -> list[tuple[float, float, float]]
 def spectral_flow(models, path, group, dense_cap: int = DENSE_CAP) -> np.ndarray:
     """Sorted spectra of the interpolated model along a simplex path.
 
+    Each path point is diagonalized block by block (block_spectrum), but
+    dense_cap still bounds the whole quotient's order: a flow over a
+    larger quotient runs (path length) x (block count) eigensolves.
     Returns an array of shape (len(path), dim).
     """
-    from .operators import interpolate, represent_periodic
+    from .operators import interpolate
 
-    out = []
-    for weights in path:
-        h = interpolate(models, weights)
-        spec = exact_spectrum(represent_periodic(h, group), dense_cap=dense_cap)
-        out.append(spec.eigenvalues)
-    return np.array(out)
+    if group.order > dense_cap:
+        raise ResourceLimitError(
+            f"spectral flow on a quotient of order {group.order} exceeds the cap {dense_cap}"
+        )
+    return np.array(
+        [block_spectrum(interpolate(models, weights), group, dense_cap).eigenvalues for weights in path]
+    )
 
 
 def ldos(

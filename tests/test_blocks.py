@@ -1,0 +1,169 @@
+"""Sector-block spectra against the dense oracle.
+
+block_spectrum and spectral_flow diagonalize one character sector of the
+kernel of G_k -> G_(k-1) at a time; dense exact_spectrum of
+represent_periodic stays the reference.  Eigenvalues are compared to
+1e-10, well above the ~dim * eps * |H| (about 1e-12 at dim 2560) that
+either dense eigensolver can be off by.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyperbulk import operators, quotient, spectral
+from hyperbulk.errors import NumericalContractError, ResourceLimitError
+from hyperbulk.triangle import GEN_A
+
+TOL = 1e-10
+EPS = 0.8
+
+
+@pytest.fixture(scope="module")
+def groups(q54_k1, q54_k2):
+    out = {(5, 4, 2, 1): q54_k1, (5, 4, 2, 2): q54_k2}
+    # another pair, and an odd prime whose characters are complex
+    for key in ((6, 4, 2, 1), (6, 4, 2, 2), (6, 6, 3, 1), (6, 6, 3, 2)):
+        out[key] = quotient.build_quotient(*key)
+    return out
+
+
+def all_models(p, q):
+    nu = {1: p, 2: q, 3: 2}
+    out = {"adj": operators.adjacency(p, q)}
+    for alpha in (1, 2, 3):
+        for kidx in range(1, nu[alpha] + 1):
+            out[f"h{alpha}_{kidx}"] = operators.model_hamiltonian(alpha, kidx, EPS, p, q)
+    return out
+
+
+def dense(h, group):
+    return spectral.exact_spectrum(operators.represent_periodic(h, group)).eigenvalues
+
+
+@pytest.mark.parametrize(
+    "key, count, size",
+    [
+        ((5, 4, 2, 1), 1, 160),
+        ((5, 4, 2, 2), 16, 160),
+        ((6, 4, 2, 2), 8, 24),
+        ((6, 6, 3, 1), 1, 36),
+        ((6, 6, 3, 2), 27, 36),
+    ],
+)
+def test_sector_structure(groups, key, count, size):
+    group = groups[key]
+    sec = group.sectors
+    assert (sec.count, sec.block_size) == (count, size)
+    assert np.array_equal(np.bincount(sec.coset), np.full(size, count))
+    assert np.array_equal(np.sort(sec.transversal), sec.transversal)
+    assert np.all(sec.coset[sec.transversal] == np.arange(size))
+    assert np.all(sec.kernel[sec.transversal] == 0)
+    # x = n t is a bijection between G and N x transversal
+    assert len(set(zip(sec.kernel.tolist(), sec.coset.tolist()))) == group.order
+    # the character table is unitary and its first row is the trivial character
+    assert np.allclose(sec.chars @ sec.chars.conj().T, count * np.eye(count), atol=1e-12)
+    assert np.all(sec.chars[0] == 1.0)
+    assert np.iscomplexobj(sec.chars) == (key[2] == 3 and count > 1)
+
+
+def test_cosets_are_fibres_over_the_coarser_quotient(q54_k1, q54_k2):
+    red = q54_k2.reduce_to(q54_k1)
+    sec = q54_k2.sectors
+    assert np.array_equal(red[sec.transversal][sec.coset], red)
+    assert np.array_equal(np.sort(red[sec.transversal]), np.arange(q54_k1.order))
+
+
+def test_sectors_not_written_to_cache(q54_k2, tmp_path):
+    q54_k2.sectors
+    path = str(tmp_path / "g.npz")
+    q54_k2.save(path)
+    assert "sectors" not in np.load(path).files
+
+
+@pytest.mark.parametrize("key", [(5, 4, 2, 1), (6, 4, 2, 1), (6, 4, 2, 2), (6, 6, 3, 1), (6, 6, 3, 2)])
+def test_block_spectrum_matches_dense_small(groups, key):
+    group = groups[key]
+    for name, h in all_models(key[0], key[1]).items():
+        got = spectral.block_spectrum(h, group).eigenvalues
+        assert got.shape == (group.order,)
+        assert np.abs(got - dense(h, group)).max() < TOL, name
+
+
+@pytest.mark.parametrize("name", sorted(all_models(5, 4)))
+def test_block_spectrum_matches_dense_k2(q54_k2, name):
+    h = all_models(5, 4)[name]
+    got = spectral.block_spectrum(h, q54_k2).eigenvalues
+    assert np.abs(got - dense(h, q54_k2)).max() < TOL
+
+
+def test_trivial_kernel_block_is_the_dense_matrix(groups):
+    group = groups[(5, 4, 2, 1)]
+    h = operators.model_hamiltonian(1, 1, EPS, 5, 4)
+    block = operators.represent_blocks(h, group).block(0)
+    assert np.allclose(block, operators.represent_periodic(h, group).toarray(), atol=1e-15)
+
+
+def test_composite_modulus_falls_back_to_one_block():
+    group = quotient.build_quotient(6, 6, 4, 2)
+    sec = group.sectors
+    assert (sec.count, sec.block_size) == (1, group.order)
+    assert np.array_equal(sec.transversal, np.arange(group.order))
+
+
+def test_broken_kernel_map_raises(q54_k2):
+    # one kernel element stored with another's coefficients: X(ab) = X(a) + X(b) fails
+    kernel = np.flatnonzero(q54_k2.sectors.coset == 0)
+    elements = q54_k2.elements.copy()
+    elements[kernel[-1]] = elements[kernel[1]]
+    bad = dataclasses.replace(q54_k2, elements=elements)
+    with pytest.raises(NumericalContractError, match="homomorphism"):
+        bad.sectors
+
+
+def test_non_hermitian_block_raises(q54_k2):
+    hop = operators.AlgebraElement({(GEN_A,): 1.0})
+    with pytest.raises(NumericalContractError, match="Hermiticity"):
+        spectral.block_spectrum(hop, q54_k2)
+
+
+def test_dense_cap_applies_to_block_size(q54_k2):
+    adj = operators.adjacency(5, 4)
+    assert spectral.block_spectrum(adj, q54_k2, dense_cap=160).dim == 2560
+    with pytest.raises(ResourceLimitError):
+        spectral.block_spectrum(adj, q54_k2, dense_cap=159)
+
+
+def test_flow_cap_applies_to_quotient_order(q54_k2):
+    # a flow multiplies the block eigensolves by the path length, so its cap stays on the whole order
+    models = [operators.model_hamiltonian(alpha, 1, EPS, 5, 4) for alpha in (1, 2, 3)]
+    assert spectral.spectral_flow(models, [(1.0, 0.0, 0.0)], q54_k2, dense_cap=2560).shape == (1, 2560)
+    with pytest.raises(ResourceLimitError):
+        spectral.spectral_flow(models, [(1.0, 0.0, 0.0)], q54_k2, dense_cap=2559)
+
+
+simplex = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda w: sum(w) > 1e-3)
+
+
+def _flow_against_dense(group, raw):
+    weights = tuple(x / sum(raw) for x in raw)
+    models = [operators.model_hamiltonian(alpha, 1, EPS, 5, 4) for alpha in (1, 2, 3)]
+    h = operators.interpolate(models, weights)
+    want = dense(h, group)
+    assert np.abs(spectral.spectral_flow(models, [weights], group)[0] - want).max() < TOL
+    assert np.abs(spectral.block_spectrum(h, group).eigenvalues - want).max() < TOL
+
+
+@settings(max_examples=15, deadline=None)
+@given(raw=simplex)
+def test_flow_matches_dense_k1(q54_k1, raw):
+    _flow_against_dense(q54_k1, raw)
+
+
+@settings(max_examples=3, deadline=None)
+@given(raw=simplex)
+def test_flow_matches_dense_k2(q54_k2, raw):
+    _flow_against_dense(q54_k2, raw)

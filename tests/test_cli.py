@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from hyperbulk import cli
+from hyperbulk import cli, quotient
 
 
 def run(argv):
@@ -114,6 +115,51 @@ def test_flow_report(tmp_path, capsys):
     assert len(report["vertex_gap_widths"]) == 3
     csv_lines = (tmp_path / "flow_5_4_s2_k1.csv").read_text().strip().split("\n")
     assert len(csv_lines) == 1 + 3 * 4 + 1
+
+
+def test_flow_single_sample_exits_2(tmp_path, capsys):
+    code = run(["--out", str(tmp_path), "flow", "5", "4", "--k", "1", "--samples", "1"])
+    assert code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_flow_k3_exits_3(tmp_path, capsys):
+    code = run(["--out", str(tmp_path), "flow", "5", "4", "--k", "3", "--samples", "2"])
+    assert code == 3
+    assert "resource limit" in capsys.readouterr().err
+
+
+def test_spectrum_mse_reuses_each_level(tmp_path):
+    exact = tmp_path / "exact"
+    assert run(["--out", str(exact), "spectrum", "5", "4", "--k", "1", "2"]) == 0
+    table = json.loads((exact / "mse_adj_s2.json").read_text())
+    # frozen from the dense re-diagonalization this table used to come from
+    assert table["mse"]["1"] == pytest.approx(3.224126994609833e-04, abs=1e-12)
+
+    kpm = tmp_path / "kpm"
+    argv = ["spectrum", "5", "4", "--k", "1", "2", "--method", "kpm", "--moments", "64", "--grid", "128"]
+    assert run(["--out", str(kpm)] + argv) == 0
+    curves = {
+        k: np.loadtxt(kpm / f"idos_kpm_adj_5_4_s2_k{k}.csv", delimiter=",", skiprows=1)
+        for k in (1, 2)
+    }
+    want = np.mean((np.interp(curves[2][:, 0], curves[1][:, 0], curves[1][:, 1]) - curves[2][:, 1]) ** 2)
+    table = json.loads((kpm / "mse_adj_s2.json").read_text())
+    assert table["mse"]["1"] == pytest.approx(want, rel=1e-9)
+
+
+def test_corrupt_kernel_in_cache_exits_4(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    path = cache / "quotient_5_4_s2_k2.npz"
+    assert run(["--out", str(tmp_path), "--cache-dir", str(cache), "group", "5", "4", "--k", "2"]) == 0
+    group = quotient.QuotientGroup.load(str(path))
+    # one kernel element stored with another's coefficients: the kernel map is no longer additive
+    kernel = np.flatnonzero(group.sectors.coset == 0)
+    group.elements[kernel[-1]] = group.elements[kernel[1]]
+    group.save(str(path))
+    code = run(["--out", str(tmp_path), "--cache-dir", str(cache), "flow", "5", "4", "--k", "2", "--samples", "2"])
+    assert code == 4
+    assert "numerical contract" in capsys.readouterr().err
 
 
 def test_junction_command(tmp_path, capsys):

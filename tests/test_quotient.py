@@ -90,6 +90,12 @@ def test_element_cap_enforced():
         quotient.build_quotient(5, 4, 2, 2, element_cap=100)
 
 
+def test_int64_overflow_refused():
+    # {5,4} has d = 8: 3d (2^30 - 1)^2 >= 2^63 would wrap the table products
+    with pytest.raises(ResourceLimitError, match="int64"):
+        quotient.build_quotient(5, 4, 2, 30)
+
+
 def test_save_load_round_trip(tmp_path, q54_k1):
     path = str(tmp_path / "g.npz")
     q54_k1.save(path)
