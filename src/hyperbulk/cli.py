@@ -58,7 +58,12 @@ def _load_quotient(p: int, q: int, s: int, k: int, cache_dir: str | None):
         os.makedirs(cache_dir, exist_ok=True)
         path = os.path.join(cache_dir, f"quotient_{p}_{q}_s{s}_k{k}.npz")
         if os.path.exists(path):
-            return quotient.QuotientGroup.load(path)
+            group = quotient.QuotientGroup.load(path)
+            if (group.p, group.q, group.s, group.k) != (p, q, s, k):
+                raise NumericalContractError(
+                    f"quotient cache {path} holds {{{group.p},{group.q}}} mod {group.s}^{group.k}"
+                )
+            return group
         group = quotient.build_quotient(p, q, s, k)
         group.save(path)
         return group
@@ -110,7 +115,7 @@ def cmd_group(args) -> int:
 def cmd_spectrum(args) -> int:
     import numpy as np
 
-    from . import operators, spectral
+    from . import spectral
 
     model = _parse_model(args.model, args.eps)
     element = _model_element(model, args.p, args.q)
@@ -126,11 +131,7 @@ def cmd_spectrum(args) -> int:
         )
         if use_kpm:
             density = spectral.kpm_dos(
-                operators.represent_periodic(element, group),
-                moments=args.moments,
-                random_states=args.states,
-                grid_points=args.grid,
-                seed=args.seed,
+                element, group, moments=args.moments, grid_points=args.grid, seed=args.seed
             )
             idos = spectral.cumulative_curve(density)
             spectral.write_curve_csv(density, os.path.join(out, f"dos_kpm_{name}.csv"))
@@ -404,7 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--method", choices=["auto", "exact", "kpm"], default="auto")
     sp.add_argument("--grid", type=int, default=1024)
     sp.add_argument("--moments", type=int, default=500)
-    sp.add_argument("--states", type=int, default=10)
+    sp.add_argument(
+        "--states",
+        type=int,
+        default=10,
+        help="ignored: periodic KPM reads the single identity site; kept for config echo",
+    )
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("flow", help="spectral flow along the simplex loop")

@@ -19,8 +19,12 @@ characters split every right-regular operator into |N| blocks of size
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import os
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -42,6 +46,7 @@ from .triangle import (
 __all__ = ["QuotientGroup", "Sectors", "build_quotient", "quotient_project", "element_order"]
 
 DEFAULT_ELEMENT_CAP = 500_000
+CACHE_VERSION = 2  # version 1 files carry no version field
 
 
 def _storage_dtype(m: int):
@@ -172,8 +177,17 @@ class QuotientGroup:
         return out
 
     def save(self, path: str) -> None:
+        """Write the tables to path (".npz" is appended when missing), atomically.
+
+        The file is written under a temporary name in the same directory
+        and renamed into place, so a concurrent reader sees either no
+        file or a complete one.
+        """
+        if not path.endswith(".npz"):
+            path += ".npz"
         header = json.dumps(
             {
+                "version": CACHE_VERSION,
                 "p": self.p,
                 "q": self.q,
                 "s": self.s,
@@ -182,36 +196,85 @@ class QuotientGroup:
                 "torsion": self.torsion,
             }
         )
-        np.savez_compressed(
-            path,
-            header=np.frombuffer(header.encode(), dtype=np.uint8),
-            elements=self.elements,
-            gen_perm=self.gen_perm,
-            inv=self.inv,
-            left_perm=self.left_perm,
-            parents=self.parents,
-            tokens=self.tokens,
-        )
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez_compressed(
+                    fh,
+                    header=np.frombuffer(header.encode(), dtype=np.uint8),
+                    **{name: getattr(self, name) for name in _CACHE_ARRAYS},
+                )
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str) -> "QuotientGroup":
-        data = np.load(path)
-        header = json.loads(bytes(data["header"]).decode())
-        torsion = {k: v for k, v in header["torsion"].items()}
-        return cls(
-            p=header["p"],
-            q=header["q"],
-            s=header["s"],
-            k=header["k"],
-            order=header["order"],
-            elements=data["elements"],
-            gen_perm=data["gen_perm"],
-            inv=data["inv"],
-            left_perm=data["left_perm"],
-            parents=data["parents"],
-            tokens=data["tokens"],
-            torsion=torsion,
-        )
+        """Read a file written by save and check its tables.
+
+        Raises NumericalContractError when the file is unreadable, has
+        another format version, or fails the table checks of _validate.
+        """
+        try:
+            with np.load(path) as data:
+                header = json.loads(bytes(data["header"]).decode())
+                arrays = {name: data[name] for name in _CACHE_ARRAYS}
+            if header.get("version") != CACHE_VERSION:
+                raise NumericalContractError(
+                    f"format version {header.get('version')!r}, expected {CACHE_VERSION}"
+                )
+            group = cls(
+                p=header["p"],
+                q=header["q"],
+                s=header["s"],
+                k=header["k"],
+                order=header["order"],
+                torsion=dict(header["torsion"]),
+                **arrays,
+            )
+            _validate(group)
+        except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile, zlib.error,
+                NumericalContractError) as exc:
+            raise NumericalContractError(f"quotient cache {path} is unusable: {exc}") from exc
+        return group
+
+
+_CACHE_ARRAYS = ("elements", "gen_perm", "inv", "left_perm", "parents", "tokens")
+
+
+def _validate(group: QuotientGroup) -> None:
+    """Check a loaded quotient's tables, vectorized; raise NumericalContractError on a defect.
+
+    Every gen_perm and left_perm row is a permutation undone by the row
+    of the inverse generator, inv is an involution, and the elements
+    rows are distinct.
+    """
+    n = group.order
+    shapes = {
+        "gen_perm": (4, n), "left_perm": (4, n), "inv": (n,), "parents": (n,), "tokens": (n,),
+    }
+    for name, shape in shapes.items():
+        if getattr(group, name).shape != shape:
+            raise NumericalContractError(f"{name} has shape {getattr(group, name).shape}, expected {shape}")
+    if group.elements.ndim != 3 or len(group.elements) != n:
+        raise NumericalContractError(f"elements has shape {group.elements.shape} for order {n}")
+    ident = np.arange(n)
+    for name in ("gen_perm", "left_perm"):
+        perm = getattr(group, name)
+        if np.any(np.sort(perm, axis=1) != ident):
+            raise NumericalContractError(f"a {name} row is not a permutation")
+        undo = np.take_along_axis(perm, perm[[inverse_token(t) for t in range(4)]], axis=1)
+        if np.any(undo != ident):
+            raise NumericalContractError(f"{name} rows of a generator and its inverse do not compose to 1")
+    if group.inv.min() < 0 or group.inv.max() >= n or np.any(group.inv[group.inv] != ident):
+        raise NumericalContractError("inv is not an involution")
+    # distinct rows: sort the rows as opaque byte strings, then compare neighbours
+    rows = np.ascontiguousarray(group.elements.reshape(n, -1))
+    rows = np.sort(rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel())
+    if np.any(rows[1:] == rows[:-1]):
+        raise NumericalContractError("two elements rows are equal")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Spectra, densities of states, spectral flows and local densities.
 
 Exact diagonalization (dense) for desk-scale operators, block by block
-over the character sectors of a quotient for periodic ones, a kernel
-polynomial method (Chebyshev moments with Jackson damping, stochastic
-trace over seeded random states) for large sparse ones.  All stochastic
-steps take an explicit seed so outputs are reproducible bit for bit.
+over the character sectors of a quotient for periodic ones, and a kernel
+polynomial method for large quotients.  A right-regular operator has a
+constant diagonal, so its normalized Chebyshev trace is one matrix
+element, <delta_e|T_n(H)|delta_e>: KPM runs a single Chebyshev recursion
+from the identity site and takes two moments per matvec (Chebyshev
+doubling), with no random states.  Spectral edges come from seeded
+Lanczos runs, so outputs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -46,8 +49,6 @@ __all__ = [
 DENSE_CAP = 6000
 DEFAULT_GRID_POINTS = 1024
 KPM_MOMENTS = 500
-KPM_RANDOM_STATES = 10
-POWER_ITERATIONS = 50
 BOUND_PAD = 0.01
 
 
@@ -161,51 +162,34 @@ def cumulative_curve(density: DOSCurve) -> DOSCurve:
     return DOSCurve(e, cum, meta)
 
 
-def _power_extreme(matvec, n: int, rng, iterations: int) -> float:
-    """Rayleigh quotient after power iterations; largest-|eigenvalue| estimate."""
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(iterations):
-        w = matvec(v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-    return float(np.real(np.vdot(v, matvec(v))))
-
-
-def spectral_bounds(
-    mat, iterations: int = POWER_ITERATIONS, pad: float = BOUND_PAD, seed: int = 0
-) -> tuple[float, float]:
+def spectral_bounds(mat, pad: float = BOUND_PAD, seed: int = 0) -> tuple[float, float]:
     """Deterministic spectral interval estimate for a Hermitian operator.
 
-    Edges come from seeded Lanczos runs (one per edge); plain power
-    iteration stalls on these operators because their spectra are dense
-    at the edges, which would leave eigenvalues outside the Chebyshev
-    window.  The interval is inflated by the pad fraction on each side.
+    Edges come from seeded Lanczos: one run for both edges of a real
+    operator (ARPACK's "BE" mode is real-only), one run per edge of a
+    complex one.  The interval is inflated by the pad fraction on each
+    side.  Raises NumericalContractError when ARPACK fails: power
+    iteration is no fallback, since it stalls on spectra that are dense
+    at the edges and would leave eigenvalues outside the Chebyshev window.
     """
     n = mat.shape[0]
-    rng = np.random.default_rng(seed)
     if n <= 64:
         vals = np.linalg.eigvalsh(_dense(mat))
         lo, hi = float(vals[0]), float(vals[-1])
     else:
-        v0 = rng.standard_normal(n)
+        v0 = np.random.default_rng(seed).standard_normal(n)
         op = mat.tocsr() if sp.issparse(mat) else np.asarray(mat)
         try:
-            hi = float(spla.eigsh(op, k=1, which="LA", v0=v0,
-                                  return_eigenvectors=False)[0])
-            lo = float(spla.eigsh(op, k=1, which="SA", v0=v0,
-                                  return_eigenvectors=False)[0])
-        except spla.ArpackError:
-            # fallback: shifted power iterations for each edge
-            radius = abs(_power_extreme(lambda v: op @ v, n, rng, iterations))
-            if radius == 0.0:
-                radius = 1.0
-            hi = _power_extreme(lambda v: op @ v + radius * v, n, rng, iterations) - radius
-            lo = -(_power_extreme(lambda v: radius * v - op @ v, n, rng, iterations) - radius)
-    if hi < lo:
-        lo, hi = hi, lo
+            if np.isrealobj(op):
+                edges = spla.eigsh(op, k=2, which="BE", v0=v0, return_eigenvectors=False)
+            else:
+                edges = [
+                    spla.eigsh(op, k=1, which=which, v0=v0, return_eigenvectors=False)[0]
+                    for which in ("LA", "SA")
+                ]
+        except spla.ArpackError as exc:
+            raise NumericalContractError(f"Lanczos spectral bounds failed: {exc}") from exc
+        lo, hi = float(np.min(edges)), float(np.max(edges))
     span = max(hi - lo, 1e-12)
     return lo - pad * span, hi + pad * span
 
@@ -218,28 +202,53 @@ def _jackson_kernel(m: int) -> np.ndarray:
     ) / mp1
 
 
+def _single_site_moments(mat, moments: int, a: float, b: float) -> np.ndarray:
+    """mu_n = <delta_e|T_n(H~)|delta_e> for n < moments, H~ = (H - b) / a.
+
+    Chebyshev doubling (Weisse et al., RMP 78, 275 (2006)):
+    mu_2n = 2 <T_n|T_n> - mu_0 and mu_2n+1 = 2 <T_n+1|T_n> - mu_1, so
+    ceil((moments - 1) / 2) matvecs give all the moments.  Vectors keep
+    the operator's dtype, so a real operator runs real matvecs.
+    """
+    n = mat.shape[0]
+    mu = np.empty(moments + 1)
+    t_prev = np.zeros(n, dtype=mat.dtype)
+    t_prev[0] = 1.0
+    t_cur = (mat @ t_prev - b * t_prev) / a
+    mu[0], mu[1] = 1.0, np.real(t_cur[0])
+    mu[2] = 2.0 * np.real(np.vdot(t_cur, t_cur)) - mu[0]
+    for m in range(2, moments // 2 + 1):
+        t_next = 2.0 * (mat @ t_cur - b * t_cur) / a - t_prev
+        mu[2 * m - 1] = 2.0 * np.real(np.vdot(t_next, t_cur)) - mu[1]
+        mu[2 * m] = 2.0 * np.real(np.vdot(t_next, t_next)) - mu[0]
+        t_prev, t_cur = t_cur, t_next
+    return mu[:moments]
+
+
 def kpm_dos(
-    mat,
+    h,
+    group,
     moments: int = KPM_MOMENTS,
-    random_states: int = KPM_RANDOM_STATES,
     grid_points: int = DEFAULT_GRID_POINTS,
     seed: int = 0,
     bounds: tuple[float, float] | None = None,
 ) -> DOSCurve:
-    """Kernel polynomial DOS estimate, normalized to unit integral.
+    """Kernel polynomial DOS of represent_periodic(h, group), normalized to unit integral.
 
-    Chebyshev moments are averaged over unit-normalized complex Gaussian
-    states; Jackson damping suppresses Gibbs oscillations.  The operator
-    is rescaled into (-1, 1) using deterministic seeded edge estimates
-    unless explicit bounds are passed.
+    The operator commutes with left translations, so its diagonal is
+    constant and the normalized trace of T_n(H~) is the single entry at
+    the identity element: the moments are exact, with no stochastic
+    trace.  Jackson damping suppresses Gibbs oscillations.  The operator
+    is rescaled into (-1, 1) using seeded Lanczos edge estimates unless
+    explicit bounds are passed; seed only enters those estimates.
     """
+    from .operators import represent_periodic
+
     if moments < 2:
         raise ConfigError(f"moments must be at least 2, got {moments}")
-    if random_states < 1:
-        raise ConfigError(f"random_states must be positive, got {random_states}")
     if grid_points < 2:
         raise ConfigError(f"grid_points must be at least 2, got {grid_points}")
-    n = mat.shape[0]
+    mat = represent_periodic(h, group)
     if bounds is None:
         bounds = spectral_bounds(mat, seed=seed)
     lo, hi = bounds
@@ -247,25 +256,7 @@ def kpm_dos(
     b = (hi + lo) / 2.0
     if a <= 0:
         raise ConfigError(f"invalid spectral bounds {bounds}")
-    mat_csr = mat.tocsr() if sp.issparse(mat) else np.asarray(mat)
-
-    def scaled(v):
-        return (mat_csr @ v - b * v) / a
-
-    rng = np.random.default_rng(seed)
-    mu = np.zeros(moments)
-    for _ in range(random_states):
-        phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        phi /= np.linalg.norm(phi)
-        t_prev = phi
-        t_cur = scaled(phi)
-        mu[0] += 1.0
-        mu[1] += np.real(np.vdot(phi, t_cur))
-        for m in range(2, moments):
-            t_next = 2.0 * scaled(t_cur) - t_prev
-            mu[m] += np.real(np.vdot(phi, t_next))
-            t_prev, t_cur = t_cur, t_next
-    mu /= random_states
+    mu = _single_site_moments(mat, moments, a, b)
 
     damped = mu * _jackson_kernel(moments)
     x = np.linspace(-1.0, 1.0, grid_points + 2)[1:-1]  # avoid the open endpoints
@@ -286,7 +277,7 @@ def kpm_dos(
             "kind": "dos",
             "method": "kpm",
             "moments": moments,
-            "random_states": random_states,
+            "random_states": 1,  # the single start vector delta_e
             "seed": seed,
             "bounds": [lo, hi],
         },
@@ -366,13 +357,17 @@ def eigenpairs_near(
     """Eigenpairs within |E - center| <= half_width via shift-invert.
 
     Grows the requested count until the window is covered (or the whole
-    spectrum is returned).  Deterministic for a fixed seed.
+    spectrum is returned).  Deterministic for a fixed seed.  Up to
+    DENSE_CAP, a dense solve computes only the pairs inside the window.
     """
     n = mat.shape[0]
     if n <= DENSE_CAP:
-        full = exact_spectrum(mat, want_vectors=True)
-        mask = np.abs(full.eigenvalues - center) <= half_width
-        return SpectrumResult(full.eigenvalues[mask], full.eigenvectors[:, mask])
+        # LAPACK's value interval is (lo, hi]; stepping lo down one ulp keeps the window closed
+        window = (np.nextafter(center - half_width, -np.inf), center + half_width)
+        # a fresh Fortran-ordered copy that LAPACK may overwrite in place
+        dense = mat.toarray(order="F") if sp.issparse(mat) else np.array(mat, order="F")
+        vals, vecs = sla.eigh(dense, subset_by_value=window, overwrite_a=True)
+        return SpectrumResult(vals, vecs)
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     k = min(k_start, n - 2)

@@ -124,8 +124,7 @@ def test_criterion_03_group_relations():
 def test_criterion_04_idos_convergence(q54_k1, q54_k2, adj_evals):
     adj = operators.adjacency(5, 4)
     ref_group = quotient.build_quotient(5, 4, 2, 3)
-    ref_mat = operators.represent_periodic(adj, ref_group)
-    ref = spectral.cumulative_curve(spectral.kpm_dos(ref_mat, seed=11))
+    ref = spectral.cumulative_curve(spectral.kpm_dos(adj, ref_group, seed=11))
     mses = {}
     for k in (1, 2):
         spec = spectral.SpectrumResult(adj_evals[k])
@@ -180,8 +179,7 @@ def test_criterion_06_band_counts(q54_k1, q54_k2, model_evals):
 
 
 def test_criterion_07_kpm_fidelity(q54_k2, adj_evals):
-    mat = operators.represent_periodic(operators.adjacency(5, 4), q54_k2)
-    dos = spectral.kpm_dos(mat, seed=11)
+    dos = spectral.kpm_dos(operators.adjacency(5, 4), q54_k2, seed=11)
     kpm_idos = spectral.cumulative_curve(dos)
     ev = adj_evals[2]
     exact = spectral.idos_curve(spectral.SpectrumResult(ev), dos.energies)

@@ -162,6 +162,54 @@ def test_corrupt_kernel_in_cache_exits_4(tmp_path, capsys):
     assert "numerical contract" in capsys.readouterr().err
 
 
+def _cached_k2(tmp_path):
+    cache = tmp_path / "cache"
+    assert run(["--out", str(tmp_path), "--cache-dir", str(cache), "group", "5", "4", "--k", "2"]) == 0
+    return cache, cache / "quotient_5_4_s2_k2.npz"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "5", "4", "--k", "2"],
+        ["spectrum", "5", "4", "--k", "2", "--method", "kpm", "--moments", "16"],
+    ],
+)
+def test_corrupt_elements_in_cache_exit_4_for_group_and_kpm(tmp_path, capsys, argv):
+    cache, path = _cached_k2(tmp_path)
+    group = quotient.QuotientGroup.load(str(path))
+    kernel = np.flatnonzero(group.sectors.coset == 0)
+    group.elements[kernel[-1]] = group.elements[kernel[1]]
+    group.save(str(path))
+    assert run(["--out", str(tmp_path), "--cache-dir", str(cache)] + argv) == 4
+    assert "elements rows are equal" in capsys.readouterr().err
+
+
+def test_truncated_cache_exits_4(tmp_path, capsys):
+    cache, path = _cached_k2(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    assert run(["--out", str(tmp_path), "--cache-dir", str(cache), "group", "5", "4", "--k", "2"]) == 4
+    assert "unusable" in capsys.readouterr().err
+
+
+def test_cache_of_another_version_exits_4(tmp_path, capsys, monkeypatch):
+    cache, path = _cached_k2(tmp_path)
+    group = quotient.QuotientGroup.load(str(path))
+    monkeypatch.setattr(quotient, "CACHE_VERSION", quotient.CACHE_VERSION + 1)
+    group.save(str(path))
+    monkeypatch.undo()
+    assert run(["--out", str(tmp_path), "--cache-dir", str(cache), "group", "5", "4", "--k", "2"]) == 4
+    assert "format version" in capsys.readouterr().err
+
+
+def test_cache_of_another_quotient_exits_4(tmp_path, capsys):
+    cache, path = _cached_k2(tmp_path)
+    path.rename(cache / "quotient_5_4_s2_k1.npz")
+    assert run(["--out", str(tmp_path), "--cache-dir", str(cache), "group", "5", "4", "--k", "1"]) == 4
+    assert "holds {5,4} mod 2^2" in capsys.readouterr().err
+
+
 def test_junction_command(tmp_path, capsys):
     code = run(
         ["--out", str(tmp_path), "junction", "--radius", "5", "--energies", "0.0"]

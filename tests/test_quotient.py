@@ -1,8 +1,11 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from hyperbulk import quotient
-from hyperbulk.errors import ResourceLimitError
+from hyperbulk.errors import NumericalContractError, ResourceLimitError
 from hyperbulk.triangle import GEN_A, GEN_B
 
 from conftest import QUOTIENT_ORDERS
@@ -105,3 +108,35 @@ def test_save_load_round_trip(tmp_path, q54_k1):
     assert np.array_equal(loaded.inv, q54_k1.inv)
     assert loaded.torsion == q54_k1.torsion
     assert loaded.word(5) == q54_k1.word(5)
+
+
+def test_save_is_atomic_and_versioned(q54_k1, tmp_path):
+    q54_k1.save(str(tmp_path / "g"))  # the suffix is appended, as np.savez_compressed does
+    assert [p.name for p in tmp_path.iterdir()] == ["g.npz"]
+    with np.load(tmp_path / "g.npz") as data:
+        assert json.loads(bytes(data["header"]).decode())["version"] == quotient.CACHE_VERSION
+
+
+def _swap(rows, t, i, j):
+    rows = rows.copy()
+    rows[t, [i, j]] = rows[t, [j, i]]
+    return rows
+
+
+# defect message -> the tables that carry it
+BROKEN = {
+    "gen_perm row is not a permutation": lambda g: {"gen_perm": np.where(g.gen_perm == 1, 0, g.gen_perm)},
+    "left_perm rows .* do not compose to 1": lambda g: {"left_perm": _swap(g.left_perm, 2, 3, 4)},
+    "gen_perm rows .* do not compose to 1": lambda g: {"gen_perm": _swap(g.gen_perm, 0, 5, 9)},
+    "inv is not an involution": lambda g: {"inv": np.roll(g.inv, 1)},
+    "elements rows are equal": lambda g: {"elements": np.concatenate([g.elements[:1], g.elements[:-1]])},
+    "tokens has shape": lambda g: {"tokens": g.tokens[:-1]},
+}
+
+
+@pytest.mark.parametrize("defect", sorted(BROKEN))
+def test_load_rejects_broken_tables(q54_k1, tmp_path, defect):
+    path = str(tmp_path / "g.npz")
+    dataclasses.replace(q54_k1, **BROKEN[defect](q54_k1)).save(path)
+    with pytest.raises(NumericalContractError, match=f"unusable: .*{defect}"):
+        quotient.QuotientGroup.load(path)

@@ -45,30 +45,42 @@ def test_spectral_bounds_contain_spectrum(adj_k1, spec_k1):
     assert hi >= spec_k1.eigenvalues[-1]
 
 
-def test_kpm_deterministic(adj_k1):
-    a = spectral.kpm_dos(adj_k1, moments=64, grid_points=128, seed=11)
-    b = spectral.kpm_dos(adj_k1, moments=64, grid_points=128, seed=11)
+def test_kpm_deterministic(q54_k1):
+    adj = operators.adjacency(5, 4)
+    a = spectral.kpm_dos(adj, q54_k1, moments=64, grid_points=128, seed=11)
+    b = spectral.kpm_dos(adj, q54_k1, moments=64, grid_points=128, seed=11)
     assert np.array_equal(a.values, b.values)
-    c = spectral.kpm_dos(adj_k1, moments=64, grid_points=128, seed=12)
-    assert not np.array_equal(a.values, c.values)
+    assert a.metadata == b.metadata
+    # the moments are exact: the seed only moves the Lanczos start vector of the bounds
+    c = spectral.kpm_dos(adj, q54_k1, moments=64, grid_points=128, seed=12)
+    mat = operators.represent_periodic(adj, q54_k1)
+
+    def moments(bounds):
+        lo, hi = bounds
+        return spectral._single_site_moments(mat, 64, (hi - lo) / 2.0, (hi + lo) / 2.0)
+
+    assert np.abs(moments(a.metadata["bounds"]) - moments(c.metadata["bounds"])).max() <= 1e-12
+    d = spectral.kpm_dos(adj, q54_k1, moments=64, grid_points=128, seed=12, bounds=a.metadata["bounds"])
+    assert np.array_equal(a.values, d.values)
 
 
-def test_kpm_density_normalized(adj_k1):
-    dos = spectral.kpm_dos(adj_k1, moments=128, grid_points=512, seed=11)
+def test_kpm_density_normalized(q54_k1):
+    dos = spectral.kpm_dos(operators.adjacency(5, 4), q54_k1, moments=128, grid_points=512, seed=11)
     mass = np.trapezoid(dos.values, dos.energies)
     assert mass == pytest.approx(1.0, abs=1e-8)
     assert np.all(dos.values > -1e-12)
 
 
-def test_kpm_validation(adj_k1):
+def test_kpm_validation(q54_k1):
+    adj = operators.adjacency(5, 4)
     with pytest.raises(ConfigError):
-        spectral.kpm_dos(adj_k1, moments=0)
+        spectral.kpm_dos(adj, q54_k1, moments=0)
     with pytest.raises(ConfigError):
-        spectral.kpm_dos(adj_k1, random_states=0)
+        spectral.kpm_dos(adj, q54_k1, grid_points=1)
 
 
-def test_cumulative_curve_of_kpm(adj_k1):
-    dos = spectral.kpm_dos(adj_k1, moments=128, grid_points=512, seed=11)
+def test_cumulative_curve_of_kpm(q54_k1):
+    dos = spectral.kpm_dos(operators.adjacency(5, 4), q54_k1, moments=128, grid_points=512, seed=11)
     idos = spectral.cumulative_curve(dos)
     assert np.all(np.diff(idos.values) >= -1e-12)
     assert idos.values[-1] == pytest.approx(1.0, abs=1e-8)
@@ -140,13 +152,18 @@ def test_eigenpairs_near_window(adj_k1):
         v = pairs.eigenvectors[:, j]
         r = adj_k1 @ v - pairs.eigenvalues[j] * v
         assert np.linalg.norm(r) < 1e-8
+    # a dense input gives the same window and is left as it was
+    dense = adj_k1.toarray()
+    again = spectral.eigenpairs_near(dense, center=0.0, half_width=0.3, seed=11)
+    assert np.array_equal(dense, adj_k1.toarray())
+    assert np.allclose(np.sort(again.eigenvalues), want, atol=1e-8)
 
 
-def test_curve_csv_round_trip(tmp_path, adj_k1):
+def test_curve_csv_round_trip(tmp_path, q54_k1):
     import csv
     import json
 
-    dos = spectral.kpm_dos(adj_k1, moments=64, grid_points=64, seed=11)
+    dos = spectral.kpm_dos(operators.adjacency(5, 4), q54_k1, moments=64, grid_points=64, seed=11)
     path = tmp_path / "dos.csv"
     spectral.write_curve_csv(dos, str(path))
     with open(path) as fh:
