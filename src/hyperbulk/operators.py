@@ -33,10 +33,11 @@ from .triangle import (
     GEN_B,
     GEN_B_INV,
     Ball,
-    RightMultiplier,
     inverse_token,
     inverse_word,
+    mult_tables,
     parse_word,
+    right_products,
     word_str,
     word_to_matrix,
 )
@@ -273,32 +274,19 @@ def represent_open(h: AlgebraElement, ball: Ball) -> sp.csr_matrix:
     Matrix entries couple ball elements z, z' with z = z' g^-1; pairs
     whose endpoint falls outside the ball are dropped.  Because the
     model is Hermitian, surviving entries come in conjugate pairs, so
-    the truncation preserves Hermiticity.
+    the truncation preserves Hermiticity.  Each term is one exact batched
+    product of the ball with g^-1 and one key lookup of the results.
     """
-    gens = ball.gens
     n = len(ball)
     dtype = np.float64 if _is_real(h) else np.complex128
-    batch = ball.batch()
     rows_all, cols_all, vals_all = [], [], []
     for w, c in h.items():
-        if not w:
-            rows_all.append(np.arange(n, dtype=np.int64))
-            cols_all.append(np.arange(n, dtype=np.int64))
-            vals_all.append(np.full(n, c if dtype == np.complex128 else c.real, dtype=dtype))
-            continue
-        g_inv = word_to_matrix(inverse_word(w), gens)
-        prod = RightMultiplier(g_inv).apply(batch)
-        rows, cols = [], []
-        for src in range(n):
-            tgt = ball.lookup(prod[src])
-            if tgt >= 0:
-                rows.append(tgt)
-                cols.append(src)
-        rows_all.append(np.array(rows, dtype=np.int64))
-        cols_all.append(np.array(cols, dtype=np.int64))
-        vals_all.append(
-            np.full(len(rows), c if dtype == np.complex128 else c.real, dtype=dtype)
-        )
+        tables = mult_tables([word_to_matrix(inverse_word(w), ball.gens)])
+        target = ball.index.find(right_products(ball.batch(), tables)[:, 0])
+        cols = np.flatnonzero(target >= 0)
+        rows_all.append(target[cols])
+        cols_all.append(cols)
+        vals_all.append(np.full(len(cols), c if dtype == np.complex128 else c.real, dtype=dtype))
     mat = sp.coo_matrix(
         (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
         shape=(n, n),

@@ -6,10 +6,13 @@ G_k over Z_{s^k}[xi].  The family k = 1, 2, ... forms a coherent tower
 of quotients whose regular representations converge spectrally to the
 infinite lattice.
 
-The group is enumerated breadth-first with batched integer matmuls; the
-result records, per generator, the permutation it induces by right
-multiplication, plus an inverse table, which is all the operator layer
-needs.
+The group is enumerated by triangle.bfs, the engine that also builds
+word-metric balls: each layer is one batched matmul with the generator
+tables mod s^k, deduplicated through sorted 64-bit row keys confirmed
+row by row.  The same products fill the right-multiplication
+permutations; the inverse table follows by walking each element's
+discovery word, and the left actions follow from both.  That is all the
+operator layer needs.
 
 For k >= 2 the kernel N of G_k -> G_(k-1) is abelian, because
 (1 + s^(k-1) X)(1 + s^(k-1) Y) = 1 + s^(k-1) (X + Y) mod s^k.  Its
@@ -30,20 +33,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NumericalContractError, ResourceLimitError
-from .ring import make_context
+from .errors import ConfigError, NumericalContractError
 from .triangle import (
     GEN_A,
     GEN_B,
+    RowIndex,
     TessellationParams,
+    bfs,
     build_generators,
     inverse_token,
     inverse_word,
-    matrix_to_flat,
-    ring_index,
+    mult_tables,
 )
 
-__all__ = ["QuotientGroup", "Sectors", "build_quotient", "quotient_project", "element_order"]
+__all__ = ["QuotientGroup", "Sectors", "build_quotient"]
 
 DEFAULT_ELEMENT_CAP = 500_000
 CACHE_VERSION = 2  # version 1 files carry no version field
@@ -55,38 +58,6 @@ def _storage_dtype(m: int):
     if m <= 65536:
         return np.uint16
     return np.int64
-
-
-def _mod_tables(ctx, flats, m: int):
-    """Right-multiplication tables mod m for a list of flat exact matrices.
-
-    Table K[(l, r), (j, s)] = sum_t flat[l][j]_t * (xi^(r+t))_s mod m.
-    Every modular matmul in this module (the BFS and _permutations) takes
-    rows of 3d entries below m times such a table in int64, so the sums
-    must stay below 2^63; larger moduli are refused instead of wrapping.
-    """
-    d = ctx.d
-    if 3 * d * (m - 1) ** 2 >= 2**63:
-        raise ResourceLimitError(
-            f"modulus {m} is too large for int64 table products of width {3 * d}: "
-            f"3d (m - 1)^2 >= 2^63"
-        )
-    powers = np.array([ctx.power(e) for e in range(2 * d - 1)], dtype=object)
-    powers = (powers.astype(object) % m).astype(np.int64)  # (2d-1, d)
-    tables = []
-    for flat in flats:
-        K = np.zeros((3 * d, 3 * d), dtype=np.int64)
-        for l in range(3):
-            for j in range(3):
-                entry = [int(flat[l, j * d + t]) % m for t in range(d)]
-                for r in range(d):
-                    acc = np.zeros(d, dtype=np.int64)
-                    for t, g_t in enumerate(entry):
-                        if g_t:
-                            acc += g_t * powers[r + t]
-                    K[l * d + r, j * d : (j + 1) * d] = acc % m
-        tables.append(K)
-    return tables
 
 
 @dataclass
@@ -158,9 +129,6 @@ class QuotientGroup:
         """Character sectors of ker(G_k -> G_(k-1)), computed on first use and never saved."""
         return _sectors(self)
 
-    def key(self, i: int) -> bytes:
-        return self.elements[i].tobytes()
-
     def reduce_to(self, other: "QuotientGroup") -> np.ndarray:
         """Index map of the natural surjection onto a coarser quotient.
 
@@ -168,12 +136,10 @@ class QuotientGroup:
         """
         if (other.p, other.q, other.s) != (self.p, self.q, self.s) or other.k > self.k:
             raise ConfigError("target is not a coarser quotient of the same family")
-        m = other.modulus
-        reduced = (self.elements.astype(np.int64) % m).astype(other.elements.dtype)
-        lookup = {other.key(i): i for i in range(other.order)}
-        out = np.empty(self.order, dtype=np.int64)
-        for i in range(self.order):
-            out[i] = lookup[reduced[i].tobytes()]
+        reduced = (self.elements % other.modulus).astype(other.elements.dtype)
+        out = RowIndex(other.elements).find(reduced)
+        if np.any(out < 0):
+            raise NumericalContractError("an element has no image in the coarser quotient")
         return out
 
     def save(self, path: str) -> None:
@@ -199,7 +165,7 @@ class QuotientGroup:
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
-                np.savez_compressed(
+                np.savez(
                     fh,
                     header=np.frombuffer(header.encode(), dtype=np.uint8),
                     **{name: getattr(self, name) for name in _CACHE_ARRAYS},
@@ -406,68 +372,32 @@ def build_quotient(
         raise ConfigError("level k must be at least 1")
     m = s**k
     gens = build_generators(p, q)
-    ctx = gens.ctx
-    d = ctx.d
-    width = 3 * d
-    dtype = _storage_dtype(m)
+    d = gens.ctx.d
+    tables = mult_tables([gens.token_matrix(t) for t in range(4)], m)
+    ident = np.zeros((3, 3 * d), dtype=_storage_dtype(m))
+    ident[range(3), range(0, 3 * d, d)] = 1
+    found = bfs(
+        tables, ident, modulus=m, cap=element_cap, what=f"quotient of {{{p},{q}}} mod {s}^{k}"
+    )
+    order = len(found.index)
+    gen_perm, parents, tokens = found.gen_perm, found.parents, found.tokens
 
-    gen_flats = [matrix_to_flat(gens.token_matrix(t)) for t in range(4)]
-    K_right = _mod_tables(ctx, gen_flats, m)
-    # left multiplication by g equals transposed right multiplication by g^T
-    K_left = _mod_tables(ctx, [_transpose_flat(f, d) for f in gen_flats], m)
-
-    ident = np.zeros((3, width), dtype=dtype)
-    for i in range(3):
-        ident[i, i * d] = 1
-
-    elements = [ident]
-    parents = [-1]
-    tokens = [-1]
-    seen = {ident.tobytes(): 0}
-    frontier = [0]
-    while frontier:
-        batch = np.stack([elements[i] for i in frontier]).astype(np.int64)
-        n = len(frontier)
-        flat = batch.reshape(n * 3, width)
-        prods = [((flat @ K) % m).reshape(n, 3, width).astype(dtype) for K in K_right]
-        new_frontier = []
-        for pos in range(n):
-            src = frontier[pos]
-            for t in range(4):
-                cand = prods[t][pos]
-                key = cand.tobytes()
-                if key not in seen:
-                    if len(elements) >= element_cap:
-                        raise ResourceLimitError(
-                            f"quotient of {{{p},{q}}} mod {s}^{k} exceeded the "
-                            f"element cap {element_cap} (BFS had {len(elements)} "
-                            f"elements with an unfinished frontier); raise "
-                            f"element_cap to continue"
-                        )
-                    seen[key] = len(elements)
-                    new_frontier.append(len(elements))
-                    elements.append(cand)
-                    parents.append(src)
-                    tokens.append(t)
-        frontier = new_frontier
-
-    order = len(elements)
-    element_arr = np.stack(elements)
-    parents = np.array(parents, dtype=np.int64)
-    tokens = np.array(tokens, dtype=np.int64)
-
-    gen_perm = _permutations(element_arr, K_right, seen, m, transpose=False)
-    left_perm = _permutations(element_arr, K_left, seen, m, transpose=True)
-
-    # inverse table: (parent * g_t)^-1 = g_t^-1 * parent^-1, walkable in
-    # BFS order via the left-action permutations
+    # x = g_t1 ... g_tL has x^-1 = g_tL^-1 ... g_t1^-1: walk every discovery
+    # word from its last token back to the root, all elements at once
+    inverse = np.array([inverse_token(t) for t in range(4)])
     inv = np.zeros(order, dtype=np.int64)
-    for i in range(1, order):
-        inv[i] = left_perm[inverse_token(int(tokens[i]))][inv[parents[i]]]
+    node = np.arange(order)
+    live = np.flatnonzero(node)
+    while live.size:
+        inv[live] = gen_perm[inverse[tokens[node[live]]], inv[live]]
+        node[live] = parents[node[live]]
+        live = live[node[live] > 0]
+    # g_t x = (x^-1 g_t^-1)^-1
+    left_perm = inv[gen_perm[inverse][:, inv]]
 
     group = QuotientGroup(
         p=p, q=q, s=s, k=k, order=order,
-        elements=element_arr, gen_perm=gen_perm, inv=inv, left_perm=left_perm,
+        elements=found.index.rows, gen_perm=gen_perm, inv=inv, left_perm=left_perm,
         parents=parents, tokens=tokens,
     )
 
@@ -481,39 +411,3 @@ def build_quotient(
         "AB": {"expected": 2, "order": group.element_order(idx_ab)},
     }
     return group
-
-
-def _transpose_flat(flat: np.ndarray, d: int) -> np.ndarray:
-    out = flat.copy()
-    for i in range(3):
-        for j in range(3):
-            out[i, j * d : (j + 1) * d] = flat[j, i * d : (i + 1) * d]
-    return out
-
-
-def _permutations(elements, tables, seen, m, transpose, chunk=8192):
-    order, _, width = elements.shape
-    d = width // 3
-    out = np.zeros((4, order), dtype=np.int64)
-    for start in range(0, order, chunk):
-        block = elements[start : start + chunk].astype(np.int64)
-        if transpose:
-            block = block.reshape(-1, 3, 3, d).swapaxes(1, 2).reshape(-1, 3, width)
-        n = block.shape[0]
-        flat = block.reshape(n * 3, width)
-        for t, K in enumerate(tables):
-            prod = ((flat @ K) % m).reshape(n, 3, width)
-            if transpose:
-                prod = prod.reshape(-1, 3, 3, d).swapaxes(1, 2).reshape(-1, 3, width)
-            prod = prod.astype(elements.dtype)
-            for pos in range(n):
-                out[t, start + pos] = seen[prod[pos].tobytes()]
-    return out
-
-
-def quotient_project(word, group: QuotientGroup) -> int:
-    return group.project(word)
-
-
-def element_order(i: int, group: QuotientGroup) -> int:
-    return group.element_order(i)

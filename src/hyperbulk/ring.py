@@ -3,8 +3,9 @@
 xi_n is an algebraic integer whose minimal polynomial Psi_n has degree
 phi(n)/2 for n > 2 (phi = Euler totient), so Z[xi_n] is a free Z-module
 with basis xi^0, ..., xi^(d-1).  Elements are stored as integer
-coefficient vectors of length d and multiplied exactly; an optional
-modular variant works over Z_m for building finite matrix groups.
+coefficient vectors of length d and multiplied exactly.  Arithmetic mod
+s^k for finite quotients runs on whole batches of matrices, through the
+multiplication tables in triangle.
 
 All integer arithmetic uses native Python ints: coefficients of long
 products overflow 64-bit machine words.
@@ -20,15 +21,10 @@ __all__ = [
     "IntPolynomial",
     "RingContext",
     "RingElem",
-    "ModRingElem",
     "rescaled_chebyshev",
     "minimal_polynomial",
     "euler_totient",
     "make_context",
-    "star_mul",
-    "star_mul_mod",
-    "mod_reduce",
-    "eval_real",
     "psi_json",
 ]
 
@@ -347,72 +343,6 @@ class RingElem:
 
     def __repr__(self) -> str:
         return f"RingElem(n={self.ctx.n}, {list(self.coeffs)})"
-
-
-class ModRingElem:
-    """Element of Z_m[xi_n]: coefficients normalized to [0, m)."""
-
-    __slots__ = ("ctx", "m", "coeffs")
-
-    def __init__(self, ctx: RingContext, m: int, coeffs):
-        if m < 2:
-            raise ValueError("modulus must be at least 2")
-        cs = tuple(int(c) % m for c in coeffs)
-        if len(cs) != ctx.d:
-            raise ValueError(f"expected {ctx.d} coefficients, got {len(cs)}")
-        self.ctx = ctx
-        self.m = m
-        self.coeffs = cs
-
-    def _check(self, other: "ModRingElem"):
-        if self.ctx.n != other.ctx.n or self.m != other.m:
-            raise ValueError("ring context or modulus differ")
-
-    def __mul__(self, other: "ModRingElem") -> "ModRingElem":
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        prod = [0] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        return ModRingElem(self.ctx, self.m, self.ctx.reduce_poly(prod))
-
-    def __add__(self, other: "ModRingElem") -> "ModRingElem":
-        self._check(other)
-        return ModRingElem(
-            self.ctx, self.m, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModRingElem)
-            and other.ctx.n == self.ctx.n
-            and other.m == self.m
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ctx.n, self.m, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"ModRingElem(n={self.ctx.n}, m={self.m}, {list(self.coeffs)})"
-
-
-def star_mul(a: RingElem, b: RingElem) -> RingElem:
-    return a * b
-
-
-def mod_reduce(a: RingElem, m: int) -> ModRingElem:
-    return ModRingElem(a.ctx, m, a.coeffs)
-
-
-def star_mul_mod(a: ModRingElem, b: ModRingElem) -> ModRingElem:
-    return a * b
-
-
-def eval_real(a: RingElem) -> float:
-    return a.eval_real()
 
 
 def psi_json(n: int) -> str:

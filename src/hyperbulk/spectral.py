@@ -50,6 +50,8 @@ DENSE_CAP = 6000
 DEFAULT_GRID_POINTS = 1024
 KPM_MOMENTS = 500
 BOUND_PAD = 0.01
+# ARPACK converges each edge to this relative accuracy, far inside BOUND_PAD
+BOUND_TOL = 1e-6
 
 
 @dataclass
@@ -167,10 +169,11 @@ def spectral_bounds(mat, pad: float = BOUND_PAD, seed: int = 0) -> tuple[float, 
 
     Edges come from seeded Lanczos: one run for both edges of a real
     operator (ARPACK's "BE" mode is real-only), one run per edge of a
-    complex one.  The interval is inflated by the pad fraction on each
-    side.  Raises NumericalContractError when ARPACK fails: power
-    iteration is no fallback, since it stalls on spectra that are dense
-    at the edges and would leave eigenvalues outside the Chebyshev window.
+    complex one, each converged to a relative BOUND_TOL.  The interval is
+    inflated by the pad fraction on each side.  Raises
+    NumericalContractError when ARPACK fails: power iteration is no
+    fallback, since it stalls on spectra that are dense at the edges and
+    would leave eigenvalues outside the Chebyshev window.
     """
     n = mat.shape[0]
     if n <= 64:
@@ -181,10 +184,14 @@ def spectral_bounds(mat, pad: float = BOUND_PAD, seed: int = 0) -> tuple[float, 
         op = mat.tocsr() if sp.issparse(mat) else np.asarray(mat)
         try:
             if np.isrealobj(op):
-                edges = spla.eigsh(op, k=2, which="BE", v0=v0, return_eigenvectors=False)
+                edges = spla.eigsh(
+                    op, k=2, which="BE", v0=v0, tol=BOUND_TOL, return_eigenvectors=False
+                )
             else:
                 edges = [
-                    spla.eigsh(op, k=1, which=which, v0=v0, return_eigenvectors=False)[0]
+                    spla.eigsh(
+                        op, k=1, which=which, v0=v0, tol=BOUND_TOL, return_eigenvectors=False
+                    )[0]
                     for which in ("LA", "SA")
                 ]
         except spla.ArpackError as exc:

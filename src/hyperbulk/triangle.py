@@ -5,6 +5,12 @@ acting on a rank-3 lattice equipped with the Coxeter bilinear form; the
 rotation subgroup is generated by A = s_x s_y (order p) and B = s_y s_z
 (order q), with (AB)^2 = 1.  All matrix entries live in Z[xi_n] for a
 single n = ring_index(p, q), so group elements compare exactly.
+
+bfs is the one enumeration engine: word-metric balls (exact int64 rows,
+stopped at a radius) and finite quotients (rows mod s^k, run to
+closure) both grow layer by layer through batched table products and a
+RowIndex of sorted 64-bit row keys, each key match confirmed by a full
+row compare.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalContractError, ResourceLimitError
 from .ring import RingContext, RingElem, make_context, rescaled_chebyshev
 
 __all__ = [
@@ -36,6 +42,11 @@ __all__ = [
     "Generators",
     "build_generators",
     "word_to_matrix",
+    "mult_tables",
+    "right_products",
+    "row_keys",
+    "RowIndex",
+    "bfs",
     "Ball",
     "ball_enumerate",
     "export_ball_jsonl",
@@ -247,15 +258,18 @@ def word_to_matrix(word: tuple, gens: Generators) -> GroupMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Batched exact arithmetic.
+# Batched arithmetic and the breadth-first enumeration engine.
 #
 # A matrix is flattened to shape (3, 3d): row i, column l*d + r holds
 # coefficient r of entry (i, l).  Right multiplication by a fixed matrix g
 # is then a single integer matmul with a (3d, 3d) table
 #     K[(l, r), (j, s)] = sum_t g[l][j].coeffs[t] * (xi^(r+t))_s
-# which lets numpy process whole BFS frontiers at once.  int64 is used
-# while safe; the same code runs on object (big-int) arrays once
-# coefficients approach overflow.
+# which lets numpy process whole BFS frontiers at once.  Rows are exact
+# int64 (balls) or reduced mod m (quotients); both go through the same
+# products, keys and lookup.
+
+
+_CHUNK = 4096  # rows per batched product or key pass: bounds the wide temporaries
 
 
 def matrix_to_flat(mat: GroupMatrix) -> np.ndarray:
@@ -276,109 +290,223 @@ def flat_to_matrix(ctx: RingContext, flat: np.ndarray) -> GroupMatrix:
     return GroupMatrix(ctx, entries)
 
 
-def flat_key(flat_row: np.ndarray) -> tuple:
-    return tuple(int(v) for v in flat_row.ravel())
-
-
-def right_mult_table(mat: GroupMatrix) -> list:
-    """Exact (3d, 3d) table of right multiplication by mat, as Python ints."""
-    ctx = mat.ctx
+def mult_tables(mats, modulus: int | None = None) -> list:
+    """int64 (3d, 3d) tables of right multiplication by each matrix, exact or mod modulus."""
+    ctx = mats[0].ctx
     d = ctx.d
-    K = [[0] * (3 * d) for _ in range(3 * d)]
-    for l in range(3):
-        for j in range(3):
-            entry = mat.entries[3 * l + j].coeffs
-            for r in range(d):
-                row = K[l * d + r]
-                for t, g_t in enumerate(entry):
-                    if g_t:
-                        for s, ps in enumerate(ctx.power(r + t)):
-                            if ps:
-                                row[j * d + s] += g_t * ps
-    return K
+    powers = np.array([ctx.power(e) for e in range(2 * d - 1)], dtype=object)
+    hankel = powers[np.add.outer(np.arange(d), np.arange(d))]  # [r, t, s] = (xi^(r+t))_s
+    tables = []
+    for mat in mats:
+        entries = matrix_to_flat(mat).reshape(3, 3, d)  # [l, j, t]
+        K = np.tensordot(entries, hankel, axes=([2], [1])).transpose(0, 2, 1, 3)
+        K = K.reshape(3 * d, 3 * d)
+        tables.append((K if modulus is None else K % modulus).astype(np.int64))
+    return tables
 
 
-class RightMultiplier:
-    """Applies right multiplication by a fixed exact matrix to flat batches.
+def right_products(rows: np.ndarray, tables, modulus: int | None = None) -> np.ndarray:
+    """(n, len(tables), 3, 3d) products of (n, 3, 3d) rows with each table, in the rows' dtype.
 
-    Uses int64 matmuls with an overflow guard, falling back to object
-    (arbitrary precision) arrays when inputs are too large.
+    BLAS matmuls in float64 while every sum is exact there (below 2^53),
+    int64 below 2^63; larger sums raise ResourceLimitError instead of
+    wrapping.  Rows and tables of a quotient are below the modulus m, so
+    its sums stay below 3d (m - 1)^2 and the products are reduced mod m.
+    Rows go through in chunks, which bounds the wide temporaries to about
+    10 MB for d = 8.
+    """
+    n, _, width = rows.shape
+    stacked = np.concatenate(tables, axis=1)
+    if modulus is None:
+        bound = int(np.abs(rows).max(initial=0)) * int(np.abs(stacked).sum(axis=0).max())
+    else:
+        bound = width * (modulus - 1) ** 2
+    if bound >= 2**63:
+        raise ResourceLimitError(f"table products would overflow int64: sums up to {bound} >= 2^63")
+    exact = np.float64 if bound < 2**53 else np.int64
+    stacked = stacked.astype(exact)
+    out = np.empty((n, len(tables), 3, width), dtype=rows.dtype)
+    for start in range(0, n, _CHUNK):
+        part = rows[start : start + _CHUNK]
+        prod = (part.reshape(-1, width).astype(exact) @ stacked).astype(np.int64, copy=False)
+        if modulus is not None:
+            prod %= modulus
+        prod = prod.reshape(len(part), 3, len(tables), width)
+        out[start : start + len(part)] = prod.swapaxes(1, 2)
+    return out
+
+
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """uint64 key of each integer row: a fixed random linear form mod 2^64.
+
+    Equal rows get equal keys; distinct rows rarely share one, and
+    RowIndex never trusts a key without a full row compare.
+    """
+    flat = rows.reshape(len(rows), -1)
+    rng = np.random.default_rng(0x6B657973)
+    weights = rng.integers(0, 2**64, size=flat.shape[1], dtype=np.uint64) | np.uint64(1)
+    keys = np.empty(len(flat), dtype=np.uint64)
+    for start in range(0, len(flat), _CHUNK):
+        keys[start : start + _CHUNK] = flat[start : start + _CHUNK].astype(np.uint64) @ weights
+    return keys
+
+
+class RowIndex:
+    """Exact lookup of distinct integer rows through their sorted 64-bit keys."""
+
+    def __init__(self, rows: np.ndarray):
+        keys = row_keys(rows)
+        self.rows = rows
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+        if np.any(self.keys[1:] == self.keys[:-1]):
+            raise NumericalContractError("two indexed rows share a 64-bit key")
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _slots(self, keys):
+        """Insertion points of the keys among the sorted ones, and which keys are present."""
+        at = np.searchsorted(self.keys, keys)
+        return at, self.keys[np.minimum(at, len(self.keys) - 1)] == keys
+
+    def find(self, rows: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
+        """Index of each row, or -1 where it is not indexed.
+
+        A key match counts only when the full rows are equal, so a row
+        whose key collides with another row's is reported absent.
+        """
+        keys = row_keys(rows) if keys is None else keys
+        at, hit = self._slots(keys)
+        hit = np.flatnonzero(hit)
+        match = self.order[at[hit]]
+        same = np.all(self.rows[match] == rows[hit], axis=tuple(range(1, rows.ndim)))
+        idx = np.full(len(keys), -1, dtype=np.int64)
+        idx[hit[same]] = match[same]
+        return idx
+
+    def add(self, rows: np.ndarray, keys: np.ndarray) -> None:
+        """Append rows with distinct keys, none of them indexed yet.
+
+        A key that is already indexed belongs to another row here, so two
+        distinct elements would share it: NumericalContractError.
+        """
+        by_key = np.argsort(keys, kind="stable")
+        at, taken = self._slots(keys[by_key])
+        if np.any(taken):
+            raise NumericalContractError("two distinct elements share a 64-bit row key")
+        self.keys = np.insert(self.keys, at, keys[by_key])
+        self.order = np.insert(self.order, at, len(self.rows) + by_key)
+        self.rows = np.concatenate([self.rows, rows])
+
+
+@dataclass
+class Enumeration:
+    """Result of bfs.
+
+    index.rows[i] is element i, reached from parents[i] by tokens[i].
+    gen_perm[t][i] indexes (element i) * g_t for every element that was in
+    a frontier: all of them once the set is closed.
     """
 
-    def __init__(self, mat: GroupMatrix):
-        self.ctx = mat.ctx
-        K = right_mult_table(mat)
-        self._K_obj = np.array(K, dtype=object)
-        self._max_k = max((max(abs(v) for v in row) for row in K), default=0)
-        self._K_i64 = None
-        if self._max_k < 2**62:
-            self._K_i64 = np.array(K, dtype=np.int64)
-        width = 3 * self.ctx.d
-        # |out| <= width * max|in| * max|K|; stay well under 2^63
-        if self._max_k > 0 and self._K_i64 is not None:
-            self._safe_in = (2**62) // (width * self._max_k)
-        else:
-            self._safe_in = 0
+    index: RowIndex
+    parents: np.ndarray
+    tokens: np.ndarray
+    layer_sizes: list
+    gen_perm: np.ndarray
 
-    def apply(self, batch: np.ndarray) -> np.ndarray:
-        """batch: (..., 3, 3d) integer array; returns the same shape."""
-        shape = batch.shape
-        flat = batch.reshape(-1, shape[-1])
-        if (
-            self._K_i64 is not None
-            and flat.dtype != object
-            and (self._safe_in == 0 or int(np.abs(flat).max(initial=0)) <= self._safe_in)
-        ):
-            out = flat.astype(np.int64) @ self._K_i64
-        else:
-            out = flat.astype(object) @ self._K_obj
-        return out.reshape(shape)
+
+def bfs(tables, ident: np.ndarray, modulus: int | None = None, radius: int | None = None,
+        cap: int | None = None, what: str = "enumeration") -> Enumeration:
+    """Breadth-first closure of ident under right multiplication by the tables.
+
+    One layer at a time: the frontier is multiplied by every table in one
+    matmul, the products are looked up by key, and the new ones are
+    numbered by first occurrence in (frontier position, token) order.
+    Stops at closure or after radius layers; more than cap elements raise
+    ResourceLimitError.  Rows are stored in ident's dtype.
+    """
+    index = RowIndex(ident[None])
+    parents, tokens, layer_sizes = [[-1]], [[-1]], [1]
+    perms = [np.zeros((len(tables), 0), dtype=np.int64)]
+    lo = 0
+    while lo < len(index) and (radius is None or len(layer_sizes) <= radius):
+        hi = len(index)
+        cand = right_products(index.rows[lo:hi], tables, modulus).reshape(-1, *ident.shape)
+        keys = row_keys(cand)
+        idx = index.find(cand, keys)
+        # group the unknown products by key; the first of each group is a new element
+        miss = np.flatnonzero(idx < 0)
+        _, first, group = np.unique(keys[miss], return_index=True, return_inverse=True)
+        first = miss[first]
+        if np.any(cand[miss] != cand[first[group]]):
+            raise NumericalContractError("two distinct elements share a 64-bit row key")
+        new = np.sort(first)
+        if cap is not None and hi + len(new) > cap:
+            raise ResourceLimitError(
+                f"{what} exceeded the element cap {cap} (BFS had {hi} elements with an "
+                f"unfinished frontier); raise element_cap to continue"
+            )
+        idx[miss] = hi + np.searchsorted(new, first)[group]
+        index.add(cand[new], keys[new])
+        parents.append(lo + new // len(tables))
+        tokens.append(new % len(tables))
+        perms.append(idx.reshape(hi - lo, len(tables)).T)
+        layer_sizes.append(len(new))
+        lo = hi
+    return Enumeration(
+        index,
+        np.concatenate(parents).astype(np.int64),
+        np.concatenate(tokens).astype(np.int64),
+        layer_sizes,
+        np.concatenate(perms, axis=1),
+    )
 
 
 class Ball:
     """Word-metric ball in the rotation group, enumerated breadth-first.
 
-    Elements are stored exactly; index 0 is the identity and layers are
-    ordered by increasing word length, with the generator order
-    A, A^-1, B, B^-1 fixing the order inside a layer.
+    Elements are stored exactly as int64 rows; index 0 is the identity and
+    layers are ordered by increasing word length, with the generator
+    order A, A^-1, B, B^-1 fixing the order inside a layer.  index looks
+    rows up exactly.
     """
 
-    def __init__(self, gens: Generators, radius: int, flats, parents, tokens, layer_sizes):
+    def __init__(self, gens: Generators, radius: int, found: Enumeration):
         self.gens = gens
         self.params = TessellationParams(gens.p, gens.q)
         self.radius = radius
-        self._flats = flats            # list of (3, 3d) object/int arrays
-        self._parents = parents        # parent index per element (-1 for id)
-        self._tokens = tokens          # discovery token per element
-        self.layer_sizes = layer_sizes # elements per word length 0..radius
-        self.index = {flat_key(f): i for i, f in enumerate(self._flats)}
+        self.index = found.index
+        self._parents = found.parents
+        self._tokens = found.tokens
+        self.layer_sizes = found.layer_sizes  # elements per word length 0..radius
 
     def __len__(self) -> int:
-        return len(self._flats)
+        return len(self.index)
 
     def flat(self, i: int) -> np.ndarray:
-        return self._flats[i]
+        return self.index.rows[i]
 
     def matrix(self, i: int) -> GroupMatrix:
-        return flat_to_matrix(self.gens.ctx, self._flats[i])
+        return flat_to_matrix(self.gens.ctx, self.flat(i))
 
     def word(self, i: int) -> tuple:
         out = []
         while i > 0:
-            out.append(self._tokens[i])
-            i = self._parents[i]
+            out.append(int(self._tokens[i]))
+            i = int(self._parents[i])
         return tuple(reversed(out))
 
     def word_length(self, i: int) -> int:
         return len(self.word(i))
 
     def batch(self) -> np.ndarray:
-        """All elements stacked as an (n, 3, 3d) array."""
-        return np.stack(self._flats)
+        """All elements stacked as an (n, 3, 3d) int64 array."""
+        return self.index.rows
 
     def lookup(self, flat_row: np.ndarray) -> int:
         """Index of an exact flat matrix, or -1 if outside the ball."""
-        return self.index.get(flat_key(flat_row), -1)
+        return int(self.index.find(np.asarray(flat_row, dtype=np.int64)[None])[0])
 
 
 def ball_enumerate(p: int, q: int, radius: int, gens: Generators | None = None) -> Ball:
@@ -388,34 +516,9 @@ def ball_enumerate(p: int, q: int, radius: int, gens: Generators | None = None) 
         raise ConfigError("radius must be nonnegative")
     if gens is None:
         gens = build_generators(p, q)
-    multipliers = [RightMultiplier(gens.token_matrix(t)) for t in range(4)]
-
-    ident = matrix_to_flat(GroupMatrix.identity(gens.ctx))
-    flats = [ident]
-    parents = [-1]
-    tokens = [-1]
-    seen = {flat_key(ident): 0}
-    layer_sizes = [1]
-    frontier = [0]
-    for _ in range(radius):
-        batch = np.stack([flats[i] for i in frontier])
-        new_frontier = []
-        products = [multipliers[t].apply(batch) for t in range(4)]
-        for pos, src in enumerate(frontier):
-            for t in range(4):
-                cand = products[t][pos]
-                key = flat_key(cand)
-                if key not in seen:
-                    seen[key] = len(flats)
-                    new_frontier.append(len(flats))
-                    flats.append(cand)
-                    parents.append(src)
-                    tokens.append(t)
-        layer_sizes.append(len(new_frontier))
-        if not new_frontier:
-            break
-        frontier = new_frontier
-    return Ball(gens, radius, flats, parents, tokens, layer_sizes)
+    tables = mult_tables([gens.token_matrix(t) for t in range(4)])
+    ident = matrix_to_flat(GroupMatrix.identity(gens.ctx)).astype(np.int64)
+    return Ball(gens, radius, bfs(tables, ident, radius=radius))
 
 
 def export_ball_jsonl(ball: Ball, path: str) -> None:

@@ -104,7 +104,7 @@ def test_matvec_count_and_dtype(q54_k1, name, dtype, count):
 
 
 @pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("name", ["adj", "h1_1", "h2_3"])
+@pytest.mark.parametrize("name", sorted(MODELS))
 def test_bounds_enclose_spectrum(groups, k, name):
     mat = operators.represent_periodic(MODELS[name], groups[k])
     ev = spectral.block_spectrum(MODELS[name], groups[k]).eigenvalues

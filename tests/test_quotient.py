@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -111,10 +113,40 @@ def test_save_load_round_trip(tmp_path, q54_k1):
 
 
 def test_save_is_atomic_and_versioned(q54_k1, tmp_path):
-    q54_k1.save(str(tmp_path / "g"))  # the suffix is appended, as np.savez_compressed does
+    q54_k1.save(str(tmp_path / "g"))  # the suffix is appended, as np.savez does
     assert [p.name for p in tmp_path.iterdir()] == ["g.npz"]
     with np.load(tmp_path / "g.npz") as data:
         assert json.loads(bytes(data["header"]).decode())["version"] == quotient.CACHE_VERSION
+
+
+def test_cache_is_stored_uncompressed(q54_k1, tmp_path):
+    path = str(tmp_path / "g.npz")
+    q54_k1.save(path)
+    with zipfile.ZipFile(path) as zf:
+        assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
+
+
+def test_compressed_cache_still_loads(q54_k1, tmp_path):
+    # earlier versions wrote the same arrays with np.savez_compressed
+    q54_k1.save(str(tmp_path / "g.npz"))
+    with np.load(tmp_path / "g.npz") as data:
+        np.savez_compressed(tmp_path / "old.npz", **{name: data[name] for name in data.files})
+    old = quotient.QuotientGroup.load(str(tmp_path / "old.npz"))
+    for name in quotient._CACHE_ARRAYS:
+        assert np.array_equal(getattr(old, name), getattr(q54_k1, name))
+
+
+def test_flipped_cache_byte_fails_the_zip_crc(q54_k1, tmp_path):
+    path = tmp_path / "g.npz"
+    q54_k1.save(str(path))
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo("elements.npy")
+    raw = bytearray(path.read_bytes())
+    name_len, extra_len = struct.unpack("<HH", raw[info.header_offset + 26 : info.header_offset + 30])
+    raw[info.header_offset + 30 + name_len + extra_len + info.file_size - 1] ^= 1
+    path.write_bytes(raw)
+    with pytest.raises(NumericalContractError, match="CRC"):
+        quotient.QuotientGroup.load(str(path))
 
 
 def _swap(rows, t, i, j):

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbulk import ring
+from hyperbulk.triangle import GroupMatrix, matrix_to_flat, mult_tables, right_products
 
 # Frozen minimal polynomials, coefficients lowest degree first.
 KNOWN_PSI = {
@@ -107,13 +109,16 @@ def test_ring_laws(a, b, c):
 @settings(deadline=None, max_examples=60)
 @given(coeff_vec, coeff_vec, st.sampled_from([2, 3, 4, 8, 9]), st.integers(1, 3))
 def test_mod_path_matches_exact(a, b, s, k):
+    # the batched mod-m table products that build quotients, against exact RingElem products
     ctx = ring.make_context(40)
     m = s**k
-    exact = (ctx.element(a) * ctx.element(b)).coeffs
-    got = ring.star_mul_mod(
-        ring.mod_reduce(ctx.element(a), m), ring.mod_reduce(ctx.element(b), m)
-    )
-    assert tuple(v % m for v in exact) == got.coeffs
+    one, zero = ctx.one(), ctx.zero()
+    x = GroupMatrix(ctx, [ctx.element(a), zero, zero, zero, one, zero, zero, zero, one])
+    y = GroupMatrix(ctx, [ctx.element(b), one, zero, zero, one, zero, zero, zero, one])
+    row = (matrix_to_flat(x) % m).astype(np.int64)
+    got = right_products(row[None], mult_tables([y], m), m)[0, 0]
+    assert np.array_equal(got, (matrix_to_flat(x @ y) % m).astype(np.int64))
+    assert tuple(got[0, :8]) == tuple(v % m for v in (ctx.element(a) * ctx.element(b)).coeffs)
 
 
 @settings(deadline=None, max_examples=60)
@@ -121,8 +126,8 @@ def test_mod_path_matches_exact(a, b, s, k):
 def test_eval_real_is_homomorphism(a, b):
     ctx = ring.make_context(40)
     x, y = ctx.element(a), ctx.element(b)
-    lhs = ring.eval_real(x * y)
-    rhs = ring.eval_real(x) * ring.eval_real(y)
+    lhs = (x * y).eval_real()
+    rhs = x.eval_real() * y.eval_real()
     scale = max(1.0, abs(rhs))
     assert abs(lhs - rhs) / scale < 1e-9
 

@@ -119,13 +119,14 @@ def test_flat_round_trip():
 
 @settings(deadline=None, max_examples=30)
 @given(word_strategy, st.sampled_from([GEN_A, GEN_A_INV, GEN_B, GEN_B_INV]))
-def test_right_multiplier_matches_matmul(w, t):
+def test_right_products_match_matmul(w, t):
     gens = build_generators(5, 4)
     m = word_to_matrix(w, gens)
-    rm = triangle.RightMultiplier(gens.token_matrix(t))
-    got = rm.apply(triangle.matrix_to_flat(m)[None, :, :])[0]
+    tables = triangle.mult_tables([gens.token_matrix(t)])
+    got = triangle.right_products(triangle.matrix_to_flat(m).astype(np.int64)[None], tables)[0, 0]
     want = triangle.matrix_to_flat(m @ gens.token_matrix(t))
-    assert np.array_equal(got, want)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want.astype(np.int64))
 
 
 def test_ball_layers_54():
