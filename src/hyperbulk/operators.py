@@ -33,7 +33,6 @@ from .triangle import (
     GEN_B,
     GEN_B_INV,
     Ball,
-    inverse_token,
     inverse_word,
     mult_tables,
     parse_word,
@@ -202,13 +201,14 @@ def represent_periodic(h: AlgebraElement, group: QuotientGroup) -> sp.csr_matrix
     cols = np.arange(n, dtype=np.int64)
     rows_all, cols_all, vals_all = [], [], []
     for w, c in h.items():
-        idx = cols
-        for t in reversed(w):
-            # right multiplication by the inverse word, one token at a time
-            idx = group.gen_perm[inverse_token(t)][idx]
-        rows_all.append(idx)
+        rows_all.append(group.walk(cols, inverse_word(w)))
         cols_all.append(cols)
         vals_all.append(np.full(n, c if dtype == np.complex128 else c.real, dtype=dtype))
+    return _assemble(vals_all, rows_all, cols_all, n, dtype)
+
+
+def _assemble(vals_all, rows_all, cols_all, n: int, dtype) -> sp.csr_matrix:
+    """n x n CSR sum of the COO pieces; all zero when there are none."""
     if not rows_all:
         return sp.csr_matrix((n, n), dtype=dtype)
     mat = sp.coo_matrix(
@@ -251,13 +251,7 @@ def represent_blocks(h: AlgebraElement, group: QuotientGroup) -> BlockOperator:
     """
     sec = group.sectors
     b = sec.block_size
-    targets = []
-    for w in h.terms:
-        idx = sec.transversal
-        for t in w:
-            idx = group.gen_perm[t][idx]
-        targets.append(idx)
-    target = np.array(targets, dtype=np.int64).reshape(-1)
+    target = np.array([group.walk(sec.transversal, w) for w in h.terms], dtype=np.int64).reshape(-1)
     coeffs = np.array(list(h.terms.values()), dtype=np.complex128)
     return BlockOperator(
         sec,
@@ -287,12 +281,7 @@ def represent_open(h: AlgebraElement, ball: Ball) -> sp.csr_matrix:
         rows_all.append(target[cols])
         cols_all.append(cols)
         vals_all.append(np.full(len(cols), c if dtype == np.complex128 else c.real, dtype=dtype))
-    mat = sp.coo_matrix(
-        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(n, n),
-    ).tocsr()
-    mat.sum_duplicates()
-    return mat
+    return _assemble(vals_all, rows_all, cols_all, n, dtype)
 
 
 def hermiticity_defect(mat: sp.spmatrix) -> float:

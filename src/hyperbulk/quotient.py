@@ -10,9 +10,8 @@ The group is enumerated by triangle.bfs, the engine that also builds
 word-metric balls: each layer is one batched matmul with the generator
 tables mod s^k, deduplicated through sorted 64-bit row keys confirmed
 row by row.  The same products fill the right-multiplication
-permutations; the inverse table follows by walking each element's
-discovery word, and the left actions follow from both.  That is all the
-operator layer needs.
+permutations gen_perm, and every word the operator layer applies is a
+walk through them (QuotientGroup.walk).
 
 For k >= 2 the kernel N of G_k -> G_(k-1) is abelian, because
 (1 + s^(k-1) X)(1 + s^(k-1) Y) = 1 + s^(k-1) (X + Y) mod s^k.  Its
@@ -37,19 +36,20 @@ from .errors import ConfigError, NumericalContractError
 from .triangle import (
     GEN_A,
     GEN_B,
+    DiscoveryTree,
     RowIndex,
     TessellationParams,
     bfs,
     build_generators,
     inverse_token,
-    inverse_word,
     mult_tables,
+    unique_rows,
 )
 
 __all__ = ["QuotientGroup", "Sectors", "build_quotient"]
 
 DEFAULT_ELEMENT_CAP = 500_000
-CACHE_VERSION = 2  # version 1 files carry no version field
+CACHE_VERSION = 3  # version 1 files carry no version field; version 2 also held inv and left_perm
 
 
 def _storage_dtype(m: int):
@@ -61,12 +61,12 @@ def _storage_dtype(m: int):
 
 
 @dataclass
-class QuotientGroup:
+class QuotientGroup(DiscoveryTree):
     """Finite quotient with generator-action permutations.
 
     gen_perm[t][i] is the index of (element i) * (generator t), with t
-    running over A, A^-1, B, B^-1; inv[i] indexes the group inverse.
-    elements[i] holds the canonical mod-s^k coefficients, shape (3, 3d).
+    running over A, A^-1, B, B^-1.  elements[i] holds the canonical
+    mod-s^k coefficients, shape (3, 3d).
     """
 
     p: int
@@ -76,15 +76,9 @@ class QuotientGroup:
     order: int
     elements: np.ndarray
     gen_perm: np.ndarray          # (4, order) int64
-    inv: np.ndarray               # (order,) int64
-    left_perm: np.ndarray         # (4, order) int64, g_t * x actions
     parents: np.ndarray           # discovery tree parent indices
     tokens: np.ndarray            # discovery tree generator tokens
     torsion: dict = field(default_factory=dict)
-
-    @property
-    def params(self) -> TessellationParams:
-        return TessellationParams(self.p, self.q)
 
     @property
     def modulus(self) -> int:
@@ -94,22 +88,15 @@ class QuotientGroup:
     def torsion_preserved(self) -> bool:
         return all(v["order"] == v["expected"] for v in self.torsion.values())
 
-    def word(self, i: int) -> tuple:
-        out = []
-        while i > 0:
-            out.append(int(self.tokens[i]))
-            i = int(self.parents[i])
-        return tuple(reversed(out))
-
-    def apply_word(self, i: int, word) -> int:
-        """Index of (element i) * (product of the word's generators)."""
+    def walk(self, idx, word):
+        """Index of (element idx) * (product of the word's generators), elementwise for an index array."""
         for t in word:
-            i = int(self.gen_perm[t][i])
-        return i
+            idx = self.gen_perm[t][idx]
+        return idx
 
     def project(self, word) -> int:
         """Image of a free word under the quotient map, as an index."""
-        return self.apply_word(0, word)
+        return int(self.walk(0, word))
 
     def element_order(self, i: int) -> int:
         if i == 0:
@@ -118,7 +105,7 @@ class QuotientGroup:
         j = i
         order = 1
         while j != 0:
-            j = self.apply_word(j, word)
+            j = self.walk(j, word)
             order += 1
             if order > self.order:
                 raise RuntimeError("order exceeded group size; table corrupt")
@@ -189,7 +176,8 @@ class QuotientGroup:
                 arrays = {name: data[name] for name in _CACHE_ARRAYS}
             if header.get("version") != CACHE_VERSION:
                 raise NumericalContractError(
-                    f"format version {header.get('version')!r}, expected {CACHE_VERSION}"
+                    f"format version {header.get('version')!r}, expected {CACHE_VERSION}; "
+                    "delete the file or use another --cache-dir"
                 )
             group = cls(
                 p=header["p"],
@@ -207,39 +195,28 @@ class QuotientGroup:
         return group
 
 
-_CACHE_ARRAYS = ("elements", "gen_perm", "inv", "left_perm", "parents", "tokens")
+_CACHE_ARRAYS = ("elements", "gen_perm", "parents", "tokens")
 
 
 def _validate(group: QuotientGroup) -> None:
     """Check a loaded quotient's tables, vectorized; raise NumericalContractError on a defect.
 
-    Every gen_perm and left_perm row is a permutation undone by the row
-    of the inverse generator, inv is an involution, and the elements
-    rows are distinct.
+    Every gen_perm row is a permutation undone by the row of the inverse
+    generator, and the elements rows are distinct.
     """
     n = group.order
-    shapes = {
-        "gen_perm": (4, n), "left_perm": (4, n), "inv": (n,), "parents": (n,), "tokens": (n,),
-    }
-    for name, shape in shapes.items():
+    for name, shape in {"gen_perm": (4, n), "parents": (n,), "tokens": (n,)}.items():
         if getattr(group, name).shape != shape:
             raise NumericalContractError(f"{name} has shape {getattr(group, name).shape}, expected {shape}")
     if group.elements.ndim != 3 or len(group.elements) != n:
         raise NumericalContractError(f"elements has shape {group.elements.shape} for order {n}")
     ident = np.arange(n)
-    for name in ("gen_perm", "left_perm"):
-        perm = getattr(group, name)
-        if np.any(np.sort(perm, axis=1) != ident):
-            raise NumericalContractError(f"a {name} row is not a permutation")
-        undo = np.take_along_axis(perm, perm[[inverse_token(t) for t in range(4)]], axis=1)
-        if np.any(undo != ident):
-            raise NumericalContractError(f"{name} rows of a generator and its inverse do not compose to 1")
-    if group.inv.min() < 0 or group.inv.max() >= n or np.any(group.inv[group.inv] != ident):
-        raise NumericalContractError("inv is not an involution")
-    # distinct rows: sort the rows as opaque byte strings, then compare neighbours
-    rows = np.ascontiguousarray(group.elements.reshape(n, -1))
-    rows = np.sort(rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel())
-    if np.any(rows[1:] == rows[:-1]):
+    perm = group.gen_perm
+    if np.any(np.sort(perm, axis=1) != ident):
+        raise NumericalContractError("a gen_perm row is not a permutation")
+    if np.any(np.take_along_axis(perm, perm[[inverse_token(t) for t in range(4)]], axis=1) != ident):
+        raise NumericalContractError("gen_perm rows of a generator and its inverse do not compose to 1")
+    if len(unique_rows(group.elements)[0]) != n:
         raise NumericalContractError("two elements rows are equal")
 
 
@@ -305,31 +282,31 @@ def _row_reduce(rows: np.ndarray, s: int):
 def _sectors(group: QuotientGroup) -> Sectors:
     s, order = group.s, group.order
     level = group.k - 1 if group.k >= 2 and _is_prime(s) else group.k
-    flat = group.elements.reshape(order, -1).astype(np.int64)
 
     # cosets of N are the fibres over G_level, numbered in BFS order of their first element
-    _, first, labels = np.unique(flat % s**level, axis=0, return_index=True, return_inverse=True)
-    by_bfs = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[by_bfs] = np.arange(len(first))
-    transversal = first[by_bfs]
-    coset = rank[labels.ravel()]
+    # (at level = k the modulus s^k may not fit the rows' dtype; they are reduced already)
+    transversal, coset = unique_rows(group.elements if level == group.k else group.elements % s**level)
 
     members = np.flatnonzero(coset == 0)  # N is the identity's coset; members[0] = 0
     position = np.full(order, -1, dtype=np.int64)
     position[members] = np.arange(len(members))
-    kernel = np.empty(order, dtype=np.int64)
-    by_coset = np.argsort(coset, kind="stable")
-    for c, xs in enumerate(np.split(by_coset, np.cumsum(np.bincount(coset))[:-1])):
-        n = xs
-        for t in inverse_word(group.word(int(transversal[c]))):
-            n = group.gen_perm[t][n]
-        kernel[xs] = position[n]
+    # t = g_t1 ... g_tL has t^-1 = g_tL^-1 ... g_t1^-1: walk every element's
+    # transversal word from its last token back to the root, all at once
+    inverse = np.array([inverse_token(t) for t in range(4)])
+    n = np.arange(order)
+    node = transversal[coset]
+    live = np.flatnonzero(node)
+    while live.size:
+        n[live] = group.gen_perm[inverse[group.tokens[node[live]]], n[live]]
+        node[live] = group.parents[node[live]]
+        live = live[node[live] > 0]
+    kernel = position[n]
     if np.any(kernel < 0):
         raise NumericalContractError("x t^-1 left the kernel for some element; group tables are corrupt")
 
     # n = 1 + s^level X with X mod s; characters read X in a GF(s) basis of its span
-    X = ((flat[members] - flat[0]) // s**level) % s
+    flat = group.elements[members].reshape(len(members), -1).astype(np.int64)
+    X = ((flat - flat[0]) // s**level) % s
     pivots, gens = _row_reduce(X, s)
     coords = X[:, pivots]
     if len(members) != s ** len(pivots):
@@ -339,10 +316,7 @@ def _sectors(group: QuotientGroup) -> Sectors:
     # X must be a homomorphism: right multiplication by each basis element b
     # of N translates every X(a) by X(b)
     for b in gens:
-        ab = members
-        for t in group.word(int(members[b])):
-            ab = group.gen_perm[t][ab]
-        ab = position[ab]
+        ab = position[group.walk(members, group.word(int(members[b])))]
         if np.any(ab < 0) or np.any(X[ab] != (X + X[b]) % s):
             raise NumericalContractError(
                 f"kernel map is not a homomorphism: X(ab) != X(a) + X(b) mod {s} "
@@ -379,26 +353,9 @@ def build_quotient(
     found = bfs(
         tables, ident, modulus=m, cap=element_cap, what=f"quotient of {{{p},{q}}} mod {s}^{k}"
     )
-    order = len(found.index)
-    gen_perm, parents, tokens = found.gen_perm, found.parents, found.tokens
-
-    # x = g_t1 ... g_tL has x^-1 = g_tL^-1 ... g_t1^-1: walk every discovery
-    # word from its last token back to the root, all elements at once
-    inverse = np.array([inverse_token(t) for t in range(4)])
-    inv = np.zeros(order, dtype=np.int64)
-    node = np.arange(order)
-    live = np.flatnonzero(node)
-    while live.size:
-        inv[live] = gen_perm[inverse[tokens[node[live]]], inv[live]]
-        node[live] = parents[node[live]]
-        live = live[node[live] > 0]
-    # g_t x = (x^-1 g_t^-1)^-1
-    left_perm = inv[gen_perm[inverse][:, inv]]
-
     group = QuotientGroup(
-        p=p, q=q, s=s, k=k, order=order,
-        elements=found.index.rows, gen_perm=gen_perm, inv=inv, left_perm=left_perm,
-        parents=parents, tokens=tokens,
+        p=p, q=q, s=s, k=k, order=len(found.index),
+        elements=found.index.rows, gen_perm=found.gen_perm, parents=found.parents, tokens=found.tokens,
     )
 
     # torsion audit: the generators should keep their infinite-group orders

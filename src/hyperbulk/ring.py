@@ -331,9 +331,6 @@ class RingElem:
     def __hash__(self) -> int:
         return hash((self.ctx.n, self.coeffs))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def eval_real(self) -> float:
         xi = self.ctx.xi_numeric
         acc = 0.0

@@ -80,9 +80,6 @@ class Gap:
     def width(self) -> float:
         return self.upper - self.lower
 
-    def contains(self, energy: float) -> bool:
-        return self.lower < energy < self.upper
-
 
 def _dense(mat) -> np.ndarray:
     if sp.issparse(mat):

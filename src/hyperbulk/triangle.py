@@ -45,7 +45,9 @@ __all__ = [
     "mult_tables",
     "right_products",
     "row_keys",
+    "unique_rows",
     "RowIndex",
+    "DiscoveryTree",
     "bfs",
     "Ball",
     "ball_enumerate",
@@ -351,6 +353,25 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     return keys
 
 
+def unique_rows(rows: np.ndarray, keys: np.ndarray | None = None):
+    """Distinct integer rows, numbered by first occurrence.
+
+    Returns (first, labels): first[j] is the index of distinct row j's
+    first occurrence (ascending) and rows[i] equals rows[first[labels[i]]].
+    Rows are grouped by 64-bit key and every group is confirmed row by
+    row: two distinct rows sharing a key raise NumericalContractError.
+    """
+    keys = row_keys(rows) if keys is None else keys
+    _, first, labels = np.unique(keys, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(first))
+    first, labels = first[by_first], rank[labels.ravel()]
+    if np.any(rows != rows[first[labels]]):
+        raise NumericalContractError("two distinct elements share a 64-bit row key")
+    return first, labels
+
+
 class RowIndex:
     """Exact lookup of distinct integer rows through their sorted 64-bit keys."""
 
@@ -400,6 +421,24 @@ class RowIndex:
         self.rows = np.concatenate([self.rows, rows])
 
 
+class DiscoveryTree:
+    """Words of elements numbered by a BFS.
+
+    Element i is reached from element parents[i] by generator tokens[i];
+    element 0 is the identity.
+    """
+
+    parents: np.ndarray
+    tokens: np.ndarray
+
+    def word(self, i: int) -> tuple:
+        out = []
+        while i > 0:
+            out.append(int(self.tokens[i]))
+            i = int(self.parents[i])
+        return tuple(reversed(out))
+
+
 @dataclass
 class Enumeration:
     """Result of bfs.
@@ -435,19 +474,16 @@ def bfs(tables, ident: np.ndarray, modulus: int | None = None, radius: int | Non
         cand = right_products(index.rows[lo:hi], tables, modulus).reshape(-1, *ident.shape)
         keys = row_keys(cand)
         idx = index.find(cand, keys)
-        # group the unknown products by key; the first of each group is a new element
+        # the first occurrence of each distinct unknown product is a new element
         miss = np.flatnonzero(idx < 0)
-        _, first, group = np.unique(keys[miss], return_index=True, return_inverse=True)
-        first = miss[first]
-        if np.any(cand[miss] != cand[first[group]]):
-            raise NumericalContractError("two distinct elements share a 64-bit row key")
-        new = np.sort(first)
+        first, labels = unique_rows(cand[miss], keys[miss])
+        new = miss[first]
         if cap is not None and hi + len(new) > cap:
             raise ResourceLimitError(
                 f"{what} exceeded the element cap {cap} (BFS had {hi} elements with an "
                 f"unfinished frontier); raise element_cap to continue"
             )
-        idx[miss] = hi + np.searchsorted(new, first)[group]
+        idx[miss] = hi + labels
         index.add(cand[new], keys[new])
         parents.append(lo + new // len(tables))
         tokens.append(new % len(tables))
@@ -463,7 +499,7 @@ def bfs(tables, ident: np.ndarray, modulus: int | None = None, radius: int | Non
     )
 
 
-class Ball:
+class Ball(DiscoveryTree):
     """Word-metric ball in the rotation group, enumerated breadth-first.
 
     Elements are stored exactly as int64 rows; index 0 is the identity and
@@ -474,11 +510,10 @@ class Ball:
 
     def __init__(self, gens: Generators, radius: int, found: Enumeration):
         self.gens = gens
-        self.params = TessellationParams(gens.p, gens.q)
         self.radius = radius
         self.index = found.index
-        self._parents = found.parents
-        self._tokens = found.tokens
+        self.parents = found.parents
+        self.tokens = found.tokens
         self.layer_sizes = found.layer_sizes  # elements per word length 0..radius
 
     def __len__(self) -> int:
@@ -489,16 +524,6 @@ class Ball:
 
     def matrix(self, i: int) -> GroupMatrix:
         return flat_to_matrix(self.gens.ctx, self.flat(i))
-
-    def word(self, i: int) -> tuple:
-        out = []
-        while i > 0:
-            out.append(int(self._tokens[i]))
-            i = int(self._parents[i])
-        return tuple(reversed(out))
-
-    def word_length(self, i: int) -> int:
-        return len(self.word(i))
 
     def batch(self) -> np.ndarray:
         """All elements stacked as an (n, 3, 3d) int64 array."""

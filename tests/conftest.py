@@ -1,5 +1,6 @@
 import sys
 
+import numpy as np
 import pytest
 
 from hyperbulk import quotient, triangle
@@ -32,6 +33,18 @@ QUOTIENT_ORDERS = {
     (8, 5): 2560,
 }
 QUOTIENT_ORDERS_LONG = {(7, 5): 262080}
+
+
+def left_translation(group, t):
+    """perm[i] indexes g_t x_i: exact GroupMatrix products reduced mod s^k, looked up in elements."""
+    gens = triangle.build_generators(group.p, group.q)
+    g = gens.token_matrix(t)
+    where = {row.tobytes(): i for i, row in enumerate(group.elements.astype(np.int64))}
+    perm = []
+    for i in range(group.order):
+        gx = g @ triangle.word_to_matrix(group.word(i), gens)
+        perm.append(where[(triangle.matrix_to_flat(gx) % group.modulus).astype(np.int64).tobytes()])
+    return np.array(perm)
 
 
 @pytest.fixture(scope="session")

@@ -33,17 +33,12 @@ def check_tables(group, sample):
     gens = triangle.build_generators(group.p, group.q)
     m = group.modulus
     elements = group.elements.astype(np.int64)
-    ident = GroupMatrix.identity(gens.ctx)
     for i in sample:
         x = word_to_matrix(group.word(int(i)), gens)
         assert np.array_equal(reduced(x, m), elements[i])
-        x_inv = word_to_matrix(inverse_word(group.word(int(i))), gens)
-        assert np.array_equal(reduced(x_inv, m), elements[group.inv[i]])
-        assert x @ x_inv == ident
         for t in range(4):
             g = gens.token_matrix(t)
             assert np.array_equal(reduced(x @ g, m), elements[group.gen_perm[t][i]])
-            assert np.array_equal(reduced(g @ x, m), elements[group.left_perm[t][i]])
 
 
 def test_quotient_tables_match_exact_products_k1(q54_k1):
@@ -55,13 +50,13 @@ def test_quotient_tables_match_exact_products_k2_sample(q54_k2):
     check_tables(q54_k2, sample)
 
 
-# sha256 prefixes of the six cached arrays: a change renumbers elements and invalidates caches
+# sha256 prefixes of the four cached arrays: a change renumbers elements and invalidates caches
 FROZEN_TABLES = {
-    (5, 4, 2, 1): "8d8fa66b6e7ad972",
-    (5, 4, 2, 2): "00cf17fad1c28891",
-    (5, 4, 2, 3): "84f97becfd4764c1",
-    (6, 6, 3, 2): "025d7a50692d1f01",
-    (7, 3, 2, 2): "0a7fcbfacca1a19f",
+    (5, 4, 2, 1): "fcf3910beb2d279a",
+    (5, 4, 2, 2): "aa724cb09532a261",
+    (5, 4, 2, 3): "a80610a15a642d2d",
+    (6, 6, 3, 2): "3c1389bf17b9050c",
+    (7, 3, 2, 2): "8cb1f89cb09f73dc",
 }
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from hyperbulk import operators, quotient, spectral
 from hyperbulk.errors import NumericalContractError, ResourceLimitError
-from hyperbulk.triangle import GEN_A
+from hyperbulk.triangle import GEN_A, inverse_word
 
 TOL = 1e-10
 EPS = 0.8
@@ -44,6 +44,27 @@ def dense(h, group):
     return spectral.exact_spectrum(operators.represent_periodic(h, group)).eigenvalues
 
 
+def oracle_sectors(group):
+    """transversal, coset and kernel from np.unique cosets and one inverse-word walk per coset."""
+    level = max(group.k - 1, 1)  # every s in these tests is prime
+    flat = group.elements.reshape(group.order, -1).astype(np.int64)
+    _, first, labels = np.unique(flat % group.s**level, axis=0, return_index=True, return_inverse=True)
+    by_bfs = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[by_bfs] = np.arange(len(first))
+    transversal, coset = first[by_bfs], rank[labels.ravel()]
+    position = np.full(group.order, -1, dtype=np.int64)
+    members = np.flatnonzero(coset == 0)
+    position[members] = np.arange(len(members))
+    kernel = np.empty(group.order, dtype=np.int64)
+    for c, t in enumerate(transversal):
+        xs = n = np.flatnonzero(coset == c)
+        for tok in inverse_word(group.word(int(t))):
+            n = group.gen_perm[tok][n]
+        kernel[xs] = position[n]
+    return transversal, coset, kernel
+
+
 @pytest.mark.parametrize(
     "key, count, size",
     [
@@ -68,6 +89,8 @@ def test_sector_structure(groups, key, count, size):
     assert np.allclose(sec.chars @ sec.chars.conj().T, count * np.eye(count), atol=1e-12)
     assert np.all(sec.chars[0] == 1.0)
     assert np.iscomplexobj(sec.chars) == (key[2] == 3 and count > 1)
+    for got, want in zip((sec.transversal, sec.coset, sec.kernel), oracle_sectors(group)):
+        assert np.array_equal(got, want)
 
 
 def test_cosets_are_fibres_over_the_coarser_quotient(q54_k1, q54_k2):

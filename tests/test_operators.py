@@ -3,8 +3,10 @@ import pytest
 
 from hyperbulk import operators, triangle
 from hyperbulk.errors import ConfigError
-from hyperbulk.tolerances import HERMITICITY, IDEMPOTENCY, TRACE
+from hyperbulk.tolerances import HERMITICITY, IDEMPOTENCY, RESOLUTION, TRACE
 from hyperbulk.triangle import GEN_A, GEN_B
+
+from conftest import left_translation
 
 NU = {1: 5, 2: 4, 3: 2}  # cyclic subgroup orders for {5,4}
 
@@ -38,7 +40,7 @@ def test_projection_resolution_of_identity(alpha, q54_k1):
     for kidx in range(1, nu + 1):
         proj = operators.cyclic_projection(alpha, kidx, 5, 4)
         total += operators.represent_periodic(proj, q54_k1).toarray()
-    assert np.max(np.abs(total - np.eye(q54_k1.order))) < 1e-10
+    assert np.max(np.abs(total - np.eye(q54_k1.order))) < RESOLUTION
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])
@@ -88,10 +90,24 @@ def test_right_representation_commutes_with_left_translations(q54_k1):
     g = q54_k1
     mat = operators.represent_periodic(operators.adjacency(5, 4), g).toarray()
     for t in (GEN_A, GEN_B):
-        perm = g.left_perm[t]
+        perm = left_translation(g, t)
         left = np.zeros_like(mat)
         left[perm, np.arange(g.order)] = 1.0
         assert np.max(np.abs(left @ mat - mat @ left)) < 1e-12
+
+
+@pytest.mark.parametrize("rep", ["periodic", "blocks", "open"])
+def test_empty_element_represents_zero(rep, q54_k1, ball54_r3):
+    h = operators.AlgebraElement()
+    if rep == "blocks":
+        op = operators.represent_blocks(h, q54_k1)
+        assert not any(op.block(j).any() for j in range(op.sectors.count))
+    elif rep == "periodic":
+        mat = operators.represent_periodic(h, q54_k1)
+        assert (mat.format, mat.shape, mat.nnz) == ("csr", (q54_k1.order,) * 2, 0)
+    else:
+        mat = operators.represent_open(h, ball54_r3)
+        assert (mat.format, mat.shape, mat.nnz) == ("csr", (len(ball54_r3),) * 2, 0)
 
 
 def test_periodic_matrix_is_real_for_real_models(q54_k1):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbulk import ring
+from hyperbulk.tolerances import EVAL_HOMOMORPHISM
 from hyperbulk.triangle import GroupMatrix, matrix_to_flat, mult_tables, right_products
 
 # Frozen minimal polynomials, coefficients lowest degree first.
@@ -129,7 +130,7 @@ def test_eval_real_is_homomorphism(a, b):
     lhs = (x * y).eval_real()
     rhs = x.eval_real() * y.eval_real()
     scale = max(1.0, abs(rhs))
-    assert abs(lhs - rhs) / scale < 1e-9
+    assert abs(lhs - rhs) / scale < EVAL_HOMOMORPHISM
 
 
 def test_psi_json_round_trip():
