@@ -155,7 +155,11 @@ def cmd_spectrum(args) -> int:
             with open(os.path.join(out, f"gaps_{name}.json"), "w") as fh:
                 json.dump(gap_report, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-            print(f"k={k}: dim {group.order}, {len(gaps)} gap(s) of width >= 0.05")
+            sec = group.sectors
+            print(
+                f"k={k}: dim {group.order}, {len(sec.representatives)} of {sec.count} character blocks "
+                f"of {sec.block_size}, {len(gaps)} gap(s) of width >= 0.05"
+            )
 
     if len(args.k) > 1:
         # convergence table against the largest run, on its grid, from each level's own result

@@ -16,7 +16,9 @@ walk through them (QuotientGroup.walk).
 For k >= 2 the kernel N of G_k -> G_(k-1) is abelian, because
 (1 + s^(k-1) X)(1 + s^(k-1) Y) = 1 + s^(k-1) (X + Y) mod s^k.  Its
 characters split every right-regular operator into |N| blocks of size
-|G_(k-1)| (twisted boundary conditions); see QuotientGroup.sectors.
+|G_(k-1)| (twisted boundary conditions), and the blocks of one orbit of
+characters under conjugation by G share their spectrum; see
+QuotientGroup.sectors.
 """
 
 from __future__ import annotations
@@ -113,7 +115,10 @@ class QuotientGroup(DiscoveryTree):
 
     @cached_property
     def sectors(self) -> "Sectors":
-        """Character sectors of ker(G_k -> G_(k-1)), computed on first use and never saved."""
+        """Character sectors of ker(G_k -> G_(k-1)) and their conjugation orbits.
+
+        Computed on first use and never saved.
+        """
         return _sectors(self)
 
     def reduce_to(self, other: "QuotientGroup") -> np.ndarray:
@@ -232,15 +237,24 @@ class Sectors:
     per character.  For k = 1, or an s that is not prime, N is taken
     trivial and the single block is the whole operator.
 
+    G acts on N by conjugation, n -> g^-1 n g, and so on the characters,
+    chi -> chi^g with chi^g(n) = chi(g^-1 n g).  Left translation by g
+    maps the chi sector onto the chi^g sector and commutes with the
+    operator, so all blocks of one orbit are isospectral (Clifford's
+    theorem): a spectrum needs one block per orbit, repeated |O| times.
+
     transversal[c] is the element index of coset c's representative,
     coset[x] the coset of element x, kernel[x] the position in N of
-    x t^-1, and chars[j, n] the value of character j on N's element n.
+    x t^-1, chars[j, n] the value of character j on N's element n, and
+    orbit[j] the conjugation orbit of character j, orbits numbered by
+    their smallest character.
     """
 
     transversal: np.ndarray
     coset: np.ndarray
     kernel: np.ndarray
     chars: np.ndarray
+    orbit: np.ndarray
 
     @property
     def block_size(self) -> int:
@@ -249,6 +263,15 @@ class Sectors:
     @property
     def count(self) -> int:
         return len(self.chars)
+
+    @property
+    def representatives(self) -> np.ndarray:
+        """The smallest character of each orbit, in orbit order."""
+        return np.unique(self.orbit, return_index=True)[1]
+
+    @property
+    def orbit_sizes(self) -> np.ndarray:
+        return np.bincount(self.orbit)
 
 
 def _is_prime(n: int) -> bool:
@@ -328,7 +351,40 @@ def _sectors(group: QuotientGroup) -> Sectors:
         chars = np.where(phase == 0, 1.0, -1.0)
     else:
         chars = np.exp(2j * np.pi * phase / s)
-    return Sectors(transversal, coset, kernel, chars)
+    return Sectors(transversal, coset, kernel, chars, _character_orbits(group, members, position, phase))
+
+
+def _character_orbits(group: QuotientGroup, members, position, phase) -> np.ndarray:
+    """Orbit label of each character under conjugation by A and B, which generate G.
+
+    g^-1 n g is n's word walked from g^-1, then g; the conjugate of
+    character j is the row phase[j] read at those positions, looked up in
+    phase.  Orbits are merged by union-find with the smallest character
+    as root, and numbered in root order.
+    """
+    gens = np.array([GEN_A, GEN_B])
+    starts = group.gen_perm[[inverse_token(t) for t in gens], 0]
+    conj = np.array([group.gen_perm[gens, group.walk(starts, group.word(int(n)))] for n in members])
+    conj = position[conj.T]
+    if np.any(conj < 0):
+        raise NumericalContractError("conjugation by a generator left the kernel; group tables are corrupt")
+    table = RowIndex(phase)
+    root = list(range(len(phase)))
+
+    def find(j):
+        while root[j] != j:
+            root[j] = root[root[j]]
+            j = root[j]
+        return j
+
+    for perm in conj:
+        image = table.find(phase[:, perm])
+        if np.any(image < 0):
+            raise NumericalContractError("a conjugated character is not a row of the character table")
+        for j, i in enumerate(image.tolist()):
+            a, b = find(j), find(i)
+            root[max(a, b)] = min(a, b)
+    return np.unique([find(j) for j in range(len(phase))], return_inverse=True)[1]
 
 
 def build_quotient(

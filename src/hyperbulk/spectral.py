@@ -2,12 +2,15 @@
 
 Exact diagonalization (dense) for desk-scale operators, block by block
 over the character sectors of a quotient for periodic ones, and a kernel
-polynomial method for large quotients.  A right-regular operator has a
-constant diagonal, so its normalized Chebyshev trace is one matrix
-element, <delta_e|T_n(H)|delta_e>: KPM runs a single Chebyshev recursion
-from the identity site and takes two moments per matvec (Chebyshev
-doubling), with no random states.  Spectral edges come from seeded
-Lanczos runs, so outputs are reproducible bit for bit.
+polynomial method for large quotients.  Blocks whose characters are
+conjugate under the group are isospectral, so a periodic spectrum
+diagonalizes one block per conjugation orbit and repeats its
+eigenvalues.  A right-regular operator has a constant diagonal, so its
+normalized Chebyshev trace is one matrix element,
+<delta_e|T_n(H)|delta_e>: KPM runs a single Chebyshev recursion from the
+identity site and takes two moments per matvec (Chebyshev doubling),
+with no random states.  Spectral edges come from seeded Lanczos runs,
+so outputs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -107,31 +110,35 @@ def exact_spectrum(mat, want_vectors: bool = False, dense_cap: int = DENSE_CAP) 
 
 
 def block_spectrum(h, group, dense_cap: int = DENSE_CAP) -> SpectrumResult:
-    """Full spectrum of represent_periodic(h, group), one character sector at a time.
+    """Full spectrum of represent_periodic(h, group), one block per orbit of characters.
 
     The quotient's kernel N = ker(G_k -> G_(k-1)) gives |N| blocks of
-    size |G_k| / |N| (see QuotientGroup.sectors); dense_cap applies to
-    the block size.  Raises NumericalContractError when a block is not
+    size |G_k| / |N| (see QuotientGroup.sectors).  The blocks of one
+    conjugation orbit O of characters are isospectral, so only the
+    orbit's representative block is diagonalized and its eigenvalues
+    are repeated |O| times.  dense_cap applies to the block size.
+    Raises NumericalContractError when a diagonalized block is not
     Hermitian.
     """
     from .operators import represent_blocks
 
     op = represent_blocks(h, group)
-    b = op.sectors.block_size
+    sec = op.sectors
+    b = sec.block_size
     if b > dense_cap:
         raise ResourceLimitError(
             f"block size {b} exceeds the dense diagonalization cap {dense_cap}; "
             f"use kpm_dos, or raise dense_cap"
         )
     vals = []
-    for j in range(op.sectors.count):
+    for j, size in zip(sec.representatives, sec.orbit_sizes):
         block = op.block(j)
         defect = float(np.abs(block - block.conj().T).max())
         if defect > HERMITICITY:
             raise NumericalContractError(
                 f"sector block {j} has Hermiticity defect {defect:.2e} > {HERMITICITY:.0e}"
             )
-        vals.append(exact_spectrum(block, dense_cap=dense_cap).eigenvalues)
+        vals.append(np.tile(exact_spectrum(block, dense_cap=dense_cap).eigenvalues, size))
     return SpectrumResult(np.sort(np.concatenate(vals)))
 
 
@@ -167,11 +174,17 @@ def spectral_bounds(mat, pad: float = BOUND_PAD, seed: int = 0) -> tuple[float, 
     Edges come from seeded Lanczos: one run for both edges of a real
     operator (ARPACK's "BE" mode is real-only), one run per edge of a
     complex one, each converged to a relative BOUND_TOL.  The interval is
-    inflated by the pad fraction on each side.  Raises
-    NumericalContractError when ARPACK fails: power iteration is no
+    inflated by the pad fraction on each side.  Raises ConfigError for an
+    operator with no nonzero entry, whose spectrum {0} spans no interval,
+    and NumericalContractError when ARPACK fails: power iteration is no
     fallback, since it stalls on spectra that are dense at the edges and
     would leave eigenvalues outside the Chebyshev window.
     """
+    if not (mat.count_nonzero() if sp.issparse(mat) else np.count_nonzero(mat)):
+        raise ConfigError(
+            "the operator has no nonzero entry: its spectrum is the single point {0}, "
+            "which has no interval to rescale onto (-1, 1)"
+        )
     n = mat.shape[0]
     if n <= 64:
         vals = np.linalg.eigvalsh(_dense(mat))
@@ -321,9 +334,10 @@ def simplex_path(samples_per_edge: int = 40) -> list[tuple[float, float, float]]
 def spectral_flow(models, path, group, dense_cap: int = DENSE_CAP) -> np.ndarray:
     """Sorted spectra of the interpolated model along a simplex path.
 
-    Each path point is diagonalized block by block (block_spectrum), but
-    dense_cap still bounds the whole quotient's order: a flow over a
-    larger quotient runs (path length) x (block count) eigensolves.
+    Each path point is diagonalized block by block (block_spectrum), one
+    block per conjugation orbit of characters, but dense_cap still bounds
+    the whole quotient's order: a flow over a larger quotient runs
+    (path length) x (orbit count) eigensolves.
     Returns an array of shape (len(path), dim).
     """
     from .operators import interpolate

@@ -35,13 +35,16 @@ QUOTIENT_ORDERS = {
 QUOTIENT_ORDERS_LONG = {(7, 5): 262080}
 
 
-def left_translation(group, t):
-    """perm[i] indexes g_t x_i: exact GroupMatrix products reduced mod s^k, looked up in elements."""
+def left_translation(group, t, indices=None):
+    """perm[j] indexes g_t x_i for i = indices[j] (every element by default).
+
+    Exact GroupMatrix products reduced mod s^k, looked up in elements.
+    """
     gens = triangle.build_generators(group.p, group.q)
     g = gens.token_matrix(t)
     where = {row.tobytes(): i for i, row in enumerate(group.elements.astype(np.int64))}
     perm = []
-    for i in range(group.order):
+    for i in range(group.order) if indices is None else indices:
         gx = g @ triangle.word_to_matrix(group.word(i), gens)
         perm.append(where[(triangle.matrix_to_flat(gx) % group.modulus).astype(np.int64).tobytes()])
     return np.array(perm)

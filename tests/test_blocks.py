@@ -1,8 +1,11 @@
 """Sector-block spectra against the dense oracle.
 
 block_spectrum and spectral_flow diagonalize one character sector of the
-kernel of G_k -> G_(k-1) at a time; dense exact_spectrum of
-represent_periodic stays the reference.  Eigenvalues are compared to
+kernel of G_k -> G_(k-1) per conjugation orbit of characters; dense
+exact_spectrum of represent_periodic stays the reference, and
+represent_blocks over every character checks that the blocks of an orbit
+are isospectral.  The orbits are checked against conjugations built from
+exact left translations.  Eigenvalues are compared to
 1e-10, well above the ~dim * eps * |H| (about 1e-12 at dim 2560) that
 either dense eigensolver can be off by.
 """
@@ -16,7 +19,9 @@ from hypothesis import strategies as st
 
 from hyperbulk import operators, quotient, spectral
 from hyperbulk.errors import NumericalContractError, ResourceLimitError
-from hyperbulk.triangle import GEN_A, inverse_word
+from hyperbulk.triangle import GEN_A, GEN_B, inverse_token, inverse_word
+
+from conftest import left_translation
 
 TOL = 1e-10
 EPS = 0.8
@@ -190,3 +195,102 @@ def test_flow_matches_dense_k1(q54_k1, raw):
 @given(raw=simplex)
 def test_flow_matches_dense_k2(q54_k2, raw):
     _flow_against_dense(q54_k2, raw)
+
+
+@pytest.fixture(scope="module")
+def q54_k3():
+    return quotient.build_quotient(5, 4, 2, 3)
+
+
+def closure_labels(perms, count):
+    """Orbit of each point under the permutations, labelled by the orbit's smallest point and numbered."""
+    label = np.arange(count)
+    while True:
+        new = np.minimum.reduce([label] + [label[perm] for perm in perms])
+        if np.array_equal(new, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = new
+
+
+def exact_conjugations(group):
+    """For t = A, B: perm[n] is the position in N of g_t^-1 n g_t, from exact left translations."""
+    members = np.flatnonzero(group.sectors.coset == 0)
+    position = np.full(group.order, -1)
+    position[members] = np.arange(len(members))
+    perms = []
+    for t in (GEN_A, GEN_B):
+        conj = position[group.gen_perm[t][left_translation(group, inverse_token(t), members)]]
+        assert np.all(conj >= 0)
+        perms.append(conj)
+    return perms
+
+
+def character_images(chars, perm):
+    """Index of the character chi(perm(n)) for every character chi."""
+    moved = chars[:, perm]
+    image = np.abs(moved[:, None, :] - chars[None, :, :]).max(axis=2).argmin(axis=1)
+    assert np.abs(chars[image] - moved).max() < 1e-12
+    return image
+
+
+def test_orbit_sizes_54(q54_k2, q54_k3):
+    assert tuple(q54_k2.sectors.orbit_sizes) == (1, 5, 5, 5)
+    assert tuple(q54_k3.sectors.orbit_sizes) == (1, 1, 10, 10, 10)
+    for group in (q54_k2, q54_k3):
+        sec = group.sectors
+        assert sec.representatives[0] == 0  # the trivial character is fixed
+        assert np.array_equal(sec.orbit[sec.representatives], np.arange(len(sec.representatives)))
+
+
+@pytest.mark.parametrize("key", [(5, 4, 2, 1), (5, 4, 2, 2), (6, 4, 2, 2), (6, 6, 3, 1), (6, 6, 3, 2)])
+def test_orbit_map_matches_exact_left_translations(groups, key):
+    group = groups[key]
+    sec = group.sectors
+    perms = exact_conjugations(group)
+    want = closure_labels([character_images(sec.chars, perm) for perm in perms], sec.count)
+    assert np.array_equal(sec.orbit, want)
+
+
+@pytest.mark.parametrize("key", [(5, 4, 2, 2), (6, 4, 2, 2), (6, 6, 3, 2)])
+def test_brauer_permutation_lemma(groups, key):
+    # G has as many orbits on N's characters as on N's elements
+    group = groups[key]
+    element_orbits = closure_labels(exact_conjugations(group), group.sectors.count)
+    assert len(group.sectors.representatives) == element_orbits.max() + 1
+
+
+@pytest.mark.parametrize("key", [(5, 4, 2, 2), (6, 4, 2, 2), (6, 6, 3, 2)])
+def test_blocks_of_an_orbit_are_isospectral(groups, key):
+    group = groups[key]
+    sec = group.sectors
+    for name, h in all_models(key[0], key[1]).items():
+        op = operators.represent_blocks(h, group)
+        spectra = np.array([np.linalg.eigvalsh(op.block(j)) for j in range(sec.count)])
+        assert np.abs(spectra - spectra[sec.representatives[sec.orbit]]).max() < TOL, name
+
+
+def test_exact_spectrum_at_k3(q54_k3):
+    # 5 blocks of 2560 for 32 characters; the adjacency's first two moments are exact
+    ev = spectral.block_spectrum(operators.adjacency(5, 4), q54_k3).eigenvalues
+    assert ev.shape == (81920,)
+    assert abs(ev.mean()) < TOL
+    assert abs(np.mean(ev**2) - 0.25) < TOL
+    assert abs(ev.max() - 1.0) < TOL
+
+
+def test_conjugation_leaving_the_kernel_raises(q54_k2):
+    members = np.flatnonzero(q54_k2.sectors.coset == 0)
+    position = np.full(q54_k2.order, -1)
+    position[0] = 0  # only the identity is left in N
+    with pytest.raises(NumericalContractError, match="left the kernel"):
+        quotient._character_orbits(q54_k2, members, position, np.zeros((1, len(members)), dtype=np.int64))
+
+
+def test_conjugate_outside_the_character_table_raises(q54_k2):
+    members = np.flatnonzero(q54_k2.sectors.coset == 0)
+    position = np.full(q54_k2.order, -1)
+    position[members] = np.arange(len(members))
+    phase = np.where(q54_k2.sectors.chars == 1.0, 0, 1)
+    # keep the trivial character and one from an orbit of size 5: its conjugates are missing
+    with pytest.raises(NumericalContractError, match="not a row of the character table"):
+        quotient._character_orbits(q54_k2, members, position, phase[:2])

@@ -70,6 +70,15 @@ def test_spectrum_exact_outputs(tmp_path, capsys):
     assert len(gaps) > 0
 
 
+def test_spectrum_reports_diagonalized_blocks(tmp_path, capsys):
+    assert run(["--out", str(tmp_path), "spectrum", "5", "4", "--k", "1", "2", "--method", "exact"]) == 0
+    out = capsys.readouterr().out
+    assert "k=1: dim 160, 1 of 1 character blocks of 160," in out
+    assert "k=2: dim 2560, 4 of 16 character blocks of 160," in out
+    # stdout only: no output file names the blocks
+    assert not any("character blocks" in path.read_text() for path in tmp_path.iterdir())
+
+
 def test_spectrum_model_selection(tmp_path):
     code = run(
         [

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbulk import cli, operators, spectral
+from hyperbulk.errors import ConfigError
 
 TOL = 1e-12
 EPS = 0.8
@@ -137,3 +138,16 @@ def test_lanczos_failure_exits_4(tmp_path, capsys, monkeypatch):
     code = cli.main(["--out", str(tmp_path), "spectrum", "5", "4", "--method", "kpm", "--moments", "16"])
     assert code == 4
     assert "Lanczos" in capsys.readouterr().err
+
+
+def test_zero_operator_has_no_bounds(q54_k1, tmp_path, capsys, monkeypatch):
+    # the spectrum {0} spans no interval for the Chebyshev rescaling: a config error, not an ARPACK failure
+    zero = operators.AlgebraElement()
+    with pytest.raises(ConfigError, match=r"single point \{0\}"):
+        spectral.kpm_dos(zero, q54_k1, moments=20)
+    with pytest.raises(ConfigError, match=r"single point \{0\}"):
+        spectral.spectral_bounds(np.zeros((8, 8)))
+    monkeypatch.setattr(cli, "_model_element", lambda *args: zero)
+    code = cli.main(["--out", str(tmp_path), "spectrum", "5", "4", "--method", "kpm", "--moments", "16"])
+    assert code == 2
+    assert "single point {0}" in capsys.readouterr().err
