@@ -335,10 +335,11 @@ def cmd_junction(args) -> int:
             fh.write("index,ldos\n")
             for i, v in enumerate(weights):
                 fh.write(f"{i},{v:.17g}\n")
-        on_bulk = weights[bulk & tube].sum()
-        off_bulk = weights[bulk & ~tube].sum()
-        ratio = float(on_bulk / off_bulk) if off_bulk > 0 else float("inf")
-        raw_ratio = float(weights[tube].sum() / weights[~tube].sum())
+        # a ratio whose denominator carries no LDOS weight is undefined: null in the report
+        on_bulk, off_bulk = weights[bulk & tube].sum(), weights[bulk & ~tube].sum()
+        on_raw, off_raw = weights[tube].sum(), weights[~tube].sum()
+        ratio = float(on_bulk / off_bulk) if off_bulk > 0 else None
+        raw_ratio = float(on_raw / off_raw) if off_raw > 0 else None
         report["energies"].append(
             {
                 "energy": float(energy),
@@ -349,11 +350,16 @@ def cmd_junction(args) -> int:
             }
         )
         print(
-            f"E={energy}: {pairs.eigenvalues.size} states in window, "
-            f"interface ratio {ratio:.2f} on bulk sites ({raw_ratio:.3f} with the rim included)"
+            f"E={energy}: inertia count {pairs.count}, Krylov basis {pairs.basis_size} columns, "
+            f"max residual {pairs.residual:.1e}"
         )
+        if ratio is None or raw_ratio is None:
+            shown = "undefined (no LDOS weight off the interface)"
+        else:
+            shown = f"{ratio:.2f} on bulk sites ({raw_ratio:.3f} with the rim included)"
+        print(f"E={energy}: {pairs.eigenvalues.size} states in window, interface ratio {shown}")
     with open(os.path.join(out, f"{name}_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     _echo_config(

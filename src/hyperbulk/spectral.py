@@ -9,8 +9,10 @@ eigenvalues.  A right-regular operator has a constant diagonal, so its
 normalized Chebyshev trace is one matrix element,
 <delta_e|T_n(H)|delta_e>: KPM runs a single Chebyshev recursion from the
 identity site and takes two moments per matvec (Chebyshev doubling),
-with no random states.  Spectral edges come from seeded Lanczos runs,
-so outputs are reproducible bit for bit.
+with no random states.  The eigenpairs of an energy window come from
+sparse shift-invert block Krylov, with the window's size counted
+exactly by Sylvester's law of inertia.  Spectral edges and Krylov start
+blocks are seeded, so outputs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, NumericalContractError, ResourceLimitError
-from .tolerances import HERMITICITY
+from .tolerances import EIGENPAIR_RESIDUAL, FACTOR_BACKWARD, HERMITICITY
 
 __all__ = [
     "SpectrumResult",
@@ -44,6 +46,7 @@ __all__ = [
     "simplex_path",
     "spectral_flow",
     "ldos",
+    "WindowSpectrum",
     "eigenpairs_near",
     "write_curve_csv",
     "write_spectrum_csv",
@@ -55,6 +58,19 @@ KPM_MOMENTS = 500
 BOUND_PAD = 0.01
 # ARPACK converges each edge to this relative accuracy, far inside BOUND_PAD
 BOUND_TOL = 1e-6
+# eigenpairs_near: columns per Krylov block, the norm fraction below which a
+# Gram-Schmidt remainder counts as lost, the move of a singular shift and the
+# outward step of a window edge without an inertia count as fractions of the
+# half-width, the edges tried per side, SuperLU's diagonal pivot threshold for
+# the shift (threshold pivoting; the inertia counts take diagonal pivots only),
+# and the bytes its LU factors and basis may hold
+KRYLOV_BLOCK = 32
+RANK_DROP = 1e-10
+SHIFT_NUDGE = 0.125
+EDGE_STEP = 1.0 / 64
+EDGE_MOVES = 3
+PIVOT_THRESHOLD = 0.1
+EIGENPAIRS_MEMORY = 2 * 1024**3
 
 
 @dataclass
@@ -369,35 +385,258 @@ def ldos(
     return out
 
 
-def eigenpairs_near(
-    mat, center: float = 0.0, half_width: float = 0.25, seed: int = 0, k_start: int = 32
-) -> SpectrumResult:
-    """Eigenpairs within |E - center| <= half_width via shift-invert.
+@dataclass
+class WindowSpectrum(SpectrumResult):
+    """Eigenpairs of a window, with the facts of the solve that found them.
 
-    Grows the requested count until the window is covered (or the whole
-    spectrum is returned).  Deterministic for a fixed seed.  Up to
-    DENSE_CAP, a dense solve computes only the pairs inside the window.
+    count is the Sylvester inertia count of the counted window: the
+    requested window, or a wider one when an edge had to move outward,
+    in which case count exceeds the number of pairs returned.
+    basis_size is the number of Krylov columns built, and residual the
+    largest ||H x - lambda x|| over the returned pairs.
     """
-    n = mat.shape[0]
-    if n <= DENSE_CAP:
-        # LAPACK's value interval is (lo, hi]; stepping lo down one ulp keeps the window closed
-        window = (np.nextafter(center - half_width, -np.inf), center + half_width)
-        # a fresh Fortran-ordered copy that LAPACK may overwrite in place
-        dense = mat.toarray(order="F") if sp.issparse(mat) else np.array(mat, order="F")
-        vals, vecs = sla.eigh(dense, subset_by_value=window, overwrite_a=True)
-        return SpectrumResult(vals, vecs)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    k = min(k_start, n - 2)
+
+    count: int = 0
+    basis_size: int = 0
+    residual: float = 0.0
+
+
+def _factor(a, shift: float, rng, pivot_threshold: float):
+    """SuperLU factors of a - shift * I in symmetric mode, or None if it is exactly singular.
+
+    The fill-reducing order is symmetric, and a diagonal pivot is kept
+    unless it is below pivot_threshold times its column's largest entry.
+    Refuses factors whose stored entries exceed EIGENPAIRS_MEMORY, and
+    factors whose seeded solve has a normwise backward error above
+    FACTOR_BACKWARD.
+    """
+    n = a.shape[0]
+    shifted = (a - shift * sp.identity(n, dtype=a.dtype, format="csc")).tocsc()
+    try:
+        lu = spla.splu(
+            shifted,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=pivot_threshold,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        if "singular" in str(exc):
+            return None
+        raise
+    _check_memory(_lu_bytes(lu, a.dtype), "LU factors")
+    rhs = shifted @ rng.standard_normal(n)
+    sol = lu.solve(rhs)
+    scale = abs(shifted).sum(axis=1).max() * np.linalg.norm(sol) + np.linalg.norm(rhs)
+    err = np.linalg.norm(shifted @ sol - rhs) / scale
+    if not err <= FACTOR_BACKWARD:
+        raise NumericalContractError(
+            f"the LU factors of H - ({shift:.17g}) I have backward error {err:.1e} > {FACTOR_BACKWARD:.0e}"
+        )
+    return lu
+
+
+def _lu_bytes(lu, dtype) -> int:
+    """Bytes of SuperLU's stored entries and their 32-bit row indices."""
+    return lu.nnz * (np.dtype(dtype).itemsize + 4)
+
+
+def _check_memory(nbytes: int, what: str) -> None:
+    if nbytes > EIGENPAIRS_MEMORY:
+        raise ResourceLimitError(
+            f"{what} of eigenpairs_near need {nbytes / 2**20:.1f} MiB, "
+            f"beyond the limit of {EIGENPAIRS_MEMORY / 2**20:.1f} MiB"
+        )
+
+
+def _count_below(a, x: float, rng) -> int:
+    """Number of eigenvalues of the Hermitian a below x, by Sylvester's law of inertia.
+
+    With diagonal pivots only, P (a - x) P^T = L U and U = D L^H, so the
+    negative entries of D count the eigenvalues below x.
+    """
+    lu = _factor(a, x, rng, pivot_threshold=0.0)
+    if lu is None:
+        raise NumericalContractError(f"no inertia count at {x:.17g}: H - x I is exactly singular")
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NumericalContractError(
+            f"no inertia count at {x:.17g}: the factorization of H - x I pivoted off the diagonal"
+        )
+    return int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+
+def _counted_edge(a, x: float, outward: float, step: float, rng) -> tuple[float, int]:
+    """The first edge e = x + outward * k * step, k < EDGE_MOVES, with an inertia count, and that count.
+
+    Raises the last refusal when no tried edge gives a count.
+    """
+    for k in range(EDGE_MOVES):
+        edge = x + outward * k * step
+        try:
+            return edge, _count_below(a, edge, rng)
+        except NumericalContractError as exc:
+            refused = exc
+    raise refused
+
+
+def _adjoint_times(v, w) -> np.ndarray:
+    """v^H w, conjugating only the narrow w and the product instead of the tall v."""
+    return (w.conj().T @ v).conj().T
+
+
+def _orthonormal_block(basis, block, coeffs, rng) -> np.ndarray:
+    """Orthonormal columns for block's part outside the range of basis.
+
+    Two classical Gram-Schmidt passes against basis, then a QR of the
+    block.  coeffs = basis^H block, which the caller already holds, is
+    the first pass.  A column that keeps less than RANK_DROP of its norm
+    carries no new direction (an invariant subspace, a multiplicity
+    above the block size, the zero operator) and is replaced by a seeded
+    random column before two more passes.
+    """
+    norms = np.linalg.norm(block, axis=0)
+    block -= basis @ coeffs
     while True:
-        vals, vecs = spla.eigsh(mat.tocsc(), k=k, sigma=center, which="LM", v0=v0)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        covered = np.abs(vals - center).max() > half_width
-        if covered or k >= n - 2:
-            mask = np.abs(vals - center) <= half_width
-            return SpectrumResult(vals[mask], vecs[:, mask])
-        k = min(2 * k, n - 2)
+        block -= basis @ _adjoint_times(basis, block)
+        q, r = np.linalg.qr(block)
+        lost = np.abs(np.diagonal(r)) <= RANK_DROP * norms
+        if not lost.any():
+            return q
+        block[:, lost] = rng.standard_normal((block.shape[0], int(lost.sum())))
+        norms = np.linalg.norm(block, axis=0)
+        block -= basis @ _adjoint_times(basis, block)
+
+
+def _ritz_in_window(a, basis, proj, sigma, lo, hi, m):
+    """Rayleigh-Ritz of T = (H - sigma)^-1 on the basis, then of H on the Ritz pairs in [lo, hi).
+
+    proj holds V^H T V in its upper triangle.  Returns the pairs and
+    their residuals ||H x - lambda x|| once exactly m lie in the window
+    with residuals at or below EIGENPAIR_RESIDUAL, None before that, and
+    raises NumericalContractError when more than m Ritz values of T lie
+    in the window.
+    """
+    theta, y = sla.eigh(proj, lower=False)
+    lam = np.full_like(theta, np.inf)
+    nonzero = theta != 0
+    lam[nonzero] = sigma + 1.0 / theta[nonzero]
+    inside = (lam >= lo) & (lam < hi)
+    found = int(np.count_nonzero(inside))
+    if found > m:
+        raise NumericalContractError(
+            f"{found} Ritz values in [{lo:.17g}, {hi:.17g}) exceed its inertia count {m}"
+        )
+    if found < m:
+        return None
+    x = basis @ y[:, inside]
+    vals, z = sla.eigh(x.conj().T @ (a @ x))
+    vecs = x @ z
+    residuals = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
+    if vals[0] < lo or vals[-1] >= hi or residuals.max() > EIGENPAIR_RESIDUAL:
+        return None
+    return vals, vecs, residuals
+
+
+def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: int = 0) -> WindowSpectrum:
+    """All eigenpairs of the Hermitian mat with |E - center| <= half_width.
+
+    One sparse path for every size (shifted block Lanczos with inertia
+    counts; Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 228
+    (1994)):
+
+    1. Two LDL^H factorizations with diagonal pivots count, by
+       Sylvester's law of inertia, the m eigenvalues in the closed
+       window.  A factorization that pivots off the diagonal or fails
+       its backward-error check gives no count: that edge moves outward
+       by EDGE_STEP of the half-width, at most EDGE_MOVES - 1 times, and
+       the counted window then holds the requested one.  m = 0 returns
+       at once.
+    2. H - sigma I is factored once at sigma = center, moved by
+       SHIFT_NUDGE of the half-width when SuperLU finds it exactly
+       singular.
+    3. A block Krylov basis of T = (H - sigma)^-1 grows in blocks of
+       KRYLOV_BLOCK from a seeded start, in the operator's dtype, with
+       two classical Gram-Schmidt passes per block.  V^H T V is formed
+       from the products T V themselves, never from recurrence
+       coefficients.
+    4. Rayleigh-Ritz on T (lambda = sigma + 1/theta) runs first at
+       about 3m columns, then every max(KRYLOV_BLOCK, m/4).  It stops
+       when exactly m Ritz values lie in the counted window and a last
+       Rayleigh-Ritz on H over their span leaves each pair in it with
+       ||H x - lambda x|| <= EIGENPAIR_RESIDUAL.  The pairs inside
+       [center - half_width, center + half_width] are returned.
+
+    Deterministic for a fixed seed.  Raises NumericalContractError when
+    no tried edge gives an inertia count, when the shift is singular
+    twice, when more than m Ritz values fall in the counted window, or
+    when a basis spanning the whole space still disagrees with the
+    count; it never returns before all m pairs of the counted window
+    are found.  Raises ResourceLimitError when LU fill or the basis
+    would exceed EIGENPAIRS_MEMORY.
+    """
+    if not half_width >= 0:
+        raise ConfigError(f"half_width must be non-negative, got {half_width}")
+    a = sp.csc_matrix(mat)
+    dtype = np.result_type(a.dtype, np.float64)
+    a = a.astype(dtype, copy=False)
+    n = a.shape[0]
+    rng = np.random.default_rng(seed)
+    lo, hi = center - half_width, center + half_width
+    # count [lo, hi] as [lo, next float above hi), each edge moved outward if it must be
+    step = EDGE_STEP * half_width
+    lo_count, below_lo = _counted_edge(a, lo, -1.0, step, rng)
+    hi_count, below_hi = _counted_edge(a, np.nextafter(hi, np.inf), 1.0, step, rng)
+    m = below_hi - below_lo
+    if m == 0:
+        return WindowSpectrum(np.empty(0), np.empty((n, 0), dtype))
+
+    for sigma in (center, center + SHIFT_NUDGE * half_width):
+        lu = _factor(a, sigma, rng, PIVOT_THRESHOLD)
+        if lu is not None:
+            break
+    else:
+        raise NumericalContractError(f"H - sigma I is exactly singular at sigma = {center} and at {sigma}")
+
+    b = min(KRYLOV_BLOCK, n)
+    size = min(n, 4 * m + 2 * b)
+    basis = np.empty((n, 0), dtype)
+    proj = np.empty((0, 0), dtype)
+    block = rng.standard_normal((n, b)).astype(dtype)
+    coeffs = np.zeros((0, b), dtype)
+    j, check = 0, min(n, 3 * m)
+    while True:
+        width = min(b, n - j)
+        if j + width > basis.shape[1]:
+            size = min(n, max(size, 2 * basis.shape[1]))
+            _check_memory(_lu_bytes(lu, dtype) + (n + size) * size * basis.itemsize, "LU factors and Krylov basis")
+            basis = np.concatenate([basis, np.empty((n, size - basis.shape[1]), dtype)], axis=1)
+            grown = np.zeros((size, size), dtype)
+            grown[:j, :j] = proj[:j, :j]
+            proj = grown
+        q = _orthonormal_block(basis[:, :j], block[:, :width], coeffs[:, :width], rng)
+        basis[:, j : j + width] = q
+        block = lu.solve(q)
+        # V^H T q: a column block of the projection, and the next block's first pass
+        coeffs = _adjoint_times(basis[:, : j + width], block)
+        proj[: j + width, j : j + width] = coeffs
+        j += width
+        if j >= check or j == n:
+            pairs = _ritz_in_window(a, basis[:, :j], proj[:j, :j], sigma, lo_count, hi_count, m)
+            if pairs is not None:
+                vals, vecs, residuals = pairs
+                keep = (vals >= lo) & (vals <= hi)
+                return WindowSpectrum(
+                    vals[keep],
+                    vecs[:, keep],
+                    count=m,
+                    basis_size=j,
+                    residual=float(residuals[keep].max(initial=0.0)),
+                )
+            if j == n:
+                raise NumericalContractError(
+                    f"a Krylov basis spanning all {n} dimensions does not give the inertia count "
+                    f"{m} of pairs in [{lo_count:.17g}, {hi_count:.17g}) with residuals <= {EIGENPAIR_RESIDUAL:.0e}"
+                )
+            check = j + max(b, m // 4)
 
 
 def write_curve_csv(curve: DOSCurve, path: str) -> None:

@@ -30,3 +30,9 @@ PARTITION = 1e-12
 
 # eval_real ring homomorphism check (relative)
 EVAL_HOMOMORPHISM = 1e-9
+
+# Normwise backward error of a sparse LU solve in eigenpairs_near
+FACTOR_BACKWARD = 1e-10
+
+# Residual ||H x - lambda x|| of every unit eigenvector eigenpairs_near returns
+EIGENPAIR_RESIDUAL = 1e-9

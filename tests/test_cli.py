@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hyperbulk import cli, quotient
+from hyperbulk import cli, quotient, spectral
 
 
 def run(argv):
@@ -109,6 +109,18 @@ def test_spectrum_kpm_rerun_byte_identical(tmp_path):
     assert run(["--out", str(a), "--seed", "11"] + argv) == 0
     assert run(["--out", str(b), "--seed", "11"] + argv) == 0
     for name in ("dos_kpm_adj_5_4_s2_k1.csv", "idos_kpm_adj_5_4_s2_k1.csv", "spectrum_config.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_junction_rerun_byte_identical(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    argv = ["junction", "--radius", "8"]
+    assert run(["--out", str(a), "--seed", "11"] + argv) == 0
+    assert run(["--out", str(b), "--seed", "11"] + argv) == 0
+    names = sorted(path.name for path in a.iterdir())
+    assert names == sorted(path.name for path in b.iterdir())
+    assert "junction_5_4_r8_ldos_E+0.000.csv" in names
+    for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -227,9 +239,49 @@ def test_junction_command(tmp_path, capsys):
     report = json.loads((tmp_path / "junction_5_4_r5_report.json").read_text())
     assert report["sites"] == 97
     assert report["energies"][0]["states_in_window"] > 0
+    # the solve is reported on stdout only: the report keeps its fields
+    out = capsys.readouterr().out
+    assert "inertia count" in out and "Krylov basis" in out and "max residual" in out
+    assert set(report) == {"sites", "nnz", "energies"}
+    assert set(report["energies"][0]) == {
+        "energy",
+        "delta_e",
+        "states_in_window",
+        "interface_ratio_bulk",
+        "interface_ratio_raw",
+    }
     assert (tmp_path / "junction_5_4_r5_sites.csv").exists()
     assert (tmp_path / "junction_5_4_r5_chi.csv").exists()
     assert (tmp_path / "junction_5_4_r5_H.mtx").exists()
+
+
+def test_junction_empty_window_writes_null_ratios(tmp_path, capsys):
+    assert run(["--out", str(tmp_path), "junction", "--radius", "4", "--energies", "5.0"]) == 0
+    assert "interface ratio undefined" in capsys.readouterr().out
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    text = (tmp_path / "junction_5_4_r4_report.json").read_text()
+    entry = json.loads(text, parse_constant=refuse)["energies"][0]
+    assert entry["states_in_window"] == 0
+    assert entry["interface_ratio_bulk"] is None
+    assert entry["interface_ratio_raw"] is None
+
+
+def test_junction_memory_limit_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(spectral, "EIGENPAIRS_MEMORY", 1000)
+    assert run(["--out", str(tmp_path), "junction", "--radius", "5"]) == 3
+    assert "resource limit" in capsys.readouterr().err
+
+
+def test_junction_count_mismatch_exits_4(tmp_path, capsys, monkeypatch):
+    count = spectral._count_below
+    # one eigenvalue more in the window than there is: no basis can reproduce the count
+    monkeypatch.setattr(spectral, "_count_below", lambda a, x, rng: count(a, x, rng) + (x > 0))
+    assert run(["--out", str(tmp_path), "junction", "--radius", "5"]) == 4
+    assert "inertia count" in capsys.readouterr().err
+    assert not (tmp_path / "junction_5_4_r5_report.json").exists()
 
 
 def test_junction_config_file(tmp_path):
