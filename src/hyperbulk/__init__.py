@@ -20,6 +20,7 @@ _SUBMODULES = (
     "spectral",
     "geometry",
     "junction",
+    "outputs",
     "tolerances",
     "errors",
     "cli",

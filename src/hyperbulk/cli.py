@@ -28,18 +28,73 @@ def _ensure_out(path: str) -> str:
 
 
 def _echo_config(out_dir: str, name: str, config: dict) -> None:
-    with open(os.path.join(out_dir, f"{name}_config.json"), "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    from .outputs import write_json
+
+    write_json(os.path.join(out_dir, f"{name}_config.json"), config)
+
+
+def _echo_flags(out_dir: str, args) -> None:
+    """Config echo of the subcommand's parsed flags and the seed; where and how it runs are left out."""
+    skip = ("func", "command", "out", "cache_dir", "threads")
+    _echo_config(out_dir, args.command, {k: v for k, v in vars(args).items() if k not in skip})
+
+
+def _is_number(v) -> bool:
+    # type() leaves out bools; the bound refuses nan, +-inf and ints that overflow a float
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not _is_number(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _parse_model(tokens, eps: float):
     """Model spec from CLI tokens: ["adj"] or ["h", alpha, kidx]."""
-    if tokens is None or tokens == ["adj"]:
+    if tokens == ["adj"]:
         return ("adj", None, None, None)
     if len(tokens) == 3 and tokens[0] == "h":
-        return ("h", int(tokens[1]), int(tokens[2]), eps)
-    raise ConfigError(f"bad --model {tokens}; expected 'adj' or 'h ALPHA KIDX'")
+        try:
+            return ("h", int(tokens[1]), int(tokens[2]), eps)
+        except ValueError:
+            pass
+    raise ConfigError(f"bad --model {tokens}; expected 'adj' or 'h ALPHA KIDX' with integers ALPHA, KIDX")
+
+
+def _is_models(v) -> bool:
+    if isinstance(v, list) and len(v) == 3 and all(isinstance(x, list) and len(x) == 2 for x in v):
+        v = [x for pair in v for x in pair]
+    return isinstance(v, list) and len(v) == 6 and all(type(x) is int for x in v)
+
+
+_INTEGER = (lambda v: type(v) is int, "an integer")
+_NUMBER = (_is_number, "a finite number")
+# junction --config keys: the check on each value and what it expects
+_JUNCTION_KEYS = {
+    **dict.fromkeys(("p", "q", "radius"), _INTEGER),
+    **dict.fromkeys(("phi_y", "ell", "eps", "delta_e"), _NUMBER),
+    "energies": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of finite numbers"),
+    "models": (_is_models, "six integers, flat or as three pairs"),
+}
+
+
+def _read_junction_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read --config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"--config {path} must hold a JSON object")
+    for key, value in cfg.items():
+        if key not in _JUNCTION_KEYS:
+            raise ConfigError(f"--config {path}: unknown key {key!r}; known keys are {sorted(_JUNCTION_KEYS)}")
+        check, expected = _JUNCTION_KEYS[key]
+        if not check(value):
+            raise ConfigError(f"--config {path}: {key!r} must be {expected}, got {value!r}")
+    return cfg
 
 
 def _model_element(kind_tuple, p: int, q: int):
@@ -89,6 +144,8 @@ def cmd_minpoly(args) -> int:
 
 
 def cmd_group(args) -> int:
+    from . import outputs
+
     group = _load_quotient(args.p, args.q, args.s, args.k, args.cache_dir)
     print(f"|G_{args.k}| = {group.order}  (p={args.p}, q={args.q}, s={args.s})")
     print("torsion orders:")
@@ -105,9 +162,7 @@ def cmd_group(args) -> int:
         "torsion": group.torsion,
         "torsion_preserved": group.torsion_preserved,
     }
-    with open(os.path.join(out, f"group_{args.p}_{args.q}_s{args.s}_k{args.k}.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    outputs.write_json(os.path.join(out, f"group_{args.p}_{args.q}_s{args.s}_k{args.k}.json"), report)
     _echo_config(out, "group", {**report, "seed": args.seed})
     return 0
 
@@ -115,7 +170,7 @@ def cmd_group(args) -> int:
 def cmd_spectrum(args) -> int:
     import numpy as np
 
-    from . import spectral
+    from . import outputs, spectral
 
     model = _parse_model(args.model, args.eps)
     element = _model_element(model, args.p, args.q)
@@ -152,9 +207,7 @@ def cmd_spectrum(args) -> int:
             gap_report = [
                 {"lower": g.lower, "upper": g.upper, "width": g.width} for g in gaps
             ]
-            with open(os.path.join(out, f"gaps_{name}.json"), "w") as fh:
-                json.dump(gap_report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            outputs.write_json(os.path.join(out, f"gaps_{name}.json"), gap_report)
             sec = group.sectors
             print(
                 f"k={k}: dim {group.order}, {len(sec.representatives)} of {sec.count} character blocks "
@@ -174,38 +227,18 @@ def cmd_spectrum(args) -> int:
             else:
                 vals = np.interp(ref.energies, curves[k].energies, curves[k].values)
             table[str(k)] = float(np.mean((vals - ref.values) ** 2))
-        with open(os.path.join(out, f"mse_{tag}_s{args.s}.json"), "w") as fh:
-            json.dump({"reference_k": k_ref, "mse": table}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        outputs.write_json(os.path.join(out, f"mse_{tag}_s{args.s}.json"), {"reference_k": k_ref, "mse": table})
         print("MSE vs k =", k_ref, ":", table)
 
-    _echo_config(
-        out,
-        "spectrum",
-        {
-            "p": args.p,
-            "q": args.q,
-            "s": args.s,
-            "k": args.k,
-            "model": list(args.model) if args.model else ["adj"],
-            "eps": args.eps,
-            "method": args.method,
-            "grid": args.grid,
-            "moments": args.moments,
-            "states": args.states,
-            "seed": args.seed,
-        },
-    )
+    _echo_flags(out, args)
     return 0
 
 
 def cmd_flow(args) -> int:
     import numpy as np
 
-    from . import operators, spectral
+    from . import operators, outputs, spectral
 
-    if len(args.models) != 6:
-        raise ConfigError("--models needs six integers: a1 k1 a2 k2 a3 k3")
     if args.samples < 2:
         # with one sample per edge the loop has no interior point to report on
         raise ConfigError(f"--samples must be at least 2, got {args.samples}")
@@ -217,15 +250,8 @@ def cmd_flow(args) -> int:
 
     out = _ensure_out(args.out)
     name = f"flow_{args.p}_{args.q}_s{args.s}_k{args.k}"
-    csv_path = os.path.join(out, f"{name}.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("index,w1,w2,w3," + ",".join(f"e{i}" for i in range(flows.shape[1])) + "\n")
-        for i, (w, row) in enumerate(zip(path, flows)):
-            fh.write(
-                f"{i},{w[0]:.17g},{w[1]:.17g},{w[2]:.17g},"
-                + ",".join(f"{v:.17g}" for v in row)
-                + "\n"
-            )
+    header = ["index", "w1", "w2", "w3"] + [f"e{i}" for i in range(flows.shape[1])]
+    outputs.write_csv(os.path.join(out, f"{name}.csv"), header, [np.arange(len(path)), path, flows])
 
     vertices = {0, args.samples, 2 * args.samples, 3 * args.samples}
     interior = [i for i in range(len(path)) if i not in vertices]
@@ -246,63 +272,33 @@ def cmd_flow(args) -> int:
         above = ev[ev > 0]
         width = float(above.min() - below.max()) if below.size and above.size else 0.0
         report["vertex_gap_widths"].append(width)
-    with open(os.path.join(out, f"{name}_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    outputs.write_json(os.path.join(out, f"{name}_report.json"), report)
     print(
         f"flow over {len(path)} points: interior min |E| = {report['interior_min_abs_energy']:.3e}, "
         f"{len(crossings)} crossing point(s) below {args.crossing_tol}"
     )
 
-    _echo_config(
-        out,
-        "flow",
-        {
-            "p": args.p,
-            "q": args.q,
-            "s": args.s,
-            "k": args.k,
-            "models": args.models,
-            "eps": args.eps,
-            "samples": args.samples,
-            "crossing_tol": args.crossing_tol,
-            "seed": args.seed,
-        },
-    )
+    _echo_flags(out, args)
     return 0
 
 
 def cmd_junction(args) -> int:
     import numpy as np
 
-    from . import geometry, junction, operators, spectral
+    from . import geometry, junction, operators, outputs, spectral
 
-    cfg_file = {}
+    given = dict(
+        p=5, q=4, radius=12, phi_y=None, ell=junction.DEFAULT_WALL_WIDTH, eps=junction.DEFAULT_EPS,
+        models=junction.DEFAULT_MODELS, energies=[0.0], delta_e=0.05,
+    )
     if args.config:
-        with open(args.config) as fh:
-            cfg_file = json.load(fh)
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return cfg_file.get(key, default)
-
-    p = int(pick(args.p, "p", 5))
-    q = int(pick(args.q, "q", 4))
-    radius = int(pick(args.radius, "radius", 12))
-    phi_y = pick(args.phi_y, "phi_y", None)
-    ell = float(pick(args.ell, "ell", junction.DEFAULT_WALL_WIDTH))
-    eps = float(pick(args.eps, "eps", junction.DEFAULT_EPS))
-    raw_models = pick(args.models, "models", None)
-    if raw_models is None:
-        models = junction.DEFAULT_MODELS
-    else:
-        flat = [int(v) for v in np.ravel(raw_models)]
-        if len(flat) != 6:
-            raise ConfigError("junction models need six integers: a1 k1 a2 k2 a3 k3")
-        models = ((flat[0], flat[1]), (flat[2], flat[3]), (flat[4], flat[5]))
-    energies = pick(args.energies, "energies", [0.0])
-    delta_e = float(pick(args.delta_e, "delta_e", 0.05))
+        given.update(_read_junction_config(args.config))
+    # flags override the file
+    given.update((key, value) for key, value in vars(args).items() if key in given and value is not None)
+    p, q, radius, phi_y, energies = (given[key] for key in ("p", "q", "radius", "phi_y", "energies"))
+    ell, eps, delta_e = (float(given[key]) for key in ("ell", "eps", "delta_e"))
+    flat = np.ravel(given["models"]).tolist()
+    models = ((flat[0], flat[1]), (flat[2], flat[3]), (flat[4], flat[5]))
 
     cfg = junction.JunctionConfig(
         phi_y=None if phi_y is None else float(phi_y), ell=ell, eps=eps, models=models
@@ -331,10 +327,7 @@ def cmd_junction(args) -> int:
         pairs = spectral.eigenpairs_near(ham, center=float(energy), half_width=window, seed=args.seed)
         weights = spectral.ldos(pairs, energy=float(energy), delta_e=delta_e)
         ldos_path = os.path.join(out, f"{name}_ldos_E{energy:+.3f}.csv")
-        with open(ldos_path, "w") as fh:
-            fh.write("index,ldos\n")
-            for i, v in enumerate(weights):
-                fh.write(f"{i},{v:.17g}\n")
+        outputs.write_csv(ldos_path, ["index", "ldos"], [np.arange(weights.size), weights])
         # a ratio whose denominator carries no LDOS weight is undefined: null in the report
         on_bulk, off_bulk = weights[bulk & tube].sum(), weights[bulk & ~tube].sum()
         on_raw, off_raw = weights[tube].sum(), weights[~tube].sum()
@@ -358,9 +351,7 @@ def cmd_junction(args) -> int:
         else:
             shown = f"{ratio:.2f} on bulk sites ({raw_ratio:.3f} with the rim included)"
         print(f"E={energy}: {pairs.eigenvalues.size} states in window, interface ratio {shown}")
-    with open(os.path.join(out, f"{name}_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    outputs.write_json(os.path.join(out, f"{name}_report.json"), report)
 
     _echo_config(
         out,
@@ -410,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("q", type=int)
     sp.add_argument("--s", type=int, default=2)
     sp.add_argument("--k", type=int, nargs="+", default=[1])
-    sp.add_argument("--model", nargs="+", default=None, help="'adj' or 'h ALPHA KIDX'")
-    sp.add_argument("--eps", type=float, default=0.8)
+    sp.add_argument("--model", nargs="+", default=["adj"], help="'adj' or 'h ALPHA KIDX'")
+    sp.add_argument("--eps", type=_finite_float, default=0.8)
     sp.add_argument("--method", choices=["auto", "exact", "kpm"], default="auto")
     sp.add_argument("--grid", type=int, default=1024)
     sp.add_argument("--moments", type=int, default=500)
@@ -435,9 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("A1", "K1", "A2", "K2", "A3", "K3"),
         default=[1, 1, 2, 1, 3, 1],
     )
-    sp.add_argument("--eps", type=float, default=0.8)
+    sp.add_argument("--eps", type=_finite_float, default=0.8)
     sp.add_argument("--samples", type=int, default=40, help="path samples per edge")
-    sp.add_argument("--crossing-tol", type=float, default=0.01)
+    sp.add_argument("--crossing-tol", type=_finite_float, default=0.01)
     sp.set_defaults(func=cmd_flow)
 
     sp = sub.add_parser("junction", help="three-phase Y-junction on an open ball")
@@ -445,12 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--q", type=int, default=None)
     sp.add_argument("--radius", type=int, default=None)
-    sp.add_argument("--phi-y", type=float, default=None)
-    sp.add_argument("--ell", type=float, default=None)
-    sp.add_argument("--eps", type=float, default=None)
+    sp.add_argument("--phi-y", type=_finite_float, default=None)
+    sp.add_argument("--ell", type=_finite_float, default=None)
+    sp.add_argument("--eps", type=_finite_float, default=None)
     sp.add_argument("--models", nargs=6, type=int, default=None)
-    sp.add_argument("--energies", nargs="+", type=float, default=None)
-    sp.add_argument("--delta-e", type=float, default=None)
+    sp.add_argument("--energies", nargs="+", type=_finite_float, default=None)
+    sp.add_argument("--delta-e", type=_finite_float, default=None)
     sp.set_defaults(func=cmd_junction)
 
     return parser

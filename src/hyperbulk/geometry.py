@@ -13,7 +13,6 @@ All distances use curvature -1: d(0, z) = 2 artanh|z|.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, NumericalContractError
+from .outputs import write_csv
 from .tolerances import SHEET_DRIFT
 from .triangle import Ball, GroupMatrix, TessellationParams, build_generators
 
@@ -293,8 +293,4 @@ def midpoint(z, w):
 
 
 def export_positions_csv(path, positions) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "re", "im"])
-        for i, z in enumerate(positions):
-            writer.writerow([i, f"{z.real:.17g}", f"{z.imag:.17g}"])
+    write_csv(path, ["index", "re", "im"], [np.arange(len(positions)), np.real(positions), np.imag(positions)])

@@ -10,7 +10,6 @@ the assembled operator stays Hermitian and interpolates smoothly in space.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 
@@ -20,6 +19,7 @@ from scipy.special import expit
 
 from . import geometry, operators
 from .errors import ConfigError
+from .outputs import write_csv
 
 DEFAULT_WALL_WIDTH = 0.1
 DEFAULT_EPS = 0.8
@@ -178,9 +178,4 @@ def bulk_sites(ball, margin: int = 2) -> np.ndarray:
 
 
 def export_partition_csv(path, chi) -> None:
-    chi = np.asarray(chi)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "chi1", "chi2", "chi3"])
-        for i, row in enumerate(chi):
-            writer.writerow([i] + [f"{v:.17g}" for v in row])
+    write_csv(path, ["index", "chi1", "chi2", "chi3"], [np.arange(len(chi)), chi])

@@ -359,9 +359,13 @@ def _character_orbits(group: QuotientGroup, members, position, phase) -> np.ndar
 
     g^-1 n g is n's word walked from g^-1, then g; the conjugate of
     character j is the row phase[j] read at those positions, looked up in
-    phase.  Orbits are merged by union-find with the smallest character
-    as root, and numbered in root order.
+    phase.  The orbits are the connected components of the graph joining
+    each character to its conjugates, numbered in order of their smallest
+    character.
     """
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
     gens = np.array([GEN_A, GEN_B])
     starts = group.gen_perm[[inverse_token(t) for t in gens], 0]
     conj = np.array([group.gen_perm[gens, group.walk(starts, group.word(int(n)))] for n in members])
@@ -369,22 +373,12 @@ def _character_orbits(group: QuotientGroup, members, position, phase) -> np.ndar
     if np.any(conj < 0):
         raise NumericalContractError("conjugation by a generator left the kernel; group tables are corrupt")
     table = RowIndex(phase)
-    root = list(range(len(phase)))
-
-    def find(j):
-        while root[j] != j:
-            root[j] = root[root[j]]
-            j = root[j]
-        return j
-
-    for perm in conj:
-        image = table.find(phase[:, perm])
-        if np.any(image < 0):
-            raise NumericalContractError("a conjugated character is not a row of the character table")
-        for j, i in enumerate(image.tolist()):
-            a, b = find(j), find(i)
-            root[max(a, b)] = min(a, b)
-    return np.unique([find(j) for j in range(len(phase))], return_inverse=True)[1]
+    image = np.concatenate([table.find(phase[:, perm]) for perm in conj])
+    if np.any(image < 0):
+        raise NumericalContractError("a conjugated character is not a row of the character table")
+    n = len(phase)
+    edges = coo_array((np.ones(image.size), (np.tile(np.arange(n), len(conj)), image)), shape=(n, n))
+    return connected_components(edges, directed=False)[1]
 
 
 def build_quotient(

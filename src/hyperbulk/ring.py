@@ -17,6 +17,8 @@ import json
 import math
 from functools import cache
 
+from .errors import ConfigError
+
 __all__ = [
     "IntPolynomial",
     "RingContext",
@@ -165,7 +167,7 @@ def minimal_polynomial(n: int) -> IntPolynomial:
     divisors' polynomials (memoized).
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise ConfigError(f"ring index n must be positive, got {n}")
     if n % 2 == 0:
         s = n // 2
         rhs = rescaled_chebyshev(s + 1) - rescaled_chebyshev(s - 1)

@@ -17,8 +17,6 @@ blocks are seeded, so outputs are reproducible bit for bit.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, NumericalContractError, ResourceLimitError
+from .outputs import write_csv, write_json
 from .tolerances import EIGENPAIR_RESIDUAL, FACTOR_BACKWARD, HERMITICITY
 
 __all__ = [
@@ -641,19 +640,9 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
 
 def write_curve_csv(curve: DOSCurve, path: str) -> None:
     """CSV of (energy, value) plus a JSON metadata sidecar."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["energy", "value"])
-        for e, v in zip(curve.energies, curve.values):
-            writer.writerow([f"{e:.17g}", f"{v:.17g}"])
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(curve.metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_csv(path, ["energy", "value"], [curve.energies, curve.values])
+    write_json(path + ".meta.json", curve.metadata)
 
 
 def write_spectrum_csv(spec: SpectrumResult, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "eigenvalue"])
-        for i, e in enumerate(spec.eigenvalues):
-            writer.writerow([i, f"{e:.17g}"])
+    write_csv(path, ["index", "eigenvalue"], [np.arange(spec.dim), spec.eigenvalues])

@@ -1,13 +1,24 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from hyperbulk import cli, quotient, spectral
+from hyperbulk import cli, outputs, quotient, spectral
+from hyperbulk.errors import NumericalContractError
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and infinity, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_minpoly_by_index(tmp_path, capsys):
@@ -25,6 +36,11 @@ def test_minpoly_by_pair(tmp_path, capsys):
     assert code == 0
     assert "n = 40" in capsys.readouterr().out
     assert (tmp_path / "minpoly_40.json").exists()
+
+
+def test_minpoly_nonpositive_index_exits_2(tmp_path, capsys):
+    assert run(["--out", str(tmp_path), "minpoly", "-n", "0"]) == 2
+    assert "must be positive" in capsys.readouterr().err
 
 
 def test_group_reports_torsion(tmp_path, capsys):
@@ -103,25 +119,84 @@ def test_spectrum_model_selection(tmp_path):
     assert (tmp_path / "spectrum_h1_1_5_4_s2_k1.csv").exists()
 
 
-def test_spectrum_kpm_rerun_byte_identical(tmp_path):
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        pytest.param(["minpoly", "--pq", "5", "4"], "minpoly_40.json", id="minpoly"),
+        pytest.param(["group", "5", "4", "--k", "2"], "group_5_4_s2_k2.json", id="group"),
+        pytest.param(["spectrum", "5", "4", "--k", "1", "2"], "mse_adj_s2.json", id="spectrum-exact"),
+        pytest.param(
+            ["spectrum", "5", "4", "--k", "1", "--method", "kpm", "--moments", "64", "--grid", "128"],
+            "dos_kpm_adj_5_4_s2_k1.csv",
+            id="spectrum-kpm",
+        ),
+        pytest.param(["flow", "5", "4", "--k", "1", "--samples", "2"], "flow_5_4_s2_k1.csv", id="flow"),
+        pytest.param(["junction", "--radius", "8"], "junction_5_4_r8_ldos_E+0.000.csv", id="junction"),
+    ],
+)
+def test_rerun_byte_identical(tmp_path, argv, written):
     a, b = tmp_path / "a", tmp_path / "b"
-    argv = ["spectrum", "5", "4", "--k", "1", "--method", "kpm", "--moments", "64", "--grid", "128"]
-    assert run(["--out", str(a), "--seed", "11"] + argv) == 0
-    assert run(["--out", str(b), "--seed", "11"] + argv) == 0
-    for name in ("dos_kpm_adj_5_4_s2_k1.csv", "idos_kpm_adj_5_4_s2_k1.csv", "spectrum_config.json"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
-
-
-def test_junction_rerun_byte_identical(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    argv = ["junction", "--radius", "8"]
     assert run(["--out", str(a), "--seed", "11"] + argv) == 0
     assert run(["--out", str(b), "--seed", "11"] + argv) == 0
     names = sorted(path.name for path in a.iterdir())
     assert names == sorted(path.name for path in b.iterdir())
-    assert "junction_5_4_r8_ldos_E+0.000.csv" in names
+    assert written in names
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_output_files_keep_the_format_contract(tmp_path):
+    for argv in (
+        ["minpoly", "--pq", "5", "4"],
+        ["group", "5", "4"],
+        ["spectrum", "5", "4", "--k", "1", "--method", "exact"],
+        ["spectrum", "5", "4", "--k", "1", "2", "--method", "kpm", "--moments", "32", "--grid", "64"],
+        ["flow", "5", "4", "--k", "1", "--samples", "2"],
+        ["junction", "--radius", "4"],
+    ):
+        assert run(["--out", str(tmp_path)] + argv) == 0
+    csvs = sorted(tmp_path.glob("*.csv"))
+    jsons = sorted(tmp_path.glob("*.json"))
+    # spectrum, idos, dos_kpm x2, idos_kpm x2, flow, sites, chi, ldos
+    assert len(csvs) == 10
+    for path in csvs:
+        data = path.read_bytes()
+        assert b"\r" not in data, path.name
+        header, *rows = data.decode().split("\n")[:-1]
+        assert header.split(",")[0] in ("index", "energy"), path.name
+        assert rows and all(len(row.split(",")) == len(header.split(",")) for row in rows), path.name
+        for value in ",".join(rows).split(","):
+            assert "%.17g" % float(value) == value, (path.name, value)
+    assert len(jsons) > 10
+    for path in jsons:
+        strict_json(path.read_text())
+
+
+def test_write_json_refuses_nan(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(NumericalContractError, match="report.json"):
+        outputs.write_json(str(path), {"tol": float("nan")})
+    assert not path.exists()
+
+
+def _subcommand_flags(command):
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "5", "4", "--k", "1", "--method", "kpm", "--moments", "16", "--grid", "32"],
+        ["flow", "5", "4", "--k", "1", "--samples", "2", "--crossing-tol", "0.02"],
+    ],
+    ids=["spectrum", "flow"],
+)
+def test_config_echo_holds_every_flag_and_the_seed(tmp_path, argv):
+    assert run(["--out", str(tmp_path), "--seed", "5"] + argv) == 0
+    echo = json.loads((tmp_path / f"{argv[0]}_config.json").read_text())
+    parsed = vars(cli.build_parser().parse_args(["--seed", "5"] + argv))
+    assert echo == {key: parsed[key] for key in _subcommand_flags(argv[0]) | {"seed"}}
 
 
 def test_flow_report(tmp_path, capsys):
@@ -258,12 +333,7 @@ def test_junction_command(tmp_path, capsys):
 def test_junction_empty_window_writes_null_ratios(tmp_path, capsys):
     assert run(["--out", str(tmp_path), "junction", "--radius", "4", "--energies", "5.0"]) == 0
     assert "interface ratio undefined" in capsys.readouterr().out
-
-    def refuse(name):
-        raise ValueError(f"{name} is not JSON")
-
-    text = (tmp_path / "junction_5_4_r4_report.json").read_text()
-    entry = json.loads(text, parse_constant=refuse)["energies"][0]
+    entry = strict_json((tmp_path / "junction_5_4_r4_report.json").read_text())["energies"][0]
     assert entry["states_in_window"] == 0
     assert entry["interface_ratio_bulk"] is None
     assert entry["interface_ratio_raw"] is None
@@ -296,3 +366,56 @@ def test_junction_config_file(tmp_path):
 
 def test_threads_validation(capsys):
     assert cli.main(["--threads", "0", "minpoly", "-n", "8"]) == 2
+
+
+def test_junction_config_pairs_and_flag_override(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"radius": 12, "ell": 0.15, "models": [[1, 1], [2, 1], [3, 1]]}))
+    assert run(["--out", str(tmp_path), "junction", "--config", str(cfg), "--radius", "4", "--ell", "0.2"]) == 0
+    echo = json.loads((tmp_path / "junction_config.json").read_text())
+    assert (echo["radius"], echo["ell"], echo["models"]) == (4, 0.2, [[1, 1], [2, 1], [3, 1]])
+
+
+def test_non_integer_model_token_exits_2(tmp_path, capsys):
+    assert run(["--out", str(tmp_path), "spectrum", "5", "4", "--model", "h", "x", "1"]) == 2
+    assert "--model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(["flow", "5", "4", "--samples", "2", "--crossing-tol", "nan"], "--crossing-tol", id="flow-nan"),
+        pytest.param(["junction", "--radius", "4", "--energies", "nan"], "--energies", id="junction-nan"),
+        pytest.param(["spectrum", "5", "4", "--eps", "inf"], "--eps", id="spectrum-inf"),
+    ],
+)
+def test_non_finite_float_flag_exits_2(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(["--out", str(tmp_path)] + argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        pytest.param(None, "cannot read", id="missing"),
+        pytest.param("{bad", "cannot read", id="not-json"),
+        pytest.param("[4]", "JSON object", id="not-an-object"),
+        pytest.param('{"radious": 4}', "'radious'", id="unknown-key"),
+        pytest.param('{"radius": 4.7}', "'radius'", id="float-for-int"),
+        pytest.param('{"radius": "four"}', "'radius'", id="string-for-int"),
+        pytest.param('{"radius": 4, "energies": 0.1}', "'energies'", id="energies-not-a-list"),
+        pytest.param('{"radius": 4, "ell": NaN}', "'ell'", id="nan"),
+        pytest.param('{"radius": 4, "ell": 1' + "0" * 400 + "}", "'ell'", id="int-overflows-float"),
+        pytest.param('{"radius": 4, "models": [1, 1, 2, 1, 3]}', "'models'", id="five-models"),
+    ],
+)
+def test_bad_junction_config_exits_2(tmp_path, capsys, text, named):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert run(["--out", str(tmp_path / "out"), "junction", "--config", str(cfg)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
