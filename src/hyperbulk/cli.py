@@ -172,6 +172,8 @@ def cmd_spectrum(args) -> int:
 
     from . import outputs, spectral
 
+    if args.grid < 2:
+        raise ConfigError(f"--grid must be at least 2, got {args.grid}")
     model = _parse_model(args.model, args.eps)
     element = _model_element(model, args.p, args.q)
     out = _ensure_out(args.out)
@@ -192,7 +194,9 @@ def cmd_spectrum(args) -> int:
             spectral.write_curve_csv(density, os.path.join(out, f"dos_kpm_{name}.csv"))
             spectral.write_curve_csv(idos, os.path.join(out, f"idos_kpm_{name}.csv"))
             curves[k] = idos
-            print(f"k={k}: dim {group.order}, KPM curve written")
+            run = density.lanczos
+            print(f"k={k}: dim {group.order}, {run.alpha.size} Lanczos steps, edges {run.edges[0]:.6f} / "
+                  f"{run.edges[1]:.6f} with Ritz residuals {run.residuals[0]:.1e} / {run.residuals[1]:.1e}")
         else:
             spec = spectral.block_spectrum(element, group)
             spectra[k] = spec

@@ -7,12 +7,13 @@ conjugate under the group are isospectral, so a periodic spectrum
 diagonalizes one block per conjugation orbit and repeats its
 eigenvalues.  A right-regular operator has a constant diagonal, so its
 normalized Chebyshev trace is one matrix element,
-<delta_e|T_n(H)|delta_e>: KPM runs a single Chebyshev recursion from the
-identity site and takes two moments per matvec (Chebyshev doubling),
-with no random states.  The eigenpairs of an energy window come from
+<delta_e|T_n(H)|delta_e>: KPM runs one plain Lanczos recursion from the
+identity site, whose Jacobi matrix gives both the spectral edges (its
+extreme Ritz values) and the moments (Gauss quadrature), with no random
+states and no ARPACK.  The eigenpairs of an energy window come from
 sparse shift-invert block Krylov, with the window's size counted
-exactly by Sylvester's law of inertia.  Spectral edges and Krylov start
-blocks are seeded, so outputs are reproducible bit for bit.
+exactly by Sylvester's law of inertia.  Krylov start blocks are seeded,
+so outputs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "idos_curve",
     "idos_mse",
     "cumulative_curve",
+    "LanczosRun",
     "spectral_bounds",
     "kpm_dos",
     "detect_gaps",
@@ -55,8 +57,10 @@ DENSE_CAP = 6000
 DEFAULT_GRID_POINTS = 1024
 KPM_MOMENTS = 500
 BOUND_PAD = 0.01
-# ARPACK converges each edge to this relative accuracy, far inside BOUND_PAD
+# Lanczos edges converge to Ritz residuals of this fraction of their span, far
+# inside BOUND_PAD, within LANCZOS_STEPS steps (or the moments' own, if more)
 BOUND_TOL = 1e-6
+LANCZOS_STEPS = 2000
 # eigenpairs_near: columns per Krylov block, the norm fraction below which a
 # Gram-Schmidt remainder counts as lost, the move of a singular shift and the
 # outward step of a window edge without an inertia count as fractions of the
@@ -82,11 +86,28 @@ class SpectrumResult:
         return len(self.eigenvalues)
 
 
+@dataclass(frozen=True)
+class LanczosRun:
+    """A plain Lanczos run and the extreme Ritz values of its Jacobi matrix J.
+
+    alpha and beta[:-1] are J's diagonal and off-diagonal, beta[-1] the
+    norm of the last remainder (0 at an exact breakdown).  edges are J's
+    extreme eigenvalues and residuals their Ritz residuals beta[-1] |s_k|,
+    s_k the last entry of J's unit eigenvector.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    edges: tuple[float, float]
+    residuals: tuple[float, float]
+
+
 @dataclass
 class DOSCurve:
     energies: np.ndarray
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
+    lanczos: LanczosRun | None = None  # the run behind a KPM curve; not written out
 
 
 @dataclass(frozen=True)
@@ -97,12 +118,6 @@ class Gap:
     @property
     def width(self) -> float:
         return self.upper - self.lower
-
-
-def _dense(mat) -> np.ndarray:
-    if sp.issparse(mat):
-        return mat.toarray()
-    return np.asarray(mat)
 
 
 def exact_spectrum(mat, want_vectors: bool = False, dense_cap: int = DENSE_CAP) -> SpectrumResult:
@@ -117,7 +132,7 @@ def exact_spectrum(mat, want_vectors: bool = False, dense_cap: int = DENSE_CAP) 
             f"dimension {n} exceeds the dense diagonalization cap {dense_cap}; "
             f"use kpm_dos or eigenpairs_near, or raise dense_cap"
         )
-    dense = _dense(mat)
+    dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
     if want_vectors:
         vals, vecs = sla.eigh(dense)
         return SpectrumResult(vals, vecs)
@@ -183,45 +198,57 @@ def cumulative_curve(density: DOSCurve) -> DOSCurve:
     return DOSCurve(e, cum, meta)
 
 
-def spectral_bounds(mat, pad: float = BOUND_PAD, seed: int = 0) -> tuple[float, float]:
-    """Deterministic spectral interval estimate for a Hermitian operator.
+def _lanczos(mat, start: np.ndarray, min_steps: int) -> LanczosRun:
+    """Plain Lanczos on the Hermitian mat from the unit vector start, without reorthogonalization.
 
-    Edges come from seeded Lanczos: one run for both edges of a real
-    operator (ARPACK's "BE" mode is real-only), one run per edge of a
-    complex one, each converged to a relative BOUND_TOL.  The interval is
-    inflated by the pad fraction on each side.  Raises ConfigError for an
-    operator with no nonzero entry, whose spectrum {0} spans no interval,
-    and NumericalContractError when ARPACK fails: power iteration is no
-    fallback, since it stalls on spectra that are dense at the edges and
-    would leave eigenvalues outside the Chebyshev window.
+    start weighs on every eigenvalue (delta_e on a right-regular operator
+    by its constant diagonal, a random vector almost surely), so the
+    extreme Ritz values converge to the spectral edges, and mat @ start
+    = 0 only for the zero operator, whose spectrum {0} spans no interval
+    (ConfigError).  The run takes at least min_steps steps, one matvec
+    each, and goes on until both extreme Ritz residuals are at most
+    BOUND_TOL times their span, or to an exact breakdown (beta = 0, J
+    exact).  Edges still unconverged after max(min_steps, LANCZOS_STEPS)
+    steps raise NumericalContractError.
     """
-    if not (mat.count_nonzero() if sp.issparse(mat) else np.count_nonzero(mat)):
-        raise ConfigError(
-            "the operator has no nonzero entry: its spectrum is the single point {0}, "
-            "which has no interval to rescale onto (-1, 1)"
-        )
-    n = mat.shape[0]
-    if n <= 64:
-        vals = np.linalg.eigvalsh(_dense(mat))
-        lo, hi = float(vals[0]), float(vals[-1])
-    else:
-        v0 = np.random.default_rng(seed).standard_normal(n)
-        op = mat.tocsr() if sp.issparse(mat) else np.asarray(mat)
-        try:
-            if np.isrealobj(op):
-                edges = spla.eigsh(
-                    op, k=2, which="BE", v0=v0, tol=BOUND_TOL, return_eigenvectors=False
+    cap = max(min_steps, LANCZOS_STEPS)
+    axpy = sla.get_blas_funcs("axpy", (start,))
+    alpha, beta = [], []
+    v, v_prev, b = start, np.zeros_like(start), 0.0
+    while True:
+        w = axpy(v_prev, mat @ v, a=-b)
+        if not alpha and not w.any():
+            raise ConfigError("the operator has no nonzero entry: its spectrum is the single point {0}, "
+                              "which has no interval to rescale onto (-1, 1)")
+        alpha.append(float(np.vdot(v, w).real))
+        w = axpy(v, w, a=-alpha[-1])
+        b = float(np.linalg.norm(w))
+        beta.append(b)
+        steps = len(alpha)
+        if steps >= min_steps or b == 0.0:
+            ritz = [sla.eigh_tridiagonal(alpha, beta[:-1], select="i", select_range=(i, i)) for i in (0, steps - 1)]
+            edges = tuple(float(vals[0]) for vals, _ in ritz)
+            residuals = tuple(b * abs(float(vecs[-1, 0])) for _, vecs in ritz)
+            limit = BOUND_TOL * max(edges[1] - edges[0], 1e-12)
+            if b == 0.0 or max(residuals) <= limit:
+                return LanczosRun(np.array(alpha), np.array(beta), edges, residuals)
+            if steps >= cap:
+                raise NumericalContractError(
+                    f"Lanczos edges unconverged after {cap} steps: Ritz residual {residuals[0]:.1e} at the lower "
+                    f"edge {edges[0]:.6f}, {residuals[1]:.1e} at the upper edge {edges[1]:.6f}, limit {limit:.1e}"
                 )
-            else:
-                edges = [
-                    spla.eigsh(
-                        op, k=1, which=which, v0=v0, tol=BOUND_TOL, return_eigenvectors=False
-                    )[0]
-                    for which in ("LA", "SA")
-                ]
-        except spla.ArpackError as exc:
-            raise NumericalContractError(f"Lanczos spectral bounds failed: {exc}") from exc
-        lo, hi = float(np.min(edges)), float(np.max(edges))
+        w /= b
+        v_prev, v = v, w
+
+
+def spectral_bounds(mat, pad: float = BOUND_PAD, seed: int = 0) -> tuple[float, float]:
+    """Deterministic spectral interval of a Hermitian operator.
+
+    The converged extreme Ritz values of one Lanczos run from a seeded
+    unit vector (see _lanczos), padded by the pad fraction of their span.
+    """
+    start = np.random.default_rng(seed).standard_normal(mat.shape[0]).astype(np.result_type(mat.dtype, float))
+    lo, hi = _lanczos(mat, start / np.linalg.norm(start), 1).edges
     span = max(hi - lo, 1e-12)
     return lo - pad * span, hi + pad * span
 
@@ -234,27 +261,40 @@ def _jackson_kernel(m: int) -> np.ndarray:
     ) / mp1
 
 
-def _single_site_moments(mat, moments: int, a: float, b: float) -> np.ndarray:
-    """mu_n = <delta_e|T_n(H~)|delta_e> for n < moments, H~ = (H - b) / a.
+def _single_site_moments(mat, moments: int) -> tuple[np.ndarray, tuple[float, float], LanczosRun]:
+    """mu_n = <delta_e|T_n(H~)|delta_e> for n < moments, the bounds (lo, hi) that H~ maps onto (-1, 1), and the run.
 
-    Chebyshev doubling (Weisse et al., RMP 78, 275 (2006)):
-    mu_2n = 2 <T_n|T_n> - mu_0 and mu_2n+1 = 2 <T_n+1|T_n> - mu_1, so
-    ceil((moments - 1) / 2) matvecs give all the moments.  Vectors keep
-    the operator's dtype, so a real operator runs real matvecs.
+    A Lanczos run from delta_e of at least ceil(moments / 2) steps has a
+    Jacobi matrix J with e_0^T p(J) e_0 = <delta_e|p(H)|delta_e> for every
+    polynomial p of degree below moments (Gauss quadrature; Golub &
+    Meurant, Matrices, Moments and Quadrature (2010)), so the recursion
+    runs on the small J from e_0.  The bounds are spectral_bounds(J): J's
+    eigenvalues are the Ritz values, whose extremes are H's converged
+    edges, so they enclose the spectra of both H and J.  Chebyshev
+    doubling (Weisse et al., RMP 78, 275 (2006)), mu_2n = 2 <T_n|T_n> -
+    mu_0 and mu_2n+1 = 2 <T_n+1|T_n> - mu_1, takes two moments per
+    product with J.
     """
-    n = mat.shape[0]
+    start = np.zeros(mat.shape[0], dtype=mat.dtype)
+    start[0] = 1.0
+    run = _lanczos(mat, start, -(-moments // 2))
+    off = run.beta[:-1]
+    jac = sp.diags([off, run.alpha, off], [-1, 0, 1], format="csr")
+    lo, hi = spectral_bounds(jac)
+    # J~ = (J - b) / a, so that its spectrum lies inside (-1, 1)
+    jac = (jac - (hi + lo) / 2.0 * sp.identity(run.alpha.size, format="csr")) / ((hi - lo) / 2.0)
     mu = np.empty(moments + 1)
-    t_prev = np.zeros(n, dtype=mat.dtype)
+    t_prev = np.zeros(run.alpha.size)
     t_prev[0] = 1.0
-    t_cur = (mat @ t_prev - b * t_prev) / a
-    mu[0], mu[1] = 1.0, np.real(t_cur[0])
-    mu[2] = 2.0 * np.real(np.vdot(t_cur, t_cur)) - mu[0]
+    t_cur = jac @ t_prev
+    mu[0], mu[1] = 1.0, t_cur[0]
+    mu[2] = 2.0 * (t_cur @ t_cur) - mu[0]
     for m in range(2, moments // 2 + 1):
-        t_next = 2.0 * (mat @ t_cur - b * t_cur) / a - t_prev
-        mu[2 * m - 1] = 2.0 * np.real(np.vdot(t_next, t_cur)) - mu[1]
-        mu[2 * m] = 2.0 * np.real(np.vdot(t_next, t_next)) - mu[0]
+        t_next = 2.0 * (jac @ t_cur) - t_prev
+        mu[2 * m - 1] = 2.0 * (t_next @ t_cur) - mu[1]
+        mu[2 * m] = 2.0 * (t_next @ t_next) - mu[0]
         t_prev, t_cur = t_cur, t_next
-    return mu[:moments]
+    return mu[:moments], (lo, hi), run
 
 
 def kpm_dos(
@@ -263,16 +303,16 @@ def kpm_dos(
     moments: int = KPM_MOMENTS,
     grid_points: int = DEFAULT_GRID_POINTS,
     seed: int = 0,
-    bounds: tuple[float, float] | None = None,
 ) -> DOSCurve:
     """Kernel polynomial DOS of represent_periodic(h, group), normalized to unit integral.
 
     The operator commutes with left translations, so its diagonal is
     constant and the normalized trace of T_n(H~) is the single entry at
-    the identity element: the moments are exact, with no stochastic
-    trace.  Jackson damping suppresses Gibbs oscillations.  The operator
-    is rescaled into (-1, 1) using seeded Lanczos edge estimates unless
-    explicit bounds are passed; seed only enters those estimates.
+    the identity element.  One Lanczos run from delta_e gives these
+    moments, exact with no stochastic trace, and the edges that rescale
+    H into (-1, 1) (see _single_site_moments); the curve carries the run as
+    DOSCurve.lanczos.  Jackson damping suppresses Gibbs oscillations.
+    Nothing is random: seed is only echoed in the metadata.
     """
     from .operators import represent_periodic
 
@@ -280,19 +320,11 @@ def kpm_dos(
         raise ConfigError(f"moments must be at least 2, got {moments}")
     if grid_points < 2:
         raise ConfigError(f"grid_points must be at least 2, got {grid_points}")
-    mat = represent_periodic(h, group)
-    if bounds is None:
-        bounds = spectral_bounds(mat, seed=seed)
-    lo, hi = bounds
-    a = (hi - lo) / 2.0
-    b = (hi + lo) / 2.0
-    if a <= 0:
-        raise ConfigError(f"invalid spectral bounds {bounds}")
-    mu = _single_site_moments(mat, moments, a, b)
+    mu, (lo, hi), run = _single_site_moments(represent_periodic(h, group), moments)
+    a, b = (hi - lo) / 2.0, (hi + lo) / 2.0
 
-    damped = mu * _jackson_kernel(moments)
     x = np.linspace(-1.0, 1.0, grid_points + 2)[1:-1]  # avoid the open endpoints
-    cheb_coeffs = damped.copy()
+    cheb_coeffs = mu * _jackson_kernel(moments)
     cheb_coeffs[1:] *= 2.0
     series = np.polynomial.chebyshev.chebval(x, cheb_coeffs)
     density = series / (np.pi * np.sqrt(1.0 - x**2))
@@ -313,6 +345,7 @@ def kpm_dos(
             "seed": seed,
             "bounds": [lo, hi],
         },
+        run,
     )
 
 

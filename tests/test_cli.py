@@ -219,6 +219,16 @@ def test_flow_single_sample_exits_2(tmp_path, capsys):
     assert "--samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["exact", "kpm"])
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_spectrum_grid_below_2_exits_2(tmp_path, capsys, method, grid):
+    # an IDOS curve needs two grid points, whichever method fills it; nothing is written
+    code = run(["--out", str(tmp_path), "spectrum", "5", "4", "--method", method, "--moments", "16", "--grid", grid])
+    assert code == 2
+    assert f"--grid must be at least 2, got {grid}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_flow_k3_exits_3(tmp_path, capsys):
     code = run(["--out", str(tmp_path), "flow", "5", "4", "--k", "3", "--samples", "2"])
     assert code == 3
