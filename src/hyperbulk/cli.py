@@ -2,9 +2,11 @@
 
 Subcommands: minpoly, group, spectrum, flow, junction.  Every command is
 deterministic given its config and seed; reruns produce byte-identical
-files.  Each output directory receives a fully resolved config echo as
-JSON.  Exit codes: 0 success, 2 invalid config, 3 resource cap exceeded,
-4 numerical contract violation.
+files.  Each handler returns the config it resolved, and main writes it
+with the seed as ``<command>_config.json``, once the handler has
+succeeded: a run that exits non-zero leaves no echo.  Exit codes: 0
+success, 2 invalid config, 3 resource cap exceeded, 4 numerical
+contract violation.
 
 Thread pinning must happen before the numerics stack loads, so this module
 imports no numpy at the top level and the handlers import lazily.
@@ -27,16 +29,10 @@ def _ensure_out(path: str) -> str:
     return path
 
 
-def _echo_config(out_dir: str, name: str, config: dict) -> None:
-    from .outputs import write_json
-
-    write_json(os.path.join(out_dir, f"{name}_config.json"), config)
-
-
-def _echo_flags(out_dir: str, args) -> None:
-    """Config echo of the subcommand's parsed flags and the seed; where and how it runs are left out."""
-    skip = ("func", "command", "out", "cache_dir", "threads")
-    _echo_config(out_dir, args.command, {k: v for k, v in vars(args).items() if k not in skip})
+def _flags(args) -> dict:
+    """The subcommand's parsed flags; the seed and where and how it runs are left out."""
+    skip = ("func", "command", "out", "cache_dir", "threads", "seed")
+    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
 def _is_number(v) -> bool:
@@ -51,16 +47,28 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _parse_model(tokens, eps: float):
-    """Model spec from CLI tokens: ["adj"] or ["h", alpha, kidx]."""
+def _resolve_model(tokens, eps: float, p: int, q: int):
+    """File tag and algebra element of a --model spec: ["adj"] or ["h", alpha, kidx]."""
+    from . import operators
+
     if tokens == ["adj"]:
-        return ("adj", None, None, None)
+        return "adj", operators.adjacency(p, q)
     if len(tokens) == 3 and tokens[0] == "h":
         try:
-            return ("h", int(tokens[1]), int(tokens[2]), eps)
+            alpha, kidx = int(tokens[1]), int(tokens[2])
         except ValueError:
             pass
+        else:
+            return f"h{alpha}_{kidx}", operators.model_hamiltonian(alpha, kidx, eps, p, q)
     raise ConfigError(f"bad --model {tokens}; expected 'adj' or 'h ALPHA KIDX' with integers ALPHA, KIDX")
+
+
+def _pairs(models) -> list:
+    """Six model integers, flat or as three pairs, as three [alpha, kidx] pairs."""
+    import numpy as np
+
+    flat = np.ravel(models).tolist()
+    return [flat[i : i + 2] for i in (0, 2, 4)]
 
 
 def _is_models(v) -> bool:
@@ -97,15 +105,6 @@ def _read_junction_config(path: str) -> dict:
     return cfg
 
 
-def _model_element(kind_tuple, p: int, q: int):
-    from . import operators
-
-    kind, alpha, kidx, eps = kind_tuple
-    if kind == "adj":
-        return operators.adjacency(p, q)
-    return operators.model_hamiltonian(alpha, kidx, eps, p, q)
-
-
 def _load_quotient(p: int, q: int, s: int, k: int, cache_dir: str | None):
     from . import quotient
 
@@ -125,7 +124,7 @@ def _load_quotient(p: int, q: int, s: int, k: int, cache_dir: str | None):
     return quotient.build_quotient(p, q, s, k)
 
 
-def cmd_minpoly(args) -> int:
+def cmd_minpoly(args) -> dict:
     from . import ring, triangle
 
     if args.n is not None:
@@ -139,11 +138,10 @@ def cmd_minpoly(args) -> int:
     with open(os.path.join(out, f"minpoly_{n}.json"), "w") as fh:
         fh.write(ring.psi_json(n))
         fh.write("\n")
-    _echo_config(out, "minpoly", {"n": n, "seed": args.seed})
-    return 0
+    return {"n": n}
 
 
-def cmd_group(args) -> int:
+def cmd_group(args) -> dict:
     from . import outputs
 
     group = _load_quotient(args.p, args.q, args.s, args.k, args.cache_dir)
@@ -163,21 +161,18 @@ def cmd_group(args) -> int:
         "torsion_preserved": group.torsion_preserved,
     }
     outputs.write_json(os.path.join(out, f"group_{args.p}_{args.q}_s{args.s}_k{args.k}.json"), report)
-    _echo_config(out, "group", {**report, "seed": args.seed})
-    return 0
+    return report
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> dict:
     import numpy as np
 
     from . import outputs, spectral
 
     if args.grid < 2:
         raise ConfigError(f"--grid must be at least 2, got {args.grid}")
-    model = _parse_model(args.model, args.eps)
-    element = _model_element(model, args.p, args.q)
+    tag, element = _resolve_model(args.model, args.eps, args.p, args.q)
     out = _ensure_out(args.out)
-    tag = "adj" if model[0] == "adj" else f"h{model[1]}_{model[2]}"
 
     curves, spectra = {}, {}
     for k in args.k:
@@ -233,12 +228,10 @@ def cmd_spectrum(args) -> int:
             table[str(k)] = float(np.mean((vals - ref.values) ** 2))
         outputs.write_json(os.path.join(out, f"mse_{tag}_s{args.s}.json"), {"reference_k": k_ref, "mse": table})
         print("MSE vs k =", k_ref, ":", table)
-
-    _echo_flags(out, args)
-    return 0
+    return _flags(args)
 
 
-def cmd_flow(args) -> int:
+def cmd_flow(args) -> dict:
     import numpy as np
 
     from . import operators, outputs, spectral
@@ -246,9 +239,8 @@ def cmd_flow(args) -> int:
     if args.samples < 2:
         # with one sample per edge the loop has no interior point to report on
         raise ConfigError(f"--samples must be at least 2, got {args.samples}")
-    specs = [(args.models[0], args.models[1]), (args.models[2], args.models[3]), (args.models[4], args.models[5])]
     group = _load_quotient(args.p, args.q, args.s, args.k, args.cache_dir)
-    models = [operators.model_hamiltonian(a, kk, args.eps, args.p, args.q) for a, kk in specs]
+    models = [operators.model_hamiltonian(a, kk, args.eps, args.p, args.q) for a, kk in _pairs(args.models)]
     path = spectral.simplex_path(args.samples)
     flows = spectral.spectral_flow(models, path, group)
 
@@ -281,39 +273,38 @@ def cmd_flow(args) -> int:
         f"flow over {len(path)} points: interior min |E| = {report['interior_min_abs_energy']:.3e}, "
         f"{len(crossings)} crossing point(s) below {args.crossing_tol}"
     )
-
-    _echo_flags(out, args)
-    return 0
+    return _flags(args)
 
 
-def cmd_junction(args) -> int:
+def cmd_junction(args) -> dict:
     import numpy as np
 
-    from . import geometry, junction, operators, outputs, spectral
+    from . import geometry, junction, operators, outputs, spectral, triangle
 
-    given = dict(
+    config = dict(
         p=5, q=4, radius=12, phi_y=None, ell=junction.DEFAULT_WALL_WIDTH, eps=junction.DEFAULT_EPS,
         models=junction.DEFAULT_MODELS, energies=[0.0], delta_e=0.05,
     )
     if args.config:
-        given.update(_read_junction_config(args.config))
+        config.update(_read_junction_config(args.config))
     # flags override the file
-    given.update((key, value) for key, value in vars(args).items() if key in given and value is not None)
-    p, q, radius, phi_y, energies = (given[key] for key in ("p", "q", "radius", "phi_y", "energies"))
-    ell, eps, delta_e = (float(given[key]) for key in ("ell", "eps", "delta_e"))
-    flat = np.ravel(given["models"]).tolist()
-    models = ((flat[0], flat[1]), (flat[2], flat[3]), (flat[4], flat[5]))
-
-    cfg = junction.JunctionConfig(
-        phi_y=None if phi_y is None else float(phi_y), ell=ell, eps=eps, models=models
+    config.update((key, value) for key, value in vars(args).items() if key in config and value is not None)
+    labels = config["energies"]  # as given, which is how stdout names them
+    config.update(
+        {key: float(config[key]) for key in ("ell", "eps", "delta_e")},
+        models=_pairs(config["models"]),
+        energies=[float(e) for e in labels],
     )
-
-    from . import triangle
+    if config["delta_e"] <= 0:
+        raise ConfigError(f"delta_e must be positive, got {config['delta_e']}")
+    cfg = junction.JunctionConfig(**{key: config[key] for key in ("phi_y", "ell", "eps", "models")})
+    config["phi_y"] = cfg.resolve_phi(config["p"])
+    p, q, radius, delta_e = (config[key] for key in ("p", "q", "radius", "delta_e"))
 
     ball = triangle.ball_enumerate(p, q, radius)
     z0 = geometry.incenter(p, q)
     pos = geometry.site_positions(ball, z0)
-    rays = junction.junction_rays(cfg.resolve_phi(p))
+    rays = junction.junction_rays(config["phi_y"])
     chi = junction.partition(pos, rays, cfg.ell)
     ham = junction.assemble_junction(ball, pos, cfg)
 
@@ -326,10 +317,10 @@ def cmd_junction(args) -> int:
     bulk = junction.bulk_sites(ball)
     tube = junction.ray_distance(pos, rays) <= junction.INTERFACE_RADIUS
     report = {"sites": len(ball), "nnz": int(ham.nnz), "energies": []}
-    for energy in energies:
+    for label, energy in zip(labels, config["energies"]):
         window = max(0.25, 5.0 * delta_e)
-        pairs = spectral.eigenpairs_near(ham, center=float(energy), half_width=window, seed=args.seed)
-        weights = spectral.ldos(pairs, energy=float(energy), delta_e=delta_e)
+        pairs = spectral.eigenpairs_near(ham, center=energy, half_width=window, seed=args.seed)
+        weights = spectral.ldos(pairs, energy=energy, delta_e=delta_e)
         ldos_path = os.path.join(out, f"{name}_ldos_E{energy:+.3f}.csv")
         outputs.write_csv(ldos_path, ["index", "ldos"], [np.arange(weights.size), weights])
         # a ratio whose denominator carries no LDOS weight is undefined: null in the report
@@ -339,7 +330,7 @@ def cmd_junction(args) -> int:
         raw_ratio = float(on_raw / off_raw) if off_raw > 0 else None
         report["energies"].append(
             {
-                "energy": float(energy),
+                "energy": energy,
                 "delta_e": delta_e,
                 "states_in_window": int(pairs.eigenvalues.size),
                 "interface_ratio_bulk": ratio,
@@ -347,33 +338,17 @@ def cmd_junction(args) -> int:
             }
         )
         print(
-            f"E={energy}: inertia count {pairs.count}, Krylov basis {pairs.basis_size} columns, "
+            f"E={label}: inertia count {pairs.count}, Krylov basis {pairs.basis_size} columns, "
             f"max residual {pairs.residual:.1e}"
         )
         if ratio is None or raw_ratio is None:
             shown = "undefined (no LDOS weight off the interface)"
         else:
             shown = f"{ratio:.2f} on bulk sites ({raw_ratio:.3f} with the rim included)"
-        print(f"E={energy}: {pairs.eigenvalues.size} states in window, interface ratio {shown}")
+        print(f"E={label}: {pairs.eigenvalues.size} states in window, interface ratio {shown}")
     outputs.write_json(os.path.join(out, f"{name}_report.json"), report)
 
-    _echo_config(
-        out,
-        "junction",
-        {
-            "p": p,
-            "q": q,
-            "radius": radius,
-            "phi_y": cfg.resolve_phi(p),
-            "ell": ell,
-            "eps": eps,
-            "models": [list(m) for m in models],
-            "energies": [float(e) for e in energies],
-            "delta_e": delta_e,
-            "seed": args.seed,
-        },
-    )
-    return 0
+    return config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,8 +440,11 @@ def main(argv=None) -> int:
             "NUMEXPR_NUM_THREADS",
         ):
             os.environ[var] = str(args.threads)
+    from .outputs import write_json  # loads numpy, so only after the threads are pinned
+
     try:
-        return args.func(args)
+        config = args.func(args)
+        write_json(os.path.join(args.out, f"{args.command}_config.json"), {**config, "seed": args.seed})
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -476,6 +454,7 @@ def main(argv=None) -> int:
     except NumericalContractError as exc:
         print(f"numerical contract violated: {exc}", file=sys.stderr)
         return 4
+    return 0
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ __all__ = [
     "DENSE_CAP",
     "exact_spectrum",
     "block_spectrum",
-    "idos",
     "idos_curve",
     "idos_mse",
     "cumulative_curve",
@@ -170,11 +169,6 @@ def block_spectrum(h, group, dense_cap: int = DENSE_CAP) -> SpectrumResult:
             )
         vals.append(np.tile(exact_spectrum(block, dense_cap=dense_cap).eigenvalues, size))
     return SpectrumResult(np.sort(np.concatenate(vals)))
-
-
-def idos(spec: SpectrumResult, energy: float) -> float:
-    """Fraction of states at or below the given energy."""
-    return float(np.searchsorted(spec.eigenvalues, energy, side="right")) / spec.dim
 
 
 def idos_curve(spec: SpectrumResult, grid: np.ndarray, metadata: dict | None = None) -> DOSCurve:

@@ -178,10 +178,6 @@ class GroupMatrix:
             + e[2] * (e[3] * e[7] - e[4] * e[6])
         )
 
-    def transpose(self) -> "GroupMatrix":
-        e = self.entries
-        return GroupMatrix(self.ctx, [e[0], e[3], e[6], e[1], e[4], e[7], e[2], e[5], e[8]])
-
     def key(self) -> tuple:
         """Canonical hashable serialization: the 9*d exact coefficients."""
         return tuple(c for e in self.entries for c in e.coeffs)

@@ -429,3 +429,108 @@ def test_bad_junction_config_exits_2(tmp_path, capsys, text, named):
     assert run(["--out", str(tmp_path / "out"), "junction", "--config", str(cfg)]) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_MODEL_PAIRS = {"models": [[1, 1], [2, 1], [3, 1]]}
+
+
+@pytest.mark.parametrize(
+    "argv, files, frozen",
+    [
+        pytest.param(["minpoly", "-n", "12"], {}, {"n": 12, "seed": 11}, id="minpoly-n"),
+        pytest.param(["minpoly", "--pq", "5", "4"], {}, {"n": 40, "seed": 11}, id="minpoly-pq"),
+        pytest.param(
+            ["group", "5", "4", "--k", "2"],
+            {},
+            {
+                "k": 2, "order": 2560, "p": 5, "q": 4, "s": 2, "seed": 11,
+                "torsion": {
+                    "A": {"expected": 5, "order": 5},
+                    "AB": {"expected": 2, "order": 2},
+                    "B": {"expected": 4, "order": 4},
+                },
+                "torsion_preserved": True,
+            },
+            id="group",
+        ),
+        pytest.param(
+            ["junction", "--radius", "4", "--phi-y", "0.3", "--models", "1", "1", "1", "1", "2", "1",
+             "--energies", "0", "0.2", "--delta-e", "0.04", "--ell", "0.2", "--eps", "0.9"],
+            {},
+            {
+                "delta_e": 0.04, "ell": 0.2, "energies": [0.0, 0.2], "eps": 0.9,
+                "models": [[1, 1], [1, 1], [2, 1]], "p": 5, "phi_y": 0.3, "q": 4, "radius": 4, "seed": 11,
+            },
+            id="junction-flags",
+        ),
+        pytest.param(
+            ["junction", "--config", "cfg.json"],
+            {"radius": 4, "ell": 1, "eps": 1, **_MODEL_PAIRS, "energies": [0, 1], "delta_e": 1, "phi_y": 0},
+            {
+                "delta_e": 1.0, "ell": 1.0, "energies": [0.0, 1.0], "eps": 1.0, **_MODEL_PAIRS,
+                "p": 5, "phi_y": 0.0, "q": 4, "radius": 4, "seed": 11,
+            },
+            id="junction-file-integers-and-pairs",
+        ),
+        pytest.param(
+            ["junction", "--config", "cfg.json", "--radius", "4", "--eps", "0.7"],
+            {"radius": 5, "models": [2, 1, 3, 1, 1, 1], "eps": 0.5},
+            {
+                "delta_e": 0.05, "ell": 0.1, "energies": [0.0], "eps": 0.7, "models": [[2, 1], [3, 1], [1, 1]],
+                "p": 5, "phi_y": 0.3141592653589793, "q": 4, "radius": 4, "seed": 11,
+            },
+            id="junction-flat-file-and-flags",
+        ),
+    ],
+)
+def test_config_echo_matches_frozen(tmp_path, monkeypatch, argv, files, frozen):
+    # compared as text, so an int where the echo holds a float (1 for 1.0) fails
+    monkeypatch.chdir(tmp_path)
+    if files:
+        (tmp_path / "cfg.json").write_text(json.dumps(files))
+    assert run(["--out", "out", "--seed", "11"] + argv) == 0
+    text = (tmp_path / "out" / f"{argv[0]}_config.json").read_text()
+    assert text == json.dumps(frozen, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        pytest.param(["--delta-e", "-0.1"], None, id="negative-flag"),
+        pytest.param(["--delta-e", "0"], None, id="zero-flag"),
+        pytest.param([], '{"radius": 4, "delta_e": 0}', id="zero-in-file"),
+        pytest.param([], '{"radius": 4, "delta_e": -1}', id="negative-in-file"),
+    ],
+)
+def test_nonpositive_delta_e_exits_2_before_any_output(tmp_path, capsys, flag, text):
+    argv = ["--out", str(tmp_path / "out"), "junction", "--radius", "4"] + flag
+    if text is not None:
+        (tmp_path / "cfg.json").write_text(text)
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert run(argv) == 2
+    assert "delta_e must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _bad_junction_file(tmp_path, monkeypatch):
+    (tmp_path / "cfg.json").write_text('{"radius": "four"}')
+    return ["junction", "--config", str(tmp_path / "cfg.json")], 2
+
+
+def _flow_k3(tmp_path, monkeypatch):
+    return ["flow", "5", "4", "--k", "3", "--samples", "2"], 3
+
+
+def _count_mismatch(tmp_path, monkeypatch):
+    count = spectral._count_below
+    monkeypatch.setattr(spectral, "_count_below", lambda a, x, rng: count(a, x, rng) + (x > 0))
+    return ["junction", "--radius", "5"], 4
+
+
+@pytest.mark.parametrize("failing", [_bad_junction_file, _flow_k3, _count_mismatch], ids=["exit-2", "exit-3", "exit-4"])
+def test_failed_run_writes_no_config_echo(tmp_path, monkeypatch, capsys, failing):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv, code = failing(tmp_path, monkeypatch)
+    assert run(["--out", str(out)] + argv) == code
+    assert not list(out.glob("*_config.json"))

@@ -205,7 +205,7 @@ def test_zero_operator_has_no_bounds(q54_k1, tmp_path, capsys, monkeypatch):
         spectral.kpm_dos(zero, q54_k1, moments=20)
     with pytest.raises(ConfigError, match=r"single point \{0\}"):
         spectral.spectral_bounds(np.zeros((8, 8)))
-    monkeypatch.setattr(cli, "_model_element", lambda *args: zero)
+    monkeypatch.setattr(cli, "_resolve_model", lambda *args: ("adj", zero))
     code = cli.main(["--out", str(tmp_path), "spectrum", "5", "4", "--method", "kpm", "--moments", "16"])
     assert code == 2
     assert "single point {0}" in capsys.readouterr().err
