@@ -65,8 +65,11 @@ LANCZOS_STEPS = 2000
 # outward step of a window edge without an inertia count as fractions of the
 # half-width, the edges tried per side, SuperLU's diagonal pivot threshold for
 # the shift (threshold pivoting; the inertia counts take diagonal pivots only),
-# and the bytes its LU factors and basis may hold
-KRYLOV_BLOCK = 32
+# and the bytes its LU factors and basis may hold.  Thin blocks converge a
+# window from fewer columns (the r = 12 junction's 260 pairs: 800 columns in
+# blocks of 32, 504 in blocks of 8), and the cost grows with the basis width:
+# as its square in Gram-Schmidt, its cube in the projected eigh
+KRYLOV_BLOCK = 8
 RANK_DROP = 1e-10
 SHIFT_NUDGE = 0.125
 EDGE_STEP = 1.0 / 64
@@ -517,19 +520,29 @@ def _orthonormal_block(basis, block, coeffs, rng) -> np.ndarray:
     the first pass.  A column that keeps less than RANK_DROP of its norm
     carries no new direction (an invariant subspace, a multiplicity
     above the block size, the zero operator) and is replaced by a seeded
-    random column before two more passes.
+    random column before two more passes.  A column that keeps less than
+    half its norm through the second pass and the QR (nearly dependent on
+    the basis or on the block's other columns) has had its rounding-level
+    overlap with basis divided by that loss, so the QR's columns take one
+    more pass and QR, until every column keeps half ("twice is enough":
+    Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 1069 (2005)).
     """
     norms = np.linalg.norm(block, axis=0)
     block -= basis @ coeffs
     while True:
+        entering = np.linalg.norm(block, axis=0)
         block -= basis @ _adjoint_times(basis, block)
         q, r = np.linalg.qr(block)
-        lost = np.abs(np.diagonal(r)) <= RANK_DROP * norms
-        if not lost.any():
+        kept = np.abs(np.diagonal(r))
+        lost = kept <= RANK_DROP * norms
+        if lost.any():
+            block[:, lost] = rng.standard_normal((block.shape[0], int(lost.sum())))
+            norms = np.linalg.norm(block, axis=0)
+            block -= basis @ _adjoint_times(basis, block)
+        elif (kept < 0.5 * entering).any():
+            block, norms = q, np.ones_like(norms)
+        else:
             return q
-        block[:, lost] = rng.standard_normal((block.shape[0], int(lost.sum())))
-        norms = np.linalg.norm(block, axis=0)
-        block -= basis @ _adjoint_times(basis, block)
 
 
 def _ritz_in_window(a, basis, proj, sigma, lo, hi, m):
@@ -581,12 +594,15 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
        singular.
     3. A block Krylov basis of T = (H - sigma)^-1 grows in blocks of
        KRYLOV_BLOCK from a seeded start, in the operator's dtype, with
-       two classical Gram-Schmidt passes per block.  V^H T V is formed
-       from the products T V themselves, never from recurrence
+       two classical Gram-Schmidt passes per block and a third pass
+       while the second and the block's QR take more than half of some
+       column's norm.  The basis is stored column-major with room for
+       2m + 4 KRYLOV_BLOCK columns, doubled if it must grow.  V^H T V is
+       formed from the products T V themselves, never from recurrence
        coefficients.
-    4. Rayleigh-Ritz on T (lambda = sigma + 1/theta) runs first at
-       about 3m columns, then every max(KRYLOV_BLOCK, m/4).  It stops
-       when exactly m Ritz values lie in the counted window and a last
+    4. Rayleigh-Ritz on T (lambda = sigma + 1/theta) runs first at 2m
+       columns, then every max(KRYLOV_BLOCK, m/8).  It stops when
+       exactly m Ritz values lie in the counted window and a last
        Rayleigh-Ritz on H over their span leaves each pair in it with
        ||H x - lambda x|| <= EIGENPAIR_RESIDUAL.  The pairs inside
        [center - half_width, center + half_width] are returned.
@@ -623,18 +639,21 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
         raise NumericalContractError(f"H - sigma I is exactly singular at sigma = {center} and at {sigma}")
 
     b = min(KRYLOV_BLOCK, n)
-    size = min(n, 4 * m + 2 * b)
-    basis = np.empty((n, 0), dtype)
+    size = min(n, 2 * m + 4 * b)
+    # column-major, so a column block is contiguous and unused columns are never touched
+    basis = np.empty((n, 0), dtype, order="F")
     proj = np.empty((0, 0), dtype)
     block = rng.standard_normal((n, b)).astype(dtype)
     coeffs = np.zeros((0, b), dtype)
-    j, check = 0, min(n, 3 * m)
+    j, check = 0, min(n, 2 * m)
     while True:
         width = min(b, n - j)
         if j + width > basis.shape[1]:
             size = min(n, max(size, 2 * basis.shape[1]))
             _check_memory(_lu_bytes(lu, dtype) + (n + size) * size * basis.itemsize, "LU factors and Krylov basis")
-            basis = np.concatenate([basis, np.empty((n, size - basis.shape[1]), dtype)], axis=1)
+            grown = np.empty((n, size), dtype, order="F")
+            grown[:, :j] = basis[:, :j]
+            basis = grown
             grown = np.zeros((size, size), dtype)
             grown[:j, :j] = proj[:j, :j]
             proj = grown
@@ -662,7 +681,7 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
                     f"a Krylov basis spanning all {n} dimensions does not give the inertia count "
                     f"{m} of pairs in [{lo_count:.17g}, {hi_count:.17g}) with residuals <= {EIGENPAIR_RESIDUAL:.0e}"
                 )
-            check = j + max(b, m // 4)
+            check = j + max(b, m // 8)
 
 
 def write_curve_csv(curve: DOSCurve, path: str) -> None:

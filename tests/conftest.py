@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from hyperbulk import quotient, triangle
+from hyperbulk import operators, quotient, spectral, triangle
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -34,6 +34,18 @@ QUOTIENT_ORDERS = {
 }
 QUOTIENT_ORDERS_LONG = {(7, 5): 262080}
 
+EPS = 0.8
+
+
+def all_models(p, q):
+    """The adjacency and every model Hamiltonian h_alpha(kidx) of {p,q} at EPS, by name."""
+    nu = {1: p, 2: q, 3: 2}
+    out = {"adj": operators.adjacency(p, q)}
+    for alpha in (1, 2, 3):
+        for kidx in range(1, nu[alpha] + 1):
+            out[f"h{alpha}_{kidx}"] = operators.model_hamiltonian(alpha, kidx, EPS, p, q)
+    return out
+
 
 def left_translation(group, t, indices=None):
     """perm[j] indexes g_t x_i for i = indices[j] (every element by default).
@@ -63,3 +75,23 @@ def q54_k2():
 @pytest.fixture(scope="session")
 def ball54_r3():
     return triangle.ball_enumerate(5, 4, 3)
+
+
+@pytest.fixture(scope="session")
+def dense_spectrum():
+    """dense_spectrum(name, group): read-only exact_spectrum eigenvalues of all_models(p, q)[name].
+
+    Each (quotient, model) pair is diagonalized once per session, so the
+    acceptance criteria and the block tests share one dense oracle.
+    """
+    memo = {}
+
+    def eigenvalues(name, group):
+        key = (group.p, group.q, group.s, group.k, name)
+        if key not in memo:
+            mat = operators.represent_periodic(all_models(group.p, group.q)[name], group)
+            memo[key] = spectral.exact_spectrum(mat).eigenvalues
+            memo[key].flags.writeable = False
+        return memo[key]
+
+    return eigenvalues

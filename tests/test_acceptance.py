@@ -15,7 +15,7 @@ from hyperbulk import geometry, junction, operators, quotient, ring, spectral, t
 from hyperbulk.tolerances import CONTAINMENT, HERMITICITY, PARTITION, TRACE
 from hyperbulk.triangle import ring_index
 
-from conftest import QUOTIENT_ORDERS, QUOTIENT_ORDERS_LONG
+from conftest import EPS, QUOTIENT_ORDERS, QUOTIENT_ORDERS_LONG
 
 RESULTS = []
 
@@ -40,7 +40,6 @@ TABLE_PSI = {
 }
 
 NU = {1: 5, 2: 4, 3: 2}
-EPS = 0.8
 
 
 def record(tag: str, ok: bool, detail: str):
@@ -51,23 +50,18 @@ def record(tag: str, ok: bool, detail: str):
 
 
 @pytest.fixture(scope="module")
-def adj_evals(q54_k1, q54_k2):
-    adj = operators.adjacency(5, 4)
-    return {
-        1: spectral.exact_spectrum(operators.represent_periodic(adj, q54_k1)).eigenvalues,
-        2: spectral.exact_spectrum(operators.represent_periodic(adj, q54_k2)).eigenvalues,
-    }
+def adj_evals(q54_k1, q54_k2, dense_spectrum):
+    return {1: dense_spectrum("adj", q54_k1), 2: dense_spectrum("adj", q54_k2)}
 
 
 @pytest.fixture(scope="module")
-def model_evals(q54_k1, q54_k2):
-    out = {}
-    for k, group in ((1, q54_k1), (2, q54_k2)):
-        for alpha in (1, 2, 3):
-            h = operators.model_hamiltonian(alpha, 1, EPS, 5, 4)
-            mat = operators.represent_periodic(h, group)
-            out[(alpha, k)] = spectral.exact_spectrum(mat).eigenvalues
-    return out
+def model_evals(q54_k1, q54_k2, dense_spectrum):
+    # model_hamiltonian(alpha, 1, EPS, 5, 4) on G_k
+    return {
+        (alpha, k): dense_spectrum(f"h{alpha}_1", group)
+        for k, group in ((1, q54_k1), (2, q54_k2))
+        for alpha in (1, 2, 3)
+    }
 
 
 def test_criterion_01_minimal_polynomials():

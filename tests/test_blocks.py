@@ -21,10 +21,9 @@ from hyperbulk import operators, quotient, spectral
 from hyperbulk.errors import NumericalContractError, ResourceLimitError
 from hyperbulk.triangle import GEN_A, GEN_B, inverse_token, inverse_word
 
-from conftest import left_translation
+from conftest import EPS, all_models, left_translation
 
 TOL = 1e-10
-EPS = 0.8
 
 
 @pytest.fixture(scope="module")
@@ -34,19 +33,6 @@ def groups(q54_k1, q54_k2):
     for key in ((6, 4, 2, 1), (6, 4, 2, 2), (6, 6, 3, 1), (6, 6, 3, 2)):
         out[key] = quotient.build_quotient(*key)
     return out
-
-
-def all_models(p, q):
-    nu = {1: p, 2: q, 3: 2}
-    out = {"adj": operators.adjacency(p, q)}
-    for alpha in (1, 2, 3):
-        for kidx in range(1, nu[alpha] + 1):
-            out[f"h{alpha}_{kidx}"] = operators.model_hamiltonian(alpha, kidx, EPS, p, q)
-    return out
-
-
-def dense(h, group):
-    return spectral.exact_spectrum(operators.represent_periodic(h, group)).eigenvalues
 
 
 def oracle_sectors(group):
@@ -113,19 +99,19 @@ def test_sectors_not_written_to_cache(q54_k2, tmp_path):
 
 
 @pytest.mark.parametrize("key", [(5, 4, 2, 1), (6, 4, 2, 1), (6, 4, 2, 2), (6, 6, 3, 1), (6, 6, 3, 2)])
-def test_block_spectrum_matches_dense_small(groups, key):
+def test_block_spectrum_matches_dense_small(groups, key, dense_spectrum):
     group = groups[key]
     for name, h in all_models(key[0], key[1]).items():
         got = spectral.block_spectrum(h, group).eigenvalues
         assert got.shape == (group.order,)
-        assert np.abs(got - dense(h, group)).max() < TOL, name
+        assert np.abs(got - dense_spectrum(name, group)).max() < TOL, name
 
 
 @pytest.mark.parametrize("name", sorted(all_models(5, 4)))
-def test_block_spectrum_matches_dense_k2(q54_k2, name):
+def test_block_spectrum_matches_dense_k2(q54_k2, name, dense_spectrum):
     h = all_models(5, 4)[name]
     got = spectral.block_spectrum(h, q54_k2).eigenvalues
-    assert np.abs(got - dense(h, q54_k2)).max() < TOL
+    assert np.abs(got - dense_spectrum(name, q54_k2)).max() < TOL
 
 
 def test_trivial_kernel_block_is_the_dense_matrix(groups):
@@ -180,7 +166,7 @@ def _flow_against_dense(group, raw):
     weights = tuple(x / sum(raw) for x in raw)
     models = [operators.model_hamiltonian(alpha, 1, EPS, 5, 4) for alpha in (1, 2, 3)]
     h = operators.interpolate(models, weights)
-    want = dense(h, group)
+    want = spectral.exact_spectrum(operators.represent_periodic(h, group)).eigenvalues
     assert np.abs(spectral.spectral_flow(models, [weights], group)[0] - want).max() < TOL
     assert np.abs(spectral.block_spectrum(h, group).eigenvalues - want).max() < TOL
 

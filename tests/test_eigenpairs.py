@@ -59,6 +59,16 @@ def test_junction_window_matches_dense(radius):
     assert pairs.count > 0
 
 
+def test_junction_basis_budget():
+    # thin blocks converge the 260 pairs of the r = 12 window from about 2m columns; smaller
+    # windows need more per pair (r = 8: 168 columns for 49, its edge gap in 1/(E - sigma) is 3 %)
+    ham = junction_hamiltonian(12)
+    pairs = spectral.eigenpairs_near(ham, center=0.0, half_width=0.25, seed=11)
+    assert pairs.count == 260
+    assert pairs.basis_size <= 2 * pairs.count + 4 * spectral.KRYLOV_BLOCK
+    assert pairs.residual <= EIGENPAIR_RESIDUAL
+
+
 def test_degenerate_level_at_a_singular_center(adj_k1):
     # adj on G_1 has a 16-fold eigenvalue at 0, so H - 0 I is exactly singular
     dense = np.linalg.eigvalsh(adj_k1.toarray())
@@ -151,6 +161,18 @@ def test_junction_edge_without_a_count():
     want, _ = dense_window(ham, 0.3, 0.25)
     assert pairs.count > want.size
     np.testing.assert_allclose(pairs.eigenvalues, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("separation", [1e-6, 1e-8])
+def test_near_parallel_block_columns_stay_orthogonal_to_the_basis(separation):
+    # QR divides the columns' rounding-level overlap with the basis by r_ii ~ separation
+    rng = np.random.default_rng(5)
+    basis, _ = np.linalg.qr(rng.standard_normal((200, 40)))
+    col = rng.standard_normal(200)
+    block = np.column_stack([col, col + separation * rng.standard_normal(200)])
+    q = spectral._orthonormal_block(basis, block.copy(), basis.T @ block, rng)
+    assert np.abs(basis.T @ q).max() <= 1e-12
+    assert np.abs(q.T @ q - np.eye(2)).max() < 1e-12
 
 
 def test_block_inside_the_basis_is_replaced():
