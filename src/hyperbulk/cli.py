@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -297,6 +298,9 @@ def cmd_junction(args) -> dict:
     )
     if config["delta_e"] <= 0:
         raise ConfigError(f"delta_e must be positive, got {config['delta_e']}")
+    # the LDOS Gaussian divides by 2 delta_e^2, which must not overflow
+    if not math.isfinite(2.0 * config["delta_e"] * config["delta_e"]):
+        raise ConfigError(f"delta_e must have a finite 2 delta_e^2, got {config['delta_e']}")
     cfg = junction.JunctionConfig(**{key: config[key] for key in ("phi_y", "ell", "eps", "models")})
     config["phi_y"] = cfg.resolve_phi(config["p"])
     p, q, radius, delta_e = (config[key] for key in ("p", "q", "radius", "delta_e"))
@@ -321,7 +325,9 @@ def cmd_junction(args) -> dict:
         window = max(0.25, 5.0 * delta_e)
         pairs = spectral.eigenpairs_near(ham, center=energy, half_width=window, seed=args.seed)
         weights = spectral.ldos(pairs, energy=energy, delta_e=delta_e)
-        ldos_path = os.path.join(out, f"{name}_ldos_E{energy:+.3f}.csv")
+        # the fixed form of |E| >= 1e200 would pass the 255-byte limit on a file name
+        tag = f"{energy:+.3f}" if abs(energy) < 1e200 else f"{energy:+.3e}"
+        ldos_path = os.path.join(out, f"{name}_ldos_E{tag}.csv")
         outputs.write_csv(ldos_path, ["index", "ldos"], [np.arange(weights.size), weights])
         # a ratio whose denominator carries no LDOS weight is undefined: null in the report
         on_bulk, off_bulk = weights[bulk & tube].sum(), weights[bulk & ~tube].sum()

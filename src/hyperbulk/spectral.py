@@ -12,8 +12,11 @@ identity site, whose Jacobi matrix gives both the spectral edges (its
 extreme Ritz values) and the moments (Gauss quadrature), with no random
 states and no ARPACK.  The eigenpairs of an energy window come from
 sparse shift-invert block Krylov, with the window's size counted
-exactly by Sylvester's law of inertia.  Krylov start blocks are seeded,
-so outputs are reproducible bit for bit.
+exactly by Sylvester's law of inertia; each Krylov block takes the
+block three-term recurrence's terms out against the last two blocks,
+then one Gram-Schmidt pass over the whole basis, and another only where
+a column loses half its norm in that pass.  Krylov start blocks are
+seeded, so outputs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -67,8 +70,11 @@ LANCZOS_STEPS = 2000
 # the shift (threshold pivoting; the inertia counts take diagonal pivots only),
 # and the bytes its LU factors and basis may hold.  Thin blocks converge a
 # window from fewer columns (the r = 12 junction's 260 pairs: 800 columns in
-# blocks of 32, 504 in blocks of 8), and the cost grows with the basis width:
-# as its square in Gram-Schmidt, its cube in the projected eigh
+# blocks of 32, 520 in blocks of 8), and the cost grows with the basis width:
+# as its square in Gram-Schmidt, its cube in the projected eigh.  A block
+# reads the whole basis about twice (one pass: V^H w, then w - V c), its
+# recurrence terms coming from the last two blocks alone; the r = 12 window
+# makes 82 full passes for its 65 blocks
 KRYLOV_BLOCK = 8
 RANK_DROP = 1e-10
 SHIFT_NUDGE = 0.125
@@ -493,13 +499,20 @@ def _count_below(a, x: float, rng) -> int:
     return int(np.count_nonzero(lu.U.diagonal().real < 0))
 
 
-def _counted_edge(a, x: float, outward: float, step: float, rng) -> tuple[float, int]:
+def _counted_edge(a, x: float, outward: float, step: float, radius: float, rng) -> tuple[float, int]:
     """The first edge e = x + outward * k * step, k < EDGE_MOVES, with an inertia count, and that count.
 
-    Raises the last refusal when no tried edge gives a count.
+    An edge outside the Gershgorin interval [-radius, radius], which
+    holds every eigenvalue, is counted without a factorization: 0 at or
+    below -radius, n above radius.  Raises the last refusal when no
+    tried edge gives a count.
     """
     for k in range(EDGE_MOVES):
         edge = x + outward * k * step
+        if edge <= -radius:
+            return edge, 0
+        if edge > radius:
+            return edge, a.shape[0]
         try:
             return edge, _count_below(a, edge, rng)
         except NumericalContractError as exc:
@@ -512,37 +525,49 @@ def _adjoint_times(v, w) -> np.ndarray:
     return (w.conj().T @ v).conj().T
 
 
-def _orthonormal_block(basis, block, coeffs, rng) -> np.ndarray:
+def _times(v, c) -> np.ndarray:
+    """v c for a tall v and a narrow c, as (c^T v^T)^T.
+
+    OpenBLAS at one thread runs that form of the product about twice as
+    fast (2541 rows, 500 columns, 8 wide: 4.0 ms against 8.9 ms).
+    """
+    return (c.T @ v.T).T
+
+
+def _orthonormal_block(basis, block, coeffs, rng, norms=None) -> np.ndarray:
     """Orthonormal columns for block's part outside the range of basis.
 
-    Two classical Gram-Schmidt passes against basis, then a QR of the
-    block.  coeffs = basis^H block, which the caller already holds, is
-    the first pass.  A column that keeps less than RANK_DROP of its norm
-    carries no new direction (an invariant subspace, a multiplicity
-    above the block size, the zero operator) and is replaced by a seeded
-    random column before two more passes.  A column that keeps less than
-    half its norm through the second pass and the QR (nearly dependent on
-    the basis or on the block's other columns) has had its rounding-level
-    overlap with basis divided by that loss, so the QR's columns take one
-    more pass and QR, until every column keeps half ("twice is enough":
-    Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 1069 (2005)).
+    coeffs = basis^H block, which the caller already holds, is one
+    classical Gram-Schmidt pass against basis; a QR of the block
+    follows.  A column that keeps less than RANK_DROP of norms (its norm
+    before any pass, block's own by default) carries no new direction
+    (an invariant subspace, a multiplicity above the block size, the
+    zero operator) and is replaced by a seeded random column.  A column
+    that keeps less than half the norm it had entering the last pass
+    (nearly dependent on the basis or on the block's other columns) has
+    had its rounding-level overlap with basis divided by that loss, so
+    the QR's columns take one more pass and QR, until every column keeps
+    half (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976);
+    "twice is enough": Giraud, Langou & Rozloznik, Comput. Math. Appl.
+    50, 1069 (2005)).
     """
-    norms = np.linalg.norm(block, axis=0)
-    block -= basis @ coeffs
+    if norms is None:
+        norms = np.linalg.norm(block, axis=0)
+    entering = np.linalg.norm(block, axis=0)
+    block -= _times(basis, coeffs)
     while True:
-        entering = np.linalg.norm(block, axis=0)
-        block -= basis @ _adjoint_times(basis, block)
         q, r = np.linalg.qr(block)
         kept = np.abs(np.diagonal(r))
         lost = kept <= RANK_DROP * norms
         if lost.any():
             block[:, lost] = rng.standard_normal((block.shape[0], int(lost.sum())))
             norms = np.linalg.norm(block, axis=0)
-            block -= basis @ _adjoint_times(basis, block)
         elif (kept < 0.5 * entering).any():
             block, norms = q, np.ones_like(norms)
         else:
             return q
+        entering = np.linalg.norm(block, axis=0)
+        block -= _times(basis, _adjoint_times(basis, block))
 
 
 def _ritz_in_window(a, basis, proj, sigma, lo, hi, m):
@@ -554,7 +579,16 @@ def _ritz_in_window(a, basis, proj, sigma, lo, hi, m):
     raises NumericalContractError when more than m Ritz values of T lie
     in the window.
     """
-    theta, y = sla.eigh(proj, lower=False)
+    # LAPACK's MRRR is not scale-invariant: at these projections' own scale (3e7 on the junction
+    # windows) it fails on some and zheevr falls back to bisection and inverse iteration, four
+    # times slower.  Dividing by a power of two brings proj to unit scale exactly, written
+    # column-major so that LAPACK overwrites it in place of its own copy; it is freed before
+    # the Rayleigh-Ritz on H, whose products set the peak memory
+    scale = 2.0 ** np.frexp(np.abs(proj).max())[1]
+    scaled = np.empty(proj.shape, proj.dtype, order="F")
+    theta, y = sla.eigh(np.divide(proj, scale, out=scaled), lower=False, overwrite_a=True)
+    del scaled
+    theta *= scale
     lam = np.full_like(theta, np.inf)
     nonzero = theta != 0
     lam[nonzero] = sigma + 1.0 / theta[nonzero]
@@ -566,7 +600,9 @@ def _ritz_in_window(a, basis, proj, sigma, lo, hi, m):
         )
     if found < m:
         return None
-    x = basis @ y[:, inside]
+    # MRRR's eigenvectors of a clustered projection are orthogonal only to about 1e-11, and the
+    # Rayleigh-Ritz on H below needs an orthonormal basis of their span
+    x = basis @ np.linalg.qr(y[:, inside])[0]
     vals, z = sla.eigh(x.conj().T @ (a @ x))
     vecs = x @ z
     residuals = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
@@ -591,19 +627,30 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
        at once.
     2. H - sigma I is factored once at sigma = center, moved by
        SHIFT_NUDGE of the half-width when SuperLU finds it exactly
-       singular.
+       singular.  Every eigenvalue lies in the Gershgorin interval
+       [-g, g], g the largest absolute row sum: an edge outside it is
+       counted without a factorization (0 below -g, n above g), and a
+       center outside it gives way to the middle of the window's part
+       inside it, so H - sigma I never overflows.
     3. A block Krylov basis of T = (H - sigma)^-1 grows in blocks of
-       KRYLOV_BLOCK from a seeded start, in the operator's dtype, with
-       two classical Gram-Schmidt passes per block and a third pass
-       while the second and the block's QR take more than half of some
-       column's norm.  The basis is stored column-major with room for
+       KRYLOV_BLOCK from a seeded start, in the operator's dtype.  T is
+       Hermitian, so T q's large parts lie along q and the block before
+       it (the block three-term recurrence): a local pass takes them
+       out, then one classical Gram-Schmidt pass runs over the whole
+       basis, and the block's QR follows.  Another pass runs only while
+       some column keeps less than half the norm it had entering the
+       last one (the Daniel-Gragg-Kaufman-Stewart test), and a column
+       that keeps less than RANK_DROP of ||T q|| is replaced by a seeded
+       random one.  The basis is stored column-major with room for
        2m + 4 KRYLOV_BLOCK columns, doubled if it must grow.  V^H T V is
-       formed from the products T V themselves, never from recurrence
-       coefficients.
+       formed from the products T V themselves (the full pass's
+       coefficients plus the local pass's on the last two blocks' rows),
+       never from recurrence coefficients.
     4. Rayleigh-Ritz on T (lambda = sigma + 1/theta) runs first at 2m
-       columns, then every max(KRYLOV_BLOCK, m/8).  It stops when
-       exactly m Ritz values lie in the counted window and a last
-       Rayleigh-Ritz on H over their span leaves each pair in it with
+       columns, then every max(KRYLOV_BLOCK, m/8), on V^H T V scaled to
+       unit size by a power of two.  It stops when exactly m Ritz values
+       lie in the counted window and a last Rayleigh-Ritz on H over an
+       orthonormal basis of their span leaves each pair in it with
        ||H x - lambda x|| <= EIGENPAIR_RESIDUAL.  The pairs inside
        [center - half_width, center + half_width] are returned.
 
@@ -613,10 +660,11 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
     when a basis spanning the whole space still disagrees with the
     count; it never returns before all m pairs of the counted window
     are found.  Raises ResourceLimitError when LU fill or the basis
-    would exceed EIGENPAIRS_MEMORY.
+    would exceed EIGENPAIRS_MEMORY, and ConfigError unless the center is
+    finite and 0 < half_width < inf.
     """
-    if not half_width >= 0:
-        raise ConfigError(f"half_width must be non-negative, got {half_width}")
+    if not (np.isfinite(center) and 0 < half_width < np.inf):
+        raise ConfigError(f"the window needs a finite center and finite half_width > 0, got {center}, {half_width}")
     a = sp.csc_matrix(mat)
     dtype = np.result_type(a.dtype, np.float64)
     a = a.astype(dtype, copy=False)
@@ -625,18 +673,23 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
     lo, hi = center - half_width, center + half_width
     # count [lo, hi] as [lo, next float above hi), each edge moved outward if it must be
     step = EDGE_STEP * half_width
-    lo_count, below_lo = _counted_edge(a, lo, -1.0, step, rng)
-    hi_count, below_hi = _counted_edge(a, np.nextafter(hi, np.inf), 1.0, step, rng)
+    # Gershgorin: every eigenvalue lies in [-radius, radius]; n eps covers the row sums' rounding
+    radius = float(abs(a).sum(axis=1).max()) * (1.0 + n * np.finfo(float).eps)
+    lo_count, below_lo = _counted_edge(a, lo, -1.0, step, radius, rng)
+    hi_count, below_hi = _counted_edge(a, np.nextafter(hi, np.inf), 1.0, step, radius, rng)
     m = below_hi - below_lo
     if m == 0:
         return WindowSpectrum(np.empty(0), np.empty((n, 0), dtype))
 
-    for sigma in (center, center + SHIFT_NUDGE * half_width):
+    # a center outside [-radius, radius] would put the shift far from every eigenvalue, or past
+    # the float range: it moves to the middle of the window's part inside the interval
+    shift = center if abs(center) <= radius else 0.5 * (max(lo, -radius) + min(hi, radius))
+    for sigma in (shift, shift + SHIFT_NUDGE * half_width):
         lu = _factor(a, sigma, rng, PIVOT_THRESHOLD)
         if lu is not None:
             break
     else:
-        raise NumericalContractError(f"H - sigma I is exactly singular at sigma = {center} and at {sigma}")
+        raise NumericalContractError(f"H - sigma I is exactly singular at sigma = {shift} and at {sigma}")
 
     b = min(KRYLOV_BLOCK, n)
     size = min(n, 2 * m + 4 * b)
@@ -645,6 +698,7 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
     proj = np.empty((0, 0), dtype)
     block = rng.standard_normal((n, b)).astype(dtype)
     coeffs = np.zeros((0, b), dtype)
+    norms = np.linalg.norm(block, axis=0)
     j, check = 0, min(n, 2 * m)
     while True:
         width = min(b, n - j)
@@ -657,12 +711,19 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
             grown = np.zeros((size, size), dtype)
             grown[:j, :j] = proj[:j, :j]
             proj = grown
-        q = _orthonormal_block(basis[:, :j], block[:, :width], coeffs[:, :width], rng)
+        q = _orthonormal_block(basis[:, :j], block[:, :width], coeffs[:, :width], rng, norms[:width])
         basis[:, j : j + width] = q
         block = lu.solve(q)
-        # V^H T q: a column block of the projection, and the next block's first pass
+        norms = np.linalg.norm(block, axis=0)
+        # T is Hermitian, so T q's large parts lie along q and the block before it (the
+        # block three-term recurrence): take them out first, then make one full pass
+        near = slice(max(0, j - b), j + width)
+        local = _adjoint_times(basis[:, near], block)
+        block -= _times(basis[:, near], local)
         coeffs = _adjoint_times(basis[:, : j + width], block)
+        # V^H T q, a column block of the projection: the full pass plus the local part
         proj[: j + width, j : j + width] = coeffs
+        proj[near, j : j + width] += local
         j += width
         if j >= check or j == n:
             pairs = _ritz_in_window(a, basis[:, :j], proj[:j, :j], sigma, lo_count, hi_count, m)

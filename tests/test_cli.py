@@ -512,6 +512,34 @@ def test_nonpositive_delta_e_exits_2_before_any_output(tmp_path, capsys, flag, t
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        pytest.param(["--delta-e", "1e300"], None, id="flag"),
+        pytest.param([], '{"radius": 4, "delta_e": 1e160}', id="in-file"),
+    ],
+)
+def test_delta_e_whose_square_overflows_exits_2_before_any_output(tmp_path, capsys, flag, text):
+    # the LDOS Gaussian divides by 2 delta_e^2, and Python's float ** raises OverflowError
+    argv = ["--out", str(tmp_path / "out"), "junction", "--radius", "3"] + flag
+    if text is not None:
+        (tmp_path / "cfg.json").write_text(text)
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert run(argv) == 2
+    assert "finite 2 delta_e^2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_junction_energy_far_outside_the_spectrum(tmp_path, capsys):
+    # H - 1e308 I overflows; the window lies outside the Gershgorin interval and holds no state
+    assert run(["--out", str(tmp_path), "junction", "--radius", "3", "--energies", "1e308"]) == 0
+    assert "0 states in window" in capsys.readouterr().out
+    entry = strict_json((tmp_path / "junction_5_4_r3_report.json").read_text())["energies"][0]
+    assert entry["states_in_window"] == 0
+    # the file name keeps to the 255-byte limit
+    assert (tmp_path / "junction_5_4_r3_ldos_E+1.000e+308.csv").exists()
+
+
 def _bad_junction_file(tmp_path, monkeypatch):
     (tmp_path / "cfg.json").write_text('{"radius": "four"}')
     return ["junction", "--config", str(tmp_path / "cfg.json")], 2

@@ -183,3 +183,110 @@ def test_block_inside_the_basis_is_replaced():
     q = spectral._orthonormal_block(basis, block.copy(), basis.T @ block, rng)
     assert np.abs(basis.T @ q).max() < 1e-12
     assert np.abs(q.T @ q - np.eye(2)).max() < 1e-12
+
+
+def test_block_inside_the_last_two_blocks_is_replaced():
+    # T q can lie exactly in span(q, previous block): the local pass then leaves rounding
+    # noise, which RANK_DROP must measure against ||T q||, not against the noise itself
+    rng = np.random.default_rng(7)
+    b = spectral.KRYLOV_BLOCK
+    basis, _ = np.linalg.qr(rng.standard_normal((200, 3 * b)))
+    near = basis[:, b:]
+    returned = []
+    for _ in range(2):
+        block = near @ rng.standard_normal((2 * b, b))
+        norms = np.linalg.norm(block, axis=0)
+        block -= near @ (near.T @ block)
+        q = spectral._orthonormal_block(basis, block, basis.T @ block, np.random.default_rng(0), norms)
+        assert np.abs(basis.T @ q).max() <= 1e-12
+        assert np.abs(q.T @ q - np.eye(b)).max() < 1e-12
+        returned.append(q)
+    # nothing of either block survives: both give way to the same seeded columns
+    assert np.array_equal(returned[0], returned[1])
+
+
+def test_dimer_copies_close_the_krylov_space_after_two_blocks():
+    # two distinct eigenvalues, so T^2 q lies in span(q, T q): every T q from the second
+    # block on lies exactly in the last two blocks, and the window needs replaced columns
+    mat = sp.kron(sp.identity(40), sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]]), format="csr")
+    pairs = assert_matches_dense(mat, 0.9, 0.3)
+    assert pairs.count == 40 > spectral.KRYLOV_BLOCK
+
+
+@pytest.fixture(scope="module")
+def r12_window():
+    """The r = 12 junction window, with the width of every basis slice _adjoint_times read."""
+    widths = []
+    adjoint_times = spectral._adjoint_times
+
+    def counting(v, w):
+        widths.append(v.shape[1])
+        return adjoint_times(v, w)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_adjoint_times", counting)
+        pairs = spectral.eigenpairs_near(junction_hamiltonian(12), center=0.0, half_width=0.25, seed=11)
+    return pairs, widths
+
+
+def test_junction_gram_schmidt_pass_budget(r12_window):
+    # the local pass reads at most the last two blocks; every wider product is a pass over the
+    # whole basis: one per block, plus a reorthogonalization only where a column loses half its norm
+    pairs, widths = r12_window
+    b = spectral.KRYLOV_BLOCK
+    blocks = pairs.basis_size // b
+    full = sum(width > 2 * b for width in widths)
+    assert pairs.count == 260 and pairs.basis_size == 2 * pairs.count
+    assert full <= 1.5 * blocks
+    assert pairs.residual <= EIGENPAIR_RESIDUAL
+
+
+def test_junction_eigenvectors_are_orthonormal(r12_window):
+    # the projected eigh's eigenvectors of this window are orthogonal only to about 1e-11, and
+    # the returned pairs must not inherit that
+    vecs = r12_window[0].eigenvectors
+    assert np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1])).max() <= 1e-11
+
+
+@pytest.mark.parametrize("radius", [6, 8])
+def test_projection_is_the_shift_inverse_on_the_basis(monkeypatch, radius):
+    # V^H T V is summed from the local and the full pass; it must still be V^H (H - sigma)^-1 V
+    seen = []
+    ritz = spectral._ritz_in_window
+
+    def capture(a, basis, proj, sigma, *rest):
+        seen.append((basis.copy(), proj.copy(), sigma))
+        return ritz(a, basis, proj, sigma, *rest)
+
+    monkeypatch.setattr(spectral, "_ritz_in_window", capture)
+    ham = junction_hamiltonian(radius)
+    spectral.eigenpairs_near(ham, center=0.0, half_width=0.25, seed=11)
+    basis, proj, sigma = seen[-1]
+    gram = basis.conj().T @ basis
+    assert np.abs(gram - np.eye(basis.shape[1])).max() <= 1e-12
+    shifted = ham.toarray() - sigma * np.eye(ham.shape[0])
+    want = basis.conj().T @ np.linalg.solve(shifted, basis)
+    got = np.triu(proj) + np.triu(proj, 1).conj().T
+    assert np.abs(got - want).max() <= 1e-12 * np.linalg.norm(got, 2)
+
+
+@pytest.mark.parametrize("center", [1e300, -1e300])
+def test_window_far_outside_the_spectrum_is_empty(center):
+    # H - center I would overflow; a window edge outside the Gershgorin interval needs no factors
+    ham = junction_hamiltonian(6)
+    pairs = spectral.eigenpairs_near(ham, center=center, half_width=0.25, seed=11)
+    assert pairs.count == 0 and pairs.eigenvalues.size == 0
+
+
+@pytest.mark.parametrize("center, half_width", [(2.0, 1.5), (-1e10, 1e10 + 0.95)])
+def test_window_centered_outside_the_spectrum(adj_k1, center, half_width):
+    # adj's Gershgorin interval is [-1, 1] and 1 is an eigenvalue (the constant state), so the
+    # shift goes to the middle of the window's part inside the interval, not to its edge
+    pairs = assert_matches_dense(adj_k1, center, half_width)
+    assert 0 < pairs.count < adj_k1.shape[0]
+
+
+@pytest.mark.parametrize("half_width", [0.0, np.inf, np.nan])
+def test_degenerate_half_width_is_refused(adj_k1, half_width):
+    with pytest.raises(ConfigError, match="half_width"):
+        spectral.eigenpairs_near(adj_k1, center=0.0, half_width=half_width)
