@@ -6,19 +6,23 @@ G_k over Z_{s^k}[xi].  The family k = 1, 2, ... forms a coherent tower
 of quotients whose regular representations converge spectrally to the
 infinite lattice.
 
-The group is enumerated by triangle.bfs, the engine that also builds
+G_1 is enumerated by triangle.bfs, the engine that also builds
 word-metric balls: each layer is one batched matmul with the generator
-tables mod s^k, deduplicated through sorted 64-bit row keys confirmed
-row by row.  The same products fill the right-multiplication
-permutations gen_perm, and every word the operator layer applies is a
-walk through them (QuotientGroup.walk).
+tables mod s, deduplicated through sorted 64-bit row keys confirmed row
+by row.  The same products fill the right-multiplication permutations
+gen_perm, and every word the operator layer applies is a walk through
+them (QuotientGroup.walk).
 
 For k >= 2 the kernel N of G_k -> G_(k-1) is abelian, because
-(1 + s^(k-1) X)(1 + s^(k-1) Y) = 1 + s^(k-1) (X + Y) mod s^k.  Its
-characters split every right-regular operator into |N| blocks of size
-|G_(k-1)| (twisted boundary conditions), and the blocks of one orbit of
-characters under conjugation by G share their spectrum; see
-QuotientGroup.sectors.
+(1 + s^(k-1) X)(1 + s^(k-1) Y) = 1 + s^(k-1) (X + Y) mod s^k.  Each
+level above G_1 is therefore lifted from the one below rather than
+enumerated (_lift): G_(k-1)'s elements are lifted mod s^k along its
+discovery tree, the Schreier cocycle of that lift generates N, and
+G_k's tables follow from G_(k-1)'s and the cocycle, numbered as a BFS
+over G_k would number them.  The characters of N split every
+right-regular operator into |N| blocks of size |G_(k-1)| (twisted
+boundary conditions), and the blocks of one orbit of characters under
+conjugation by G share their spectrum; see QuotientGroup.sectors.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NumericalContractError
+from . import __version__
+from .errors import ConfigError, NumericalContractError, ResourceLimitError
 from .triangle import (
     GEN_A,
     GEN_B,
@@ -45,6 +50,9 @@ from .triangle import (
     build_generators,
     inverse_token,
     mult_tables,
+    power_table,
+    product_dtype,
+    right_products,
     unique_rows,
 )
 
@@ -146,6 +154,7 @@ class QuotientGroup(DiscoveryTree):
         header = json.dumps(
             {
                 "version": CACHE_VERSION,
+                "hyperbulk": __version__,
                 "p": self.p,
                 "q": self.q,
                 "s": self.s,
@@ -302,6 +311,22 @@ def _row_reduce(rows: np.ndarray, s: int):
     return pivots, picked
 
 
+def _times_inverse(group: QuotientGroup, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Index of x[i] y[i]^-1 for index arrays x and y.
+
+    y = g_t1 ... g_tL has y^-1 = g_tL^-1 ... g_t1^-1: every y's word is
+    walked from its last token back to the root, all at once.
+    """
+    inverse = np.array([inverse_token(t) for t in range(4)])
+    out, node = np.array(x, dtype=np.int64), np.array(y, dtype=np.int64)
+    live = np.flatnonzero(node)
+    while live.size:
+        out[live] = group.gen_perm[inverse[group.tokens[node[live]]], out[live]]
+        node[live] = group.parents[node[live]]
+        live = live[node[live] > 0]
+    return out
+
+
 def _sectors(group: QuotientGroup) -> Sectors:
     s, order = group.s, group.order
     level = group.k - 1 if group.k >= 2 and _is_prime(s) else group.k
@@ -313,17 +338,7 @@ def _sectors(group: QuotientGroup) -> Sectors:
     members = np.flatnonzero(coset == 0)  # N is the identity's coset; members[0] = 0
     position = np.full(order, -1, dtype=np.int64)
     position[members] = np.arange(len(members))
-    # t = g_t1 ... g_tL has t^-1 = g_tL^-1 ... g_t1^-1: walk every element's
-    # transversal word from its last token back to the root, all at once
-    inverse = np.array([inverse_token(t) for t in range(4)])
-    n = np.arange(order)
-    node = transversal[coset]
-    live = np.flatnonzero(node)
-    while live.size:
-        n[live] = group.gen_perm[inverse[group.tokens[node[live]]], n[live]]
-        node[live] = group.parents[node[live]]
-        live = live[node[live] > 0]
-    kernel = position[n]
+    kernel = position[_times_inverse(group, np.arange(order), transversal[coset])]
     if np.any(kernel < 0):
         raise NumericalContractError("x t^-1 left the kernel for some element; group tables are corrupt")
 
@@ -388,25 +403,34 @@ def build_quotient(
     k: int = 1,
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> QuotientGroup:
-    """Enumerate the mod-s^k quotient of the {p, q} rotation group."""
+    """The mod-s^k quotient of the {p, q} rotation group.
+
+    G_1 is enumerated by triangle.bfs and every level above is lifted
+    from the one below (_lift).  The tables equal those of a bfs over the
+    mod-s^k generator tables, element for element.
+    """
     TessellationParams(p, q)
     if s < 2:
         raise ConfigError("modulus base s must be at least 2")
     if k < 1:
         raise ConfigError("level k must be at least 1")
-    m = s**k
     gens = build_generators(p, q)
     d = gens.ctx.d
-    tables = mult_tables([gens.token_matrix(t) for t in range(4)], m)
-    ident = np.zeros((3, 3 * d), dtype=_storage_dtype(m))
+    tables = mult_tables([gens.token_matrix(t) for t in range(4)])
+    product_dtype(3 * d * (s**k - 1) ** 2)  # refuse a modulus whose table products wrap int64 before any level
+    what = f"quotient of {{{p},{q}}} mod {s}^{k}"
+    ident = np.zeros((3, 3 * d), dtype=_storage_dtype(s))
     ident[range(3), range(0, 3 * d, d)] = 1
-    found = bfs(
-        tables, ident, modulus=m, cap=element_cap, what=f"quotient of {{{p},{q}}} mod {s}^{k}"
-    )
+    found = bfs([t % s for t in tables], ident, modulus=s, cap=element_cap, what=what)
     group = QuotientGroup(
-        p=p, q=q, s=s, k=k, order=len(found.index),
+        p=p, q=q, s=s, k=1, order=len(found.index),
         elements=found.index.rows, gen_perm=found.gen_perm, parents=found.parents, tokens=found.tokens,
     )
+    if k > 1:
+        base = _Base(group, tables, (power_table(gens.ctx) % s).astype(np.int64))
+        proj = np.arange(group.order)
+        for _ in range(2, k + 1):
+            group, proj = _lift(group, proj, base, element_cap, what)
 
     # torsion audit: the generators should keep their infinite-group orders
     idx_a = group.project((GEN_A,))
@@ -418,3 +442,205 @@ def build_quotient(
         "AB": {"expected": 2, "order": group.element_order(idx_ab)},
     }
     return group
+
+
+@dataclass
+class _Base:
+    """G_1 with what every lift reads: the exact generator tables and xi's powers mod s."""
+
+    group: QuotientGroup
+    tables: list
+    hankel: np.ndarray  # power_table mod s
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """Index of each element's inverse."""
+        g = self.group
+        return _times_inverse(g, np.zeros(g.order, dtype=np.int64), np.arange(g.order))
+
+    @cached_property
+    def right(self) -> np.ndarray:
+        """(|G_1|, 3d, 3d) tables of right multiplication by each element, mod s."""
+        g, d = self.group, len(self.hankel)
+        rows = g.elements.reshape(g.order, 3, 3, d).astype(np.int64)  # [v, l, j, t]
+        tables = np.tensordot(rows, self.hankel, axes=([3], [1]))       # [v, l, j, r, s]
+        tables = tables.transpose(0, 1, 3, 2, 4).reshape(g.order, 3 * d, 3 * d) % g.s
+        return tables.astype(g.elements.dtype)
+
+    def times(self, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """rows[i] times element v[i] mod s, in the rows' dtype: one matmul per distinct v.
+
+        Float64 sums of 3d products of entries below s are exact.
+        """
+        shape, width = rows.shape, rows.shape[-1]
+        rows, v = rows.reshape(-1, 3, width), v.ravel()
+        by_v = np.argsort(v, kind="stable")
+        bounds = np.searchsorted(v[by_v], np.arange(self.group.order + 1))
+        out = np.empty_like(rows)
+        for w in np.flatnonzero(np.diff(bounds)):
+            at = by_v[bounds[w] : bounds[w + 1]]
+            prod = rows[at].reshape(-1, width) @ self.right[w].astype(np.float64)
+            out[at] = (prod.astype(np.int64) % self.group.s).reshape(-1, 3, width)
+        return out.reshape(shape)
+
+
+def _lift(below: QuotientGroup, proj: np.ndarray, base: _Base, cap: int, what: str):
+    """G_k from G_(k-1) = below, with no table product or key lookup over G_k.
+
+    Every element of G_k is n L(t): L(t) lifts element t of G_(k-1) to a
+    matrix mod s^k along below's discovery tree, and n = 1 + s^(k-1) X_n
+    lies in the abelian kernel N.  The Schreier cocycle
+    c(t, g) = L(t) g L(t g)^-1 is read as X mod s, N is the additive
+    closure of its values, and (t, n) g = (t g, n + c(t, g)).  An integer
+    BFS over those tables numbers G_k as bfs numbers it from its rows.
+
+    proj maps below's elements onto G_1.  Returns G_k and its map onto
+    G_1.  A lift or cocycle that fails its check raises
+    NumericalContractError; more than cap elements ResourceLimitError.
+    """
+    s, k = below.s, below.k + 1
+    m, step = s**k, s ** (k - 1)
+    count, width = below.order, below.elements.shape[2]
+    tables = [t % m for t in base.tables]
+    lift = np.zeros((count, 3, width), dtype=_storage_dtype(m))
+    lift[0] = base.group.elements[0]
+    # D(t, g) = (L(t) g - L(t g)) / s^(k-1); then X(t, g) = D(t, g) L(t g)^-1 mod s
+    shift = np.empty((count, 4, 3, width), dtype=base.group.elements.dtype)
+    signed = np.min_scalar_type(-m)
+    lo, hi = 0, 1
+    while lo < hi:
+        # one layer: its products lift the next layer, after which all neighbours t g are lifted
+        nxt = int(np.searchsorted(below.parents, hi))
+        prod = right_products(lift[lo:hi], tables, m)
+        lift[hi:nxt] = prod[below.parents[hi:nxt] - lo, below.tokens[hi:nxt]]
+        target = below.gen_perm[:, lo:hi].T
+        diff = prod.astype(signed) - lift[target]
+        diff %= m
+        if np.any(diff % step):
+            raise NumericalContractError(
+                f"lift of {what}: L(t) g != L(t g) mod {s}^{k - 1}; the tables of level {k - 1} are corrupt"
+            )
+        shift[lo:hi] = diff // step
+        lo, hi = hi, nxt
+
+    targets = proj[below.gen_perm.T]  # the images in G_1 of every t g
+    values = base.times(shift, base.inverse[targets]).reshape(-1, 3, width)
+    first, labels = unique_rows(values)
+    kernel, gens, radices = _span(values[first], s)
+    size = len(kernel)
+    if count * size > cap:
+        raise ResourceLimitError(
+            f"{what} exceeded the element cap {cap} (level {k} has {count} x {size} = {count * size} "
+            f"elements); raise element_cap to continue"
+        )
+    index = RowIndex(kernel)
+    distinct = index.find(values[first])  # position in N of each distinct cocycle value
+    c = distinct[labels].reshape(count, 4)
+    # X_n L(t) mod s depends on t only through its image v in G_1: image[n, v] = X_n v
+    n1 = base.group.order
+    image = np.zeros((1, n1, 3, width), dtype=kernel.dtype)
+    products = base.times(np.repeat(gens, n1, axis=0), np.tile(np.arange(n1), len(gens)))
+    for g, o in zip(products.reshape(-1, n1, 3, width), radices):
+        image = _extend(image, g, o, s)
+    if np.any(image[c, targets] != shift):
+        raise NumericalContractError(
+            f"cocycle of {what}: L(t) g != (1 + s^{k - 1} X) L(t g) mod {s}^{k} for some pair (t, g)"
+        )
+
+    # (t, n) g = (t g, n + c(t, g)); translation by each distinct value adds one generator of N at a time
+    add = index.find(_mod_sum(kernel[None], gens[:, None], s).reshape(-1, 3, width)).reshape(len(gens), size)
+    digits = distinct[:, None] // np.cumprod([1, *radices[:-1]]) % radices
+    translate = np.tile(np.arange(size), (len(distinct), 1))
+    for b, o in enumerate(radices):
+        for j in range(1, o):
+            rows = np.flatnonzero(digits[:, b] >= j)
+            translate[rows] = add[b][translate[rows]]
+    perm = (below.gen_perm[:, :, None] * size + translate[labels.reshape(count, 4).T]).reshape(4, -1)
+    visit, parents, tokens, gen_perm = _renumber(perm)
+    if len(visit) != count * size:
+        raise NumericalContractError(
+            f"lift of {what} reaches {len(visit)} of its {count * size} elements from the identity"
+        )
+
+    t, n = np.divmod(visit, size)
+    elements = np.empty((len(visit), 3, width), dtype=lift.dtype)
+    for start in range(0, len(visit), _ROWS):
+        part = slice(start, start + _ROWS)
+        elements[part] = _mod_sum(lift[t[part]], step * image[n[part], proj[t[part]]].astype(lift.dtype), m)
+    group = QuotientGroup(
+        p=below.p, q=below.q, s=s, k=k, order=len(visit),
+        elements=elements, gen_perm=gen_perm, parents=parents, tokens=tokens,
+    )
+    return group, proj[t]
+
+
+def _renumber(perm: np.ndarray):
+    """Breadth-first numbering from 0 of the integer tables perm, as bfs numbers rows.
+
+    Returns (visit, parents, tokens, gen_perm): visit[i] is the old index
+    of new element i, which is reached from parents[i] by tokens[i], and
+    gen_perm holds the tables in the new numbering.  visit is shorter
+    than perm's rows when 0 does not reach them all.
+    """
+    width, size = perm.shape
+    label = np.full(size, -1, dtype=np.int64)
+    label[0] = 0
+    visit, parents, tokens = [np.zeros(1, dtype=np.int64)], [[-1]], [[-1]]
+    lo, hi = 0, 1
+    while lo < hi:
+        cand = perm[:, visit[-1]].T.ravel()  # (frontier position, token) order
+        miss = np.flatnonzero(label[cand] < 0)
+        # the first occurrence of each unvisited target is a new element
+        new = miss[np.sort(np.unique(cand[miss], return_index=True)[1])]
+        label[cand[new]] = np.arange(hi, hi + len(new))
+        parents.append(lo + new // width)
+        tokens.append(new % width)
+        visit.append(cand[new])
+        lo, hi = hi, hi + len(new)
+    visit = np.concatenate(visit)
+    return (visit, np.concatenate(parents).astype(np.int64), np.concatenate(tokens).astype(np.int64),
+            label[perm[:, visit]])
+
+
+_ROWS = 1 << 16  # rows per chunk of the lifted elements
+
+
+def _mod_sum(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """(a + b) mod m for entries in [0, m), in a's dtype; widened only where the sum could wrap."""
+    out = np.add(a, b, dtype=a.dtype if 2 * (m - 1) <= np.iinfo(a.dtype).max else np.int64)
+    out -= np.asarray(m, dtype=out.dtype) * (out >= m)
+    return out.astype(a.dtype, copy=False)
+
+
+def _extend(rows: np.ndarray, g: np.ndarray, o: int, s: int) -> np.ndarray:
+    """The rows + j g mod s for j = 0, ..., o - 1, stacked in blocks by j."""
+    blocks = [rows]
+    for _ in range(1, o):
+        blocks.append(_mod_sum(blocks[-1], g, s))
+    return np.concatenate(blocks)
+
+
+def _span(values: np.ndarray, s: int):
+    """Additive closure mod s of the values rows, built generator by generator.
+
+    Returns (rows, gens, radices).  radices[b] is the order of gens[b]
+    modulo the span of the generators before it, and
+    rows[sum_b j_b R_b] = sum_b j_b gens[b] mod s for digits j_b < radices[b],
+    where R_b is the product of the radices before b.
+    """
+    rows = np.zeros((1, *values.shape[1:]), dtype=values.dtype)
+    gens, radices = [], []
+    while True:
+        index = RowIndex(rows)
+        missing = np.flatnonzero(index.find(values) < 0)
+        if not missing.size:
+            return rows, np.array(gens, dtype=values.dtype).reshape(-1, *values.shape[1:]), radices
+        g = values[missing[0]]
+        # j g for j = 1, ..., s: the first one in the span gives the radix (s g = 0 always is)
+        hits = index.find(_extend(g[None], g, s, s)) >= 0
+        if not hits.any():
+            raise NumericalContractError(f"a cocycle value has entries outside [0, {s})")
+        o = 1 + int(np.argmax(hits))
+        gens.append(g)
+        radices.append(o)
+        rows = _extend(rows, g, o, s)

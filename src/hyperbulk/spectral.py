@@ -407,13 +407,15 @@ def ldos(
 ) -> np.ndarray:
     """Gaussian-broadened local density of states per site.
 
-    LDOS(E, z) = sum_n exp(-|E_n - E|^2 / (2 dE^2)) |psi_n(z)|^2.
+    LDOS(E, z) = sum_n exp(-|E_n - E|^2 / (2 dE^2)) |psi_n(z)|^2, with the
+    ratio (E_n - E) / dE squared, which stays finite wherever the weight
+    is not negligible.
     """
     if spec.eigenvectors is None:
         raise ConfigError("ldos needs eigenvectors; diagonalize with want_vectors=True")
     if delta_e <= 0:
         raise ConfigError("delta_e must be positive")
-    w = np.exp(-((spec.eigenvalues - energy) ** 2) / (2.0 * delta_e**2))
+    w = np.exp(-0.5 * ((spec.eigenvalues - energy) / delta_e) ** 2)
     out = (np.abs(spec.eigenvectors) ** 2) @ w
     if site_weights is not None:
         out = out * np.asarray(site_weights, dtype=float)

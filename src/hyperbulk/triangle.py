@@ -42,7 +42,9 @@ __all__ = [
     "Generators",
     "build_generators",
     "word_to_matrix",
+    "power_table",
     "mult_tables",
+    "product_dtype",
     "right_products",
     "row_keys",
     "unique_rows",
@@ -288,12 +290,18 @@ def flat_to_matrix(ctx: RingContext, flat: np.ndarray) -> GroupMatrix:
     return GroupMatrix(ctx, entries)
 
 
+def power_table(ctx: RingContext) -> np.ndarray:
+    """Exact (d, d, d) object array whose [r, t, s] entry is coefficient s of xi^(r+t)."""
+    d = ctx.d
+    powers = np.array([ctx.power(e) for e in range(2 * d - 1)], dtype=object)
+    return powers[np.add.outer(np.arange(d), np.arange(d))]
+
+
 def mult_tables(mats, modulus: int | None = None) -> list:
     """int64 (3d, 3d) tables of right multiplication by each matrix, exact or mod modulus."""
     ctx = mats[0].ctx
     d = ctx.d
-    powers = np.array([ctx.power(e) for e in range(2 * d - 1)], dtype=object)
-    hankel = powers[np.add.outer(np.arange(d), np.arange(d))]  # [r, t, s] = (xi^(r+t))_s
+    hankel = power_table(ctx)
     tables = []
     for mat in mats:
         entries = matrix_to_flat(mat).reshape(3, 3, d)  # [l, j, t]
@@ -301,6 +309,16 @@ def mult_tables(mats, modulus: int | None = None) -> list:
         K = K.reshape(3 * d, 3 * d)
         tables.append((K if modulus is None else K % modulus).astype(np.int64))
     return tables
+
+
+def product_dtype(bound: int):
+    """float64 while integer sums up to bound are exact there, int64 below 2^63.
+
+    Larger bounds raise ResourceLimitError instead of wrapping.
+    """
+    if bound >= 2**63:
+        raise ResourceLimitError(f"table products would overflow int64: sums up to {bound} >= 2^63")
+    return np.float64 if bound < 2**53 else np.int64
 
 
 def right_products(rows: np.ndarray, tables, modulus: int | None = None) -> np.ndarray:
@@ -319,9 +337,7 @@ def right_products(rows: np.ndarray, tables, modulus: int | None = None) -> np.n
         bound = int(np.abs(rows).max(initial=0)) * int(np.abs(stacked).sum(axis=0).max())
     else:
         bound = width * (modulus - 1) ** 2
-    if bound >= 2**63:
-        raise ResourceLimitError(f"table products would overflow int64: sums up to {bound} >= 2^63")
-    exact = np.float64 if bound < 2**53 else np.int64
+    exact = product_dtype(bound)
     stacked = stacked.astype(exact)
     out = np.empty((n, len(tables), 3, width), dtype=rows.dtype)
     for start in range(0, n, _CHUNK):
@@ -334,6 +350,13 @@ def right_products(rows: np.ndarray, tables, modulus: int | None = None) -> np.n
     return out
 
 
+@cache
+def _key_weights(width: int) -> np.ndarray:
+    weights = np.random.default_rng(0x6B657973).integers(0, 2**64, size=width, dtype=np.uint64) | np.uint64(1)
+    weights.flags.writeable = False
+    return weights
+
+
 def row_keys(rows: np.ndarray) -> np.ndarray:
     """uint64 key of each integer row: a fixed random linear form mod 2^64.
 
@@ -341,8 +364,7 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     RowIndex never trusts a key without a full row compare.
     """
     flat = rows.reshape(len(rows), -1)
-    rng = np.random.default_rng(0x6B657973)
-    weights = rng.integers(0, 2**64, size=flat.shape[1], dtype=np.uint64) | np.uint64(1)
+    weights = _key_weights(flat.shape[1])
     keys = np.empty(len(flat), dtype=np.uint64)
     for start in range(0, len(flat), _CHUNK):
         keys[start : start + _CHUNK] = flat[start : start + _CHUNK].astype(np.uint64) @ weights

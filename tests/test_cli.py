@@ -349,6 +349,16 @@ def test_junction_empty_window_writes_null_ratios(tmp_path, capsys):
     assert entry["interface_ratio_raw"] is None
 
 
+def test_junction_ldos_far_from_zero_energy(tmp_path, capsys):
+    # |E_n - E| near 1.5e154 squares past the float range; the ratio to delta_e does not
+    argv = ["--out", str(tmp_path), "junction", "--radius", "3", "--energies", "1.5e154", "--delta-e", "3e153"]
+    assert run(argv) == 0
+    assert "20 states in window" in capsys.readouterr().out
+    ldos = np.loadtxt(next(tmp_path.glob("junction_5_4_r3_ldos_*.csv")), delimiter=",", skiprows=1)[:, 1]
+    # every state sits about 5 delta_e below E: Gaussian weight exp(-12.5) each
+    assert ldos.sum() == pytest.approx(20 * np.exp(-12.5), rel=0.05)
+
+
 def test_junction_memory_limit_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(spectral, "EIGENPAIRS_MEMORY", 1000)
     assert run(["--out", str(tmp_path), "junction", "--radius", "5"]) == 3

@@ -6,6 +6,7 @@ import zipfile
 import numpy as np
 import pytest
 
+import hyperbulk
 from hyperbulk import quotient
 from hyperbulk.errors import NumericalContractError, ResourceLimitError
 from hyperbulk.triangle import GEN_A, GEN_B, inverse_word
@@ -115,6 +116,22 @@ def test_save_is_atomic_and_versioned(q54_k1, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["g.npz"]
     with np.load(tmp_path / "g.npz") as data:
         assert json.loads(bytes(data["header"]).decode())["version"] == quotient.CACHE_VERSION
+
+
+def test_cache_header_names_the_package_version(q54_k1, tmp_path):
+    path = tmp_path / "g.npz"
+    q54_k1.save(str(path))
+    with np.load(path) as data:
+        header = json.loads(bytes(data["header"]).decode())
+        arrays = {name: data[name] for name in data.files}
+    assert header["hyperbulk"] == hyperbulk.__version__
+    # load ignores it: the tables of another release load unchanged
+    header["hyperbulk"] = "0.0.0"
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    loaded = quotient.QuotientGroup.load(str(path))
+    for name in quotient._CACHE_ARRAYS:
+        assert np.array_equal(getattr(loaded, name), getattr(q54_k1, name))
 
 
 def test_cache_is_stored_uncompressed(q54_k1, tmp_path):
