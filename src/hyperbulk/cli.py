@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -298,9 +297,6 @@ def cmd_junction(args) -> dict:
     )
     if config["delta_e"] <= 0:
         raise ConfigError(f"delta_e must be positive, got {config['delta_e']}")
-    # the LDOS Gaussian divides by 2 delta_e^2, which must not overflow
-    if not math.isfinite(2.0 * config["delta_e"] * config["delta_e"]):
-        raise ConfigError(f"delta_e must have a finite 2 delta_e^2, got {config['delta_e']}")
     cfg = junction.JunctionConfig(**{key: config[key] for key in ("phi_y", "ell", "eps", "models")})
     config["phi_y"] = cfg.resolve_phi(config["p"])
     p, q, radius, delta_e = (config[key] for key in ("p", "q", "radius", "delta_e"))

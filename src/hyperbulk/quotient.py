@@ -46,6 +46,7 @@ from .triangle import (
     DiscoveryTree,
     RowIndex,
     TessellationParams,
+    _key_weights,
     bfs,
     build_generators,
     inverse_token,
@@ -213,10 +214,11 @@ _CACHE_ARRAYS = ("elements", "gen_perm", "parents", "tokens")
 
 
 def _validate(group: QuotientGroup) -> None:
-    """Check a loaded quotient's tables, vectorized; raise NumericalContractError on a defect.
+    """Check a loaded quotient's tables; raise NumericalContractError on a defect.
 
     Every gen_perm row is a permutation undone by the row of the inverse
-    generator, and the elements rows are distinct.
+    generator, and the elements rows are distinct.  Apart from one sort
+    of a 64-bit key per element, every check is a linear pass.
     """
     n = group.order
     for name, shape in {"gen_perm": (4, n), "parents": (n,), "tokens": (n,)}.items():
@@ -224,14 +226,44 @@ def _validate(group: QuotientGroup) -> None:
             raise NumericalContractError(f"{name} has shape {getattr(group, name).shape}, expected {shape}")
     if group.elements.ndim != 3 or len(group.elements) != n:
         raise NumericalContractError(f"elements has shape {group.elements.shape} for order {n}")
-    ident = np.arange(n)
-    perm = group.gen_perm
-    if np.any(np.sort(perm, axis=1) != ident):
+    perm = np.ascontiguousarray(group.gen_perm)  # stored column by column; the checks read rows
+    if not np.issubdtype(perm.dtype, np.integer):
         raise NumericalContractError("a gen_perm row is not a permutation")
-    if np.any(np.take_along_axis(perm, perm[[inverse_token(t) for t in range(4)]], axis=1) != ident):
-        raise NumericalContractError("gen_perm rows of a generator and its inverse do not compose to 1")
-    if len(unique_rows(group.elements)[0]) != n:
-        raise NumericalContractError("two elements rows are equal")
+    seen = np.empty(n, dtype=bool)
+    for row in perm:
+        # n entries in [0, n) that hit every index are a permutation
+        if row.min() < 0 or row.max() >= n:
+            raise NumericalContractError("a gen_perm row is not a permutation")
+        seen[:] = False
+        seen[row] = True
+        if not seen.all():
+            raise NumericalContractError("a gen_perm row is not a permutation")
+    ident = np.arange(n)
+    for t, row in enumerate(perm):
+        if np.any(row[perm[inverse_token(t)]] != ident):
+            raise NumericalContractError("gen_perm rows of a generator and its inverse do not compose to 1")
+    rows = np.ascontiguousarray(group.elements).reshape(n, -1).view(np.uint8)
+    keys = _byte_keys(rows)
+    sorted_keys = np.sort(keys)
+    tied = sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]
+    if tied.size:
+        # distinct rows can share a key: only an exact compare of the rows that do refuses
+        members = rows[np.isin(keys, tied)]
+        if len(np.unique(members, axis=0)) != len(members):
+            raise NumericalContractError("two elements rows are equal")
+
+
+def _byte_keys(rows: np.ndarray) -> np.ndarray:
+    """uint64 key of each row of bytes: its 8-byte words times fixed odd weights, mod 2^64.
+
+    Equal rows get equal keys.  Unlike triangle.row_keys, the key depends
+    on the storage dtype, which is one dtype within a quotient's table.
+    """
+    pad = -rows.shape[1] % 8
+    if pad:
+        rows = np.concatenate([rows, np.zeros((len(rows), pad), dtype=np.uint8)], axis=1)
+    words = rows.view(np.uint64)
+    return words @ _key_weights(words.shape[1])
 
 
 @dataclass(frozen=True)

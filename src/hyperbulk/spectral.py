@@ -240,8 +240,16 @@ def _lanczos(mat, start: np.ndarray, min_steps: int) -> LanczosRun:
                     f"Lanczos edges unconverged after {cap} steps: Ritz residual {residuals[0]:.1e} at the lower "
                     f"edge {edges[0]:.6f}, {residuals[1]:.1e} at the upper edge {edges[1]:.6f}, limit {limit:.1e}"
                 )
-        w /= b
+        # a multiply by the reciprocal: 18 against 66 us for an in-place divide (81 920 entries)
+        w *= 1.0 / b
         v_prev, v = v, w
+
+
+def _padded(edges: tuple[float, float], pad: float = BOUND_PAD) -> tuple[float, float]:
+    """The interval edges widened on each side by the pad fraction of its span."""
+    lo, hi = edges
+    span = max(hi - lo, 1e-12)
+    return lo - pad * span, hi + pad * span
 
 
 def spectral_bounds(mat, pad: float = BOUND_PAD, seed: int = 0) -> tuple[float, float]:
@@ -251,9 +259,7 @@ def spectral_bounds(mat, pad: float = BOUND_PAD, seed: int = 0) -> tuple[float, 
     unit vector (see _lanczos), padded by the pad fraction of their span.
     """
     start = np.random.default_rng(seed).standard_normal(mat.shape[0]).astype(np.result_type(mat.dtype, float))
-    lo, hi = _lanczos(mat, start / np.linalg.norm(start), 1).edges
-    span = max(hi - lo, 1e-12)
-    return lo - pad * span, hi + pad * span
+    return _padded(_lanczos(mat, start / np.linalg.norm(start), 1).edges, pad)
 
 
 def _jackson_kernel(m: int) -> np.ndarray:
@@ -271,9 +277,10 @@ def _single_site_moments(mat, moments: int) -> tuple[np.ndarray, tuple[float, fl
     Jacobi matrix J with e_0^T p(J) e_0 = <delta_e|p(H)|delta_e> for every
     polynomial p of degree below moments (Gauss quadrature; Golub &
     Meurant, Matrices, Moments and Quadrature (2010)), so the recursion
-    runs on the small J from e_0.  The bounds are spectral_bounds(J): J's
-    eigenvalues are the Ritz values, whose extremes are H's converged
-    edges, so they enclose the spectra of both H and J.  Chebyshev
+    runs on the small J from e_0.  The bounds are the run's edges padded
+    by BOUND_PAD: J's eigenvalues are the Ritz values, whose extremes are
+    the edges, converged to H's, so they enclose the spectra of both H
+    and J without a second Lanczos run on J.  Chebyshev
     doubling (Weisse et al., RMP 78, 275 (2006)), mu_2n = 2 <T_n|T_n> -
     mu_0 and mu_2n+1 = 2 <T_n+1|T_n> - mu_1, takes two moments per
     product with J.
@@ -283,7 +290,7 @@ def _single_site_moments(mat, moments: int) -> tuple[np.ndarray, tuple[float, fl
     run = _lanczos(mat, start, -(-moments // 2))
     off = run.beta[:-1]
     jac = sp.diags([off, run.alpha, off], [-1, 0, 1], format="csr")
-    lo, hi = spectral_bounds(jac)
+    lo, hi = _padded(run.edges)
     # J~ = (J - b) / a, so that its spectrum lies inside (-1, 1)
     jac = (jac - (hi + lo) / 2.0 * sp.identity(run.alpha.size, format="csr")) / ((hi - lo) / 2.0)
     mu = np.empty(moments + 1)

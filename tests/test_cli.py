@@ -179,6 +179,31 @@ def test_write_json_refuses_nan(tmp_path):
     assert not path.exists()
 
 
+_RNG = np.random.default_rng(5)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        pytest.param([np.arange(40), np.arange(40) * 3, np.arange(40) - 20], id="integer-valued"),
+        pytest.param([np.arange(40), np.arange(40) * 0.5], id="integer-and-float"),
+        pytest.param(
+            [np.arange(6), np.array([-1.5, -0.0, 1e-300, -5e-324, -2.2250738585072014e-308, -1 / 3])], id="negative-tiny"
+        ),
+        pytest.param([np.arange(1), np.array([-0.1])], id="one-row"),
+        pytest.param([np.arange(0), np.array([])], id="zero-rows"),
+        pytest.param([np.arange(7), _RNG.random((7, 3)), _RNG.standard_normal((7, 2560))], id="flow-7x2564"),
+        pytest.param([np.arange(70000), _RNG.standard_normal(70000)], id="several-chunks"),
+    ],
+)
+def test_write_csv_matches_savetxt(tmp_path, columns):
+    header = [f"c{j}" for j in range(np.column_stack(columns).shape[1])]
+    outputs.write_csv(str(tmp_path / "fast.csv"), header, columns)
+    np.savetxt(tmp_path / "ref.csv", np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def _subcommand_flags(command):
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
@@ -289,6 +314,28 @@ def test_corrupt_elements_in_cache_exit_4_for_group_and_kpm(tmp_path, capsys, ar
     group.save(str(path))
     assert run(["--out", str(tmp_path), "--cache-dir", str(cache)] + argv) == 4
     assert "elements rows are equal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "index, value, message",
+    [
+        pytest.param((0, 3), 2560, "a gen_perm row is not a permutation", id="entry-out-of-range"),
+        pytest.param((2, 3), -1, "a gen_perm row is not a permutation", id="negative-entry"),
+        pytest.param((1, 3), lambda perm: perm[1, 4], "a gen_perm row is not a permutation", id="repeated-entry"),
+        pytest.param((0, [5, 9]), lambda perm: perm[0, [9, 5]],
+                     "gen_perm rows of a generator and its inverse do not compose to 1", id="inverse-mismatch"),
+    ],
+)
+def test_corrupt_gen_perm_in_cache_exits_4(tmp_path, capsys, index, value, message):
+    # equal elements rows: test_corrupt_elements_in_cache_exit_4_for_group_and_kpm
+    cache, path = _cached_k2(tmp_path)
+    group = quotient.QuotientGroup.load(str(path))
+    group.gen_perm[index] = value(group.gen_perm) if callable(value) else value
+    group.save(str(path))
+    capsys.readouterr()
+    assert run(["--out", str(tmp_path / "out"), "--cache-dir", str(cache), "group", "5", "4", "--k", "2"]) == 4
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_truncated_cache_exits_4(tmp_path, capsys):
@@ -526,18 +573,21 @@ def test_nonpositive_delta_e_exits_2_before_any_output(tmp_path, capsys, flag, t
     "flag, text",
     [
         pytest.param(["--delta-e", "1e300"], None, id="flag"),
-        pytest.param([], '{"radius": 4, "delta_e": 1e160}', id="in-file"),
+        pytest.param([], '{"radius": 3, "delta_e": 1e160}', id="in-file"),
     ],
 )
-def test_delta_e_whose_square_overflows_exits_2_before_any_output(tmp_path, capsys, flag, text):
-    # the LDOS Gaussian divides by 2 delta_e^2, and Python's float ** raises OverflowError
-    argv = ["--out", str(tmp_path / "out"), "junction", "--radius", "3"] + flag
+def test_delta_e_whose_square_overflows_gives_unit_ldos(tmp_path, capsys, flag, text):
+    # 2 delta_e^2 overflows, but ldos divides by delta_e before squaring; the window (5 delta_e wide)
+    # holds all 30 states of the ball, each weighs exp(-0) = 1, and the LDOS is the completeness sum 1
+    argv = ["--out", str(tmp_path), "junction", "--radius", "3"] + flag
     if text is not None:
         (tmp_path / "cfg.json").write_text(text)
         argv += ["--config", str(tmp_path / "cfg.json")]
-    assert run(argv) == 2
-    assert "finite 2 delta_e^2" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    assert run(argv) == 0
+    assert "30 states in window" in capsys.readouterr().out
+    ldos = np.loadtxt(tmp_path / "junction_5_4_r3_ldos_E+0.000.csv", delimiter=",", skiprows=1)
+    assert ldos.shape == (30, 2)
+    assert np.abs(ldos[:, 1] - 1.0).max() <= 1e-12
 
 
 def test_junction_energy_far_outside_the_spectrum(tmp_path, capsys):

@@ -146,16 +146,21 @@ def test_bounds_enclose_spectrum(groups, k, name):
 
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_ritz_edges_match_exact_extremes(groups, k, name):
+def test_ritz_edges_match_exact_extremes(groups, k, name, monkeypatch):
     ev = spectral.block_spectrum(MODELS[name], groups[k]).eigenvalues
+
+    def second_run(*args, **kwargs):
+        raise AssertionError("kpm_dos ran a second Lanczos pass for its bounds")
+
+    monkeypatch.setattr(spectral, "spectral_bounds", second_run)
     dos = spectral.kpm_dos(MODELS[name], groups[k], moments=500, grid_points=16)
     run = dos.lanczos
     tol = spectral.BOUND_TOL * (ev[-1] - ev[0])
     assert abs(run.edges[0] - ev[0]) <= tol and abs(run.edges[1] - ev[-1]) <= tol
     assert max(run.residuals) <= tol
-    # the bounds are J's padded interval, so they are the run's padded edges
+    # J's extreme eigenvalues are the run's edges, so the bounds are those edges padded, bit for bit
     pad = spectral.BOUND_PAD * (run.edges[1] - run.edges[0])
-    assert np.abs(np.subtract(dos.metadata["bounds"], [run.edges[0] - pad, run.edges[1] + pad])).max() <= tol
+    assert dos.metadata["bounds"] == [run.edges[0] - pad, run.edges[1] + pad]
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))

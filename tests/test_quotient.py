@@ -185,3 +185,28 @@ def test_load_rejects_broken_tables(q54_k1, tmp_path, defect):
     dataclasses.replace(q54_k1, **BROKEN[defect](q54_k1)).save(path)
     with pytest.raises(NumericalContractError, match=f"unusable: .*{defect}"):
         quotient.QuotientGroup.load(path)
+
+
+@pytest.mark.parametrize("weaken", [lambda keys: keys & np.uint64(3), lambda keys: keys * np.uint64(0)], ids=["4-keys", "1-key"])
+@pytest.mark.parametrize("pqsk", [(5, 4, 2, 1), (6, 6, 3, 2)], ids=["72-byte-rows", "18-byte-rows"])
+def test_load_checks_tied_keys_row_by_row(tmp_path, monkeypatch, weaken, pqsk):
+    # distinct rows that share a key load; equal rows are refused whatever their keys
+    group = quotient.build_quotient(*pqsk)
+    byte_keys = quotient._byte_keys
+    monkeypatch.setattr(quotient, "_byte_keys", lambda rows: weaken(byte_keys(rows)))
+    path = str(tmp_path / "g.npz")
+    group.save(path)
+    loaded = quotient.QuotientGroup.load(path)
+    for name in quotient._CACHE_ARRAYS:
+        assert np.array_equal(getattr(loaded, name), getattr(group, name))
+    dataclasses.replace(group, **BROKEN["elements rows are equal"](group)).save(path)
+    with pytest.raises(NumericalContractError, match="unusable: two elements rows are equal"):
+        quotient.QuotientGroup.load(path)
+
+
+def test_byte_keys_pad_rows_to_whole_words():
+    rows = np.random.default_rng(3).integers(0, 256, size=(50, 27), dtype=np.uint8)
+    padded = np.concatenate([rows, np.zeros((50, 5), dtype=np.uint8)], axis=1)
+    keys = quotient._byte_keys(rows)
+    assert np.array_equal(keys, quotient._byte_keys(padded))
+    assert len(np.unique(keys)) == 50
