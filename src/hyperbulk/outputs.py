@@ -14,25 +14,9 @@ import numpy as np
 from .errors import NumericalContractError
 
 
-# values formatted per string: bounds the text held at once
-_CSV_CHUNK = 1 << 16
-
-
 def write_csv(path, header, columns) -> None:
-    """One column per header name, one row per entry of the columns.
-
-    The bytes are those of np.savetxt(fmt="%.17g", delimiter=","), which
-    formats row by row; here one % over a repeated row template formats
-    a chunk of rows at once.
-    """
-    table = np.column_stack(columns)
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    rows = max(1, _CSV_CHUNK // table.shape[1])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), rows):
-            chunk = table[start : start + rows]
-            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+    """One column per header name, one row per entry of the columns."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=",".join(header), comments="")
 
 
 def write_json(path, obj) -> None:

@@ -46,9 +46,9 @@ from .triangle import (
     DiscoveryTree,
     RowIndex,
     TessellationParams,
-    _key_weights,
     bfs,
     build_generators,
+    byte_keys,
     inverse_token,
     mult_tables,
     power_table,
@@ -243,7 +243,7 @@ def _validate(group: QuotientGroup) -> None:
         if np.any(row[perm[inverse_token(t)]] != ident):
             raise NumericalContractError("gen_perm rows of a generator and its inverse do not compose to 1")
     rows = np.ascontiguousarray(group.elements).reshape(n, -1).view(np.uint8)
-    keys = _byte_keys(rows)
+    keys = byte_keys(rows)
     sorted_keys = np.sort(keys)
     tied = sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]
     if tied.size:
@@ -251,19 +251,6 @@ def _validate(group: QuotientGroup) -> None:
         members = rows[np.isin(keys, tied)]
         if len(np.unique(members, axis=0)) != len(members):
             raise NumericalContractError("two elements rows are equal")
-
-
-def _byte_keys(rows: np.ndarray) -> np.ndarray:
-    """uint64 key of each row of bytes: its 8-byte words times fixed odd weights, mod 2^64.
-
-    Equal rows get equal keys.  Unlike triangle.row_keys, the key depends
-    on the storage dtype, which is one dtype within a quotient's table.
-    """
-    pad = -rows.shape[1] % 8
-    if pad:
-        rows = np.concatenate([rows, np.zeros((len(rows), pad), dtype=np.uint8)], axis=1)
-    words = rows.view(np.uint64)
-    return words @ _key_weights(words.shape[1])
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ __all__ = [
     "product_dtype",
     "right_products",
     "row_keys",
+    "byte_keys",
     "unique_rows",
     "RowIndex",
     "DiscoveryTree",
@@ -369,6 +370,20 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     for start in range(0, len(flat), _CHUNK):
         keys[start : start + _CHUNK] = flat[start : start + _CHUNK].astype(np.uint64) @ weights
     return keys
+
+
+def byte_keys(rows: np.ndarray) -> np.ndarray:
+    """uint64 key of each row of bytes: its 8-byte words times the row_keys weights, mod 2^64.
+
+    Equal rows get equal keys.  Unlike row_keys, the key depends on the
+    storage dtype, so only rows of one dtype compare; it costs one
+    integer matmul over the row's words instead of one per entry.
+    """
+    pad = -rows.shape[1] % 8
+    if pad:
+        rows = np.concatenate([rows, np.zeros((len(rows), pad), dtype=np.uint8)], axis=1)
+    words = rows.view(np.uint64)
+    return words @ _key_weights(words.shape[1])
 
 
 def unique_rows(rows: np.ndarray, keys: np.ndarray | None = None):

@@ -179,31 +179,6 @@ def test_write_json_refuses_nan(tmp_path):
     assert not path.exists()
 
 
-_RNG = np.random.default_rng(5)
-
-
-@pytest.mark.parametrize(
-    "columns",
-    [
-        pytest.param([np.arange(40), np.arange(40) * 3, np.arange(40) - 20], id="integer-valued"),
-        pytest.param([np.arange(40), np.arange(40) * 0.5], id="integer-and-float"),
-        pytest.param(
-            [np.arange(6), np.array([-1.5, -0.0, 1e-300, -5e-324, -2.2250738585072014e-308, -1 / 3])], id="negative-tiny"
-        ),
-        pytest.param([np.arange(1), np.array([-0.1])], id="one-row"),
-        pytest.param([np.arange(0), np.array([])], id="zero-rows"),
-        pytest.param([np.arange(7), _RNG.random((7, 3)), _RNG.standard_normal((7, 2560))], id="flow-7x2564"),
-        pytest.param([np.arange(70000), _RNG.standard_normal(70000)], id="several-chunks"),
-    ],
-)
-def test_write_csv_matches_savetxt(tmp_path, columns):
-    header = [f"c{j}" for j in range(np.column_stack(columns).shape[1])]
-    outputs.write_csv(str(tmp_path / "fast.csv"), header, columns)
-    np.savetxt(tmp_path / "ref.csv", np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=",".join(header), comments="")
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-
 def _subcommand_flags(command):
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}

@@ -149,11 +149,11 @@ def test_bounds_enclose_spectrum(groups, k, name):
 def test_ritz_edges_match_exact_extremes(groups, k, name, monkeypatch):
     ev = spectral.block_spectrum(MODELS[name], groups[k]).eigenvalues
 
-    def second_run(*args, **kwargs):
-        raise AssertionError("kpm_dos ran a second Lanczos pass for its bounds")
-
-    monkeypatch.setattr(spectral, "spectral_bounds", second_run)
+    runs = []
+    lanczos = spectral._lanczos
+    monkeypatch.setattr(spectral, "_lanczos", lambda *args: runs.append(args) or lanczos(*args))
     dos = spectral.kpm_dos(MODELS[name], groups[k], moments=500, grid_points=16)
+    assert len(runs) == 1, "kpm_dos ran a second Lanczos pass for its bounds"
     run = dos.lanczos
     tol = spectral.BOUND_TOL * (ev[-1] - ev[0])
     assert abs(run.edges[0] - ev[0]) <= tol and abs(run.edges[1] - ev[-1]) <= tol

@@ -192,8 +192,8 @@ def test_load_rejects_broken_tables(q54_k1, tmp_path, defect):
 def test_load_checks_tied_keys_row_by_row(tmp_path, monkeypatch, weaken, pqsk):
     # distinct rows that share a key load; equal rows are refused whatever their keys
     group = quotient.build_quotient(*pqsk)
-    byte_keys = quotient._byte_keys
-    monkeypatch.setattr(quotient, "_byte_keys", lambda rows: weaken(byte_keys(rows)))
+    byte_keys = quotient.byte_keys
+    monkeypatch.setattr(quotient, "byte_keys", lambda rows: weaken(byte_keys(rows)))
     path = str(tmp_path / "g.npz")
     group.save(path)
     loaded = quotient.QuotientGroup.load(path)
@@ -203,10 +203,3 @@ def test_load_checks_tied_keys_row_by_row(tmp_path, monkeypatch, weaken, pqsk):
     with pytest.raises(NumericalContractError, match="unusable: two elements rows are equal"):
         quotient.QuotientGroup.load(path)
 
-
-def test_byte_keys_pad_rows_to_whole_words():
-    rows = np.random.default_rng(3).integers(0, 256, size=(50, 27), dtype=np.uint8)
-    padded = np.concatenate([rows, np.zeros((50, 5), dtype=np.uint8)], axis=1)
-    keys = quotient._byte_keys(rows)
-    assert np.array_equal(keys, quotient._byte_keys(padded))
-    assert len(np.unique(keys)) == 50

@@ -157,3 +157,11 @@ def test_ball_export_jsonl(tmp_path):
     assert len(lines) == len(ball)
     first = json.loads(lines[0])
     assert first["word"] == ""
+
+
+def test_byte_keys_pad_rows_to_whole_words():
+    rows = np.random.default_rng(3).integers(0, 256, size=(50, 27), dtype=np.uint8)
+    padded = np.concatenate([rows, np.zeros((50, 5), dtype=np.uint8)], axis=1)
+    keys = triangle.byte_keys(rows)
+    assert np.array_equal(keys, triangle.byte_keys(padded))
+    assert len(np.unique(keys)) == 50
