@@ -348,6 +348,8 @@ def cmd_junction(args) -> dict:
         else:
             shown = f"{ratio:.2f} on bulk sites ({raw_ratio:.3f} with the rim included)"
         print(f"E={label}: {pairs.eigenvalues.size} states in window, interface ratio {shown}")
+        # the next energy's solve must not hold this one's eigenvectors as well
+        del pairs, weights
     outputs.write_json(os.path.join(out, f"{name}_report.json"), report)
 
     return config

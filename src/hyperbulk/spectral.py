@@ -68,7 +68,7 @@ LANCZOS_STEPS = 2000
 # outward step of a window edge without an inertia count as fractions of the
 # half-width, the edges tried per side, SuperLU's diagonal pivot threshold for
 # the shift (threshold pivoting; the inertia counts take diagonal pivots only),
-# and the bytes its LU factors and basis may hold.  Thin blocks converge a
+# and the bytes it may hold (see _footprint).  Thin blocks converge a
 # window from fewer columns (the r = 12 junction's 260 pairs: 800 columns in
 # blocks of 32, 520 in blocks of 8), and the cost grows with the basis width:
 # as its square in Gram-Schmidt, its cube in the projected eigh.  A block
@@ -82,6 +82,9 @@ EDGE_STEP = 1.0 / 64
 EDGE_MOVES = 3
 PIVOT_THRESHOLD = 0.1
 EIGENPAIRS_MEMORY = 2 * 1024**3
+# the last Rayleigh-Ritz step takes this many columns of the Ritz vectors at a
+# time, or row blocks of as many entries
+RITZ_CHUNK = 32
 
 
 @dataclass
@@ -483,6 +486,20 @@ def _lu_bytes(lu, dtype) -> int:
     return lu.nnz * (np.dtype(dtype).itemsize + 4)
 
 
+def _footprint(lu, dtype, n: int, m: int, columns: int, old: int = 0) -> int:
+    """Bytes that eigenpairs_near holds at once for m pairs with room for columns basis columns.
+
+    The LU factors; the basis and its projection, (n + columns) x columns
+    entries, plus those of the old room while a growing basis copies
+    them; and the last Rayleigh-Ritz step's n x m Ritz vectors, the two
+    columns x columns arrays of the projected eigh (the scaled copy of
+    the projection and its eigenvectors) and the products of one column
+    block (at most three n x RITZ_CHUNK arrays at a time).
+    """
+    entries = (n + columns) * columns + (n + old) * old + n * (m + 3 * RITZ_CHUNK) + 2 * columns**2
+    return _lu_bytes(lu, dtype) + entries * np.dtype(dtype).itemsize
+
+
 def _check_memory(nbytes: int, what: str) -> None:
     if nbytes > EIGENPAIRS_MEMORY:
         raise ResourceLimitError(
@@ -610,13 +627,34 @@ def _ritz_in_window(a, basis, proj, sigma, lo, hi, m):
         return None
     # MRRR's eigenvectors of a clustered projection are orthogonal only to about 1e-11, and the
     # Rayleigh-Ritz on H below needs an orthonormal basis of their span
-    x = basis @ np.linalg.qr(y[:, inside])[0]
-    vals, z = sla.eigh(x.conj().T @ (a @ x))
-    vecs = x @ z
-    residuals = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
+    q = np.linalg.qr(y[:, inside])[0]
+    del y
+    # past this point the Ritz vectors x are the one n x m array, column-major so that a column
+    # range of them is contiguous; each product with the basis, H or z takes an n x RITZ_CHUNK
+    # column block or as many bytes of rows at a time
+    n = basis.shape[0]
+    rows = max(1, n * RITZ_CHUNK // m)
+    x = np.empty((n, m), basis.dtype, order="F")
+    for r in range(0, n, rows):
+        x[r : r + rows] = basis[r : r + rows] @ q
+    del q
+    cols = [slice(c, c + RITZ_CHUNK) for c in range(0, m, RITZ_CHUNK)]
+    g = np.empty((m, m), x.dtype, order="F")
+    for c in cols:
+        g[:, c] = _adjoint_times(x, a @ x[:, c])
+    vals, z = sla.eigh(g, overwrite_a=True)
+    del g
+    for r in range(0, n, rows):
+        x[r : r + rows] = x[r : r + rows] @ z
+    del z
+    residuals = np.empty(m)
+    for c in cols:
+        defect = a @ x[:, c]
+        defect -= x[:, c] * vals[c]
+        residuals[c] = np.linalg.norm(defect, axis=0)
     if vals[0] < lo or vals[-1] >= hi or residuals.max() > EIGENPAIR_RESIDUAL:
         return None
-    return vals, vecs, residuals
+    return vals, x, residuals
 
 
 def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: int = 0) -> WindowSpectrum:
@@ -659,17 +697,22 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
        unit size by a power of two.  It stops when exactly m Ritz values
        lie in the counted window and a last Rayleigh-Ritz on H over an
        orthonormal basis of their span leaves each pair in it with
-       ||H x - lambda x|| <= EIGENPAIR_RESIDUAL.  The pairs inside
-       [center - half_width, center + half_width] are returned.
+       ||H x - lambda x|| <= EIGENPAIR_RESIDUAL.  That step holds one
+       n x m array, the Ritz vectors, and forms x^H H x, the vectors and
+       their residuals RITZ_CHUNK columns or rows at a time.  The pairs
+       inside [center - half_width, center + half_width] are returned, a
+       column range of the Ritz vectors.
 
     Deterministic for a fixed seed.  Raises NumericalContractError when
     no tried edge gives an inertia count, when the shift is singular
     twice, when more than m Ritz values fall in the counted window, or
     when a basis spanning the whole space still disagrees with the
     count; it never returns before all m pairs of the counted window
-    are found.  Raises ResourceLimitError when LU fill or the basis
-    would exceed EIGENPAIRS_MEMORY, and ConfigError unless the center is
-    finite and 0 < half_width < inf.
+    are found.  Raises ResourceLimitError when the LU factors, or they
+    with the basis, the projection and the last Rayleigh-Ritz step's
+    arrays (_footprint, charged again with the old room whenever the
+    basis grows), would exceed EIGENPAIRS_MEMORY, and ConfigError unless
+    the center is finite and 0 < half_width < inf.
     """
     if not (np.isfinite(center) and 0 < half_width < np.inf):
         raise ConfigError(f"the window needs a finite center and finite half_width > 0, got {center}, {half_width}")
@@ -712,7 +755,7 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
         width = min(b, n - j)
         if j + width > basis.shape[1]:
             size = min(n, max(size, 2 * basis.shape[1]))
-            _check_memory(_lu_bytes(lu, dtype) + (n + size) * size * basis.itemsize, "LU factors and Krylov basis")
+            _check_memory(_footprint(lu, dtype, n, m, size, basis.shape[1]), "LU factors, Krylov basis and Ritz vectors")
             grown = np.empty((n, size), dtype, order="F")
             grown[:, :j] = basis[:, :j]
             basis = grown
@@ -737,7 +780,8 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
             pairs = _ritz_in_window(a, basis[:, :j], proj[:j, :j], sigma, lo_count, hi_count, m)
             if pairs is not None:
                 vals, vecs, residuals = pairs
-                keep = (vals >= lo) & (vals <= hi)
+                # vals is sorted, so the pairs inside [lo, hi] are a column range of vecs
+                keep = slice(np.searchsorted(vals, lo, "left"), np.searchsorted(vals, hi, "right"))
                 return WindowSpectrum(
                     vals[keep],
                     vecs[:, keep],

@@ -1,10 +1,12 @@
 import argparse
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from hyperbulk import cli, outputs, quotient, spectral
+from hyperbulk import cli, geometry, junction, outputs, quotient, spectral, triangle
 from hyperbulk.errors import NumericalContractError
 
 
@@ -385,6 +387,36 @@ def test_junction_memory_limit_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(spectral, "EIGENPAIRS_MEMORY", 1000)
     assert run(["--out", str(tmp_path), "junction", "--radius", "5"]) == 3
     assert "resource limit" in capsys.readouterr().err
+
+
+def test_junction_ritz_step_beyond_the_memory_limit_exits_3(tmp_path, capsys, monkeypatch):
+    # room for the LU factors, the basis and the projection, not for the Ritz vectors as well
+    ball = triangle.ball_enumerate(5, 4, 5)
+    pos = geometry.site_positions(ball, geometry.incenter(5, 4))
+    ham = sp.csc_matrix(junction.assemble_junction(ball, pos, junction.JunctionConfig()))
+    n, m = ham.shape[0], spectral.eigenpairs_near(ham, center=0.0, half_width=0.25).count
+    size = min(n, 2 * m + 4 * spectral.KRYLOV_BLOCK)
+    lu = spectral._factor(ham, 0.0, np.random.default_rng(0), spectral.PIVOT_THRESHOLD)
+    lu_and_basis = spectral._lu_bytes(lu, ham.dtype) + (n + size) * size * ham.dtype.itemsize
+    footprint = spectral._footprint(lu, ham.dtype, n, m, size)
+    monkeypatch.setattr(spectral, "EIGENPAIRS_MEMORY", (lu_and_basis + footprint) // 2)
+    assert run(["--out", str(tmp_path), "junction", "--radius", "5"]) == 3
+    assert "resource limit" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_ldos_*"))
+
+
+def test_junction_releases_each_energy_before_the_next(tmp_path):
+    # the same window twice: the second solve needs no more memory than the first did
+    def peak(*energies):
+        tracemalloc.start()
+        try:
+            run(["--out", str(tmp_path), "junction", "--radius", "8", "--delta-e", "0.1", "--energies", *energies])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("0")
+    assert peak("0", "0") <= peak("0") + 128 * 1024
 
 
 def test_junction_count_mismatch_exits_4(tmp_path, capsys, monkeypatch):

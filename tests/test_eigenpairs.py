@@ -1,5 +1,7 @@
 """eigenpairs_near against dense scipy.linalg.eigh on the same window."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -110,6 +112,45 @@ def test_basis_beyond_the_memory_limit_is_refused(monkeypatch):
     monkeypatch.setattr(spectral, "EIGENPAIRS_MEMORY", 100_000)
     with pytest.raises(ResourceLimitError, match="Krylov basis"):
         spectral.eigenpairs_near(ham, center=0.0, half_width=0.25)
+
+
+def test_basis_growth_charges_the_old_and_the_new_basis(monkeypatch):
+    # the r = 8 window needs 168 columns, beyond its first room of 2m + 32 = 130: while the
+    # basis doubles to 260, the old arrays are still held beside the new ones
+    ham = junction_hamiltonian(8)
+    pairs = spectral.eigenpairs_near(ham, center=0.0, half_width=0.25, seed=11)
+    m, n = pairs.count, ham.shape[0]
+    first = 2 * m + 4 * spectral.KRYLOV_BLOCK
+    assert first < pairs.basis_size <= 2 * first <= n
+    a = sp.csc_matrix(ham)
+    lu = spectral._factor(a, 0.0, np.random.default_rng(0), spectral.PIVOT_THRESHOLD)
+    new_only = spectral._footprint(lu, a.dtype, n, m, 2 * first)
+    both = spectral._footprint(lu, a.dtype, n, m, 2 * first, first)
+    assert new_only < both
+    monkeypatch.setattr(spectral, "EIGENPAIRS_MEMORY", (new_only + both) // 2)
+    with pytest.raises(ResourceLimitError, match="Krylov basis"):
+        spectral.eigenpairs_near(ham, center=0.0, half_width=0.25, seed=11)
+
+
+@pytest.mark.parametrize("radius", [8, 10])
+def test_traced_peak_within_the_charged_footprint(monkeypatch, radius):
+    ham = junction_hamiltonian(radius)
+    charged = []
+    footprint = spectral._footprint
+
+    def recording(*args):
+        charged.append(footprint(*args))
+        return charged[-1]
+
+    monkeypatch.setattr(spectral, "_footprint", recording)
+    tracemalloc.start()
+    try:
+        pairs = spectral.eigenpairs_near(ham, center=0.0, half_width=0.25, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs.count > 0
+    assert peak <= max(charged)
 
 
 @pytest.mark.parametrize("shift", [1, -1])
