@@ -193,22 +193,31 @@ def _is_real(h: AlgebraElement) -> bool:
 def represent_periodic(h: AlgebraElement, group: QuotientGroup) -> sp.csr_matrix:
     """Right-regular representation of h on a finite quotient.
 
-    Entry (target, source) accumulates w_g where target is source acted
-    on by g^-1 from the right.
+    (H psi)(x) = sum_g w_g psi(x g): row x holds w_g at column walk(x, g)
+    for each term, in h's term order, so every row has exactly len(h)
+    entries and the CSR is filled directly, with no COO sort.  Words that
+    name the same element are then summed (sum_duplicates); the arrays
+    equal those of a COO assembly of the same entries.
     """
-    n = group.order
+    n, width = group.order, len(h)
     dtype = np.float64 if _is_real(h) else np.complex128
-    cols = np.arange(n, dtype=np.int64)
-    rows_all, cols_all, vals_all = [], [], []
-    for w, c in h.items():
-        rows_all.append(group.walk(cols, inverse_word(w)))
-        cols_all.append(cols)
-        vals_all.append(np.full(n, c if dtype == np.complex128 else c.real, dtype=dtype))
-    return _assemble(vals_all, rows_all, cols_all, n, dtype)
+    if not width:
+        return sp.csr_matrix((n, n), dtype=dtype)
+    index = np.int32 if n * width < 2**31 else np.int64
+    rows = np.arange(n, dtype=index)
+    indices = np.empty((n, width), dtype=index)
+    data = np.empty((n, width), dtype=dtype)
+    for j, (w, c) in enumerate(h.items()):
+        indices[:, j] = group.walk(rows, w)
+        data[:, j] = c if dtype == np.complex128 else c.real
+    indptr = np.arange(0, n * width + 1, width, dtype=index)
+    mat = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(n, n))
+    mat.sum_duplicates()
+    return mat
 
 
 def _assemble(vals_all, rows_all, cols_all, n: int, dtype) -> sp.csr_matrix:
-    """n x n CSR sum of the COO pieces; all zero when there are none."""
+    """n x n CSR sum of the COO pieces of represent_open; all zero when there are none."""
     if not rows_all:
         return sp.csr_matrix((n, n), dtype=dtype)
     mat = sp.coo_matrix(

@@ -71,13 +71,20 @@ def _storage_dtype(m: int):
     return np.int64
 
 
+def _index_dtype(order: int):
+    """int32 for the element indices of a quotient whose order allows it, else int64."""
+    return np.int32 if order < 2**31 else np.int64
+
+
 @dataclass
 class QuotientGroup(DiscoveryTree):
     """Finite quotient with generator-action permutations.
 
     gen_perm[t][i] is the index of (element i) * (generator t), with t
     running over A, A^-1, B, B^-1.  elements[i] holds the canonical
-    mod-s^k coefficients, shape (3, 3d).
+    mod-s^k coefficients, shape (3, 3d).  Construction narrows the index
+    tables to int32 (int64 from order 2^31 on) and tokens to int8, so
+    built, lifted and loaded groups hold the same arrays.
     """
 
     p: int
@@ -85,11 +92,16 @@ class QuotientGroup(DiscoveryTree):
     s: int
     k: int
     order: int
-    elements: np.ndarray
-    gen_perm: np.ndarray          # (4, order) int64
-    parents: np.ndarray           # discovery tree parent indices
-    tokens: np.ndarray            # discovery tree generator tokens
+    elements: np.ndarray          # (order, 3, 3d), _storage_dtype(s^k)
+    gen_perm: np.ndarray          # (4, order), _index_dtype(order)
+    parents: np.ndarray           # (order,) discovery tree parent indices, _index_dtype(order)
+    tokens: np.ndarray            # (order,) discovery tree generator tokens, int8
     torsion: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        index = _index_dtype(self.order)
+        for name, dtype in (("gen_perm", index), ("parents", index), ("tokens", np.int8)):
+            setattr(self, name, _narrow(getattr(self, name), dtype, name))
 
     @property
     def modulus(self) -> int:
@@ -213,12 +225,27 @@ class QuotientGroup(DiscoveryTree):
 _CACHE_ARRAYS = ("elements", "gen_perm", "parents", "tokens")
 
 
+def _narrow(table: np.ndarray, dtype, name: str) -> np.ndarray:
+    """An integer table in dtype, copied only when it is wider; entries outside dtype raise.
+
+    Tables of another kind are left for _validate to refuse.
+    """
+    if not np.issubdtype(table.dtype, np.integer) or table.dtype == dtype:
+        return table
+    info = np.iinfo(dtype)
+    if table.size and (table.min() < info.min or table.max() > info.max):
+        raise NumericalContractError(f"{name} has entries outside the range of {np.dtype(dtype).name}")
+    return table.astype(dtype)
+
+
 def _validate(group: QuotientGroup) -> None:
     """Check a loaded quotient's tables; raise NumericalContractError on a defect.
 
     Every gen_perm row is a permutation undone by the row of the inverse
     generator, and the elements rows are distinct.  Apart from one sort
-    of a 64-bit key per element, every check is a linear pass.
+    of a 64-bit key per element, every check is a linear pass.  The
+    tables arrive narrowed by QuotientGroup construction, also those of
+    files written with int64 tables.
     """
     n = group.order
     for name, shape in {"gen_perm": (4, n), "parents": (n,), "tokens": (n,)}.items():
@@ -226,7 +253,7 @@ def _validate(group: QuotientGroup) -> None:
             raise NumericalContractError(f"{name} has shape {getattr(group, name).shape}, expected {shape}")
     if group.elements.ndim != 3 or len(group.elements) != n:
         raise NumericalContractError(f"elements has shape {group.elements.shape} for order {n}")
-    perm = np.ascontiguousarray(group.gen_perm)  # stored column by column; the checks read rows
+    perm = group.gen_perm
     if not np.issubdtype(perm.dtype, np.integer):
         raise NumericalContractError("a gen_perm row is not a permutation")
     seen = np.empty(n, dtype=bool)
@@ -238,7 +265,7 @@ def _validate(group: QuotientGroup) -> None:
         seen[row] = True
         if not seen.all():
             raise NumericalContractError("a gen_perm row is not a permutation")
-    ident = np.arange(n)
+    ident = np.arange(n, dtype=perm.dtype)
     for t, row in enumerate(perm):
         if np.any(row[perm[inverse_token(t)]] != ident):
             raise NumericalContractError("gen_perm rows of a generator and its inverse do not compose to 1")
@@ -447,7 +474,7 @@ def build_quotient(
     )
     if k > 1:
         base = _Base(group, tables, (power_table(gens.ctx) % s).astype(np.int64))
-        proj = np.arange(group.order)
+        proj = np.arange(group.order, dtype=group.gen_perm.dtype)
         for _ in range(2, k + 1):
             group, proj = _lift(group, proj, base, element_cap, what)
 
@@ -565,32 +592,41 @@ def _lift(below: QuotientGroup, proj: np.ndarray, base: _Base, cap: int, what: s
         raise NumericalContractError(
             f"cocycle of {what}: L(t) g != (1 + s^{k - 1} X) L(t g) mod {s}^{k} for some pair (t, g)"
         )
+    del values, shift
 
     # (t, n) g = (t g, n + c(t, g)); translation by each distinct value adds one generator of N at a time
+    order = count * size
+    index_dtype = _index_dtype(order)
     add = index.find(_mod_sum(kernel[None], gens[:, None], s).reshape(-1, 3, width)).reshape(len(gens), size)
     digits = distinct[:, None] // np.cumprod([1, *radices[:-1]]) % radices
-    translate = np.tile(np.arange(size), (len(distinct), 1))
+    translate = np.tile(np.arange(size, dtype=index_dtype), (len(distinct), 1))
     for b, o in enumerate(radices):
         for j in range(1, o):
             rows = np.flatnonzero(digits[:, b] >= j)
             translate[rows] = add[b][translate[rows]]
-    perm = (below.gen_perm[:, :, None] * size + translate[labels.reshape(count, 4).T]).reshape(4, -1)
-    visit, parents, tokens, gen_perm = _renumber(perm)
-    if len(visit) != count * size:
+    perm = translate[labels.reshape(count, 4).T]
+    perm += (below.gen_perm.astype(index_dtype) * size)[:, :, None]
+    visit, parents, tokens, gen_perm = _renumber(perm.reshape(4, order))
+    del perm
+    if len(visit) != order:
         raise NumericalContractError(
-            f"lift of {what} reaches {len(visit)} of its {count * size} elements from the identity"
+            f"lift of {what} reaches {len(visit)} of its {order} elements from the identity"
         )
 
-    t, n = np.divmod(visit, size)
-    elements = np.empty((len(visit), 3, width), dtype=lift.dtype)
-    for start in range(0, len(visit), _ROWS):
+    # element rows n L(t) = L(t) + s^(k-1) X_n L(t) mod s^k, in chunks that bound the temporaries
+    elements = np.empty((order, 3, width), dtype=lift.dtype)
+    onto = np.empty(order, dtype=proj.dtype)
+    for start in range(0, order, _ROWS):
         part = slice(start, start + _ROWS)
-        elements[part] = _mod_sum(lift[t[part]], step * image[n[part], proj[t[part]]].astype(lift.dtype), m)
+        t, n = np.divmod(visit[part], size)
+        onto[part] = v = proj[t]
+        elements[part] = _mod_sum(lift[t], step * image[n, v].astype(lift.dtype), m)
+    del visit
     group = QuotientGroup(
-        p=below.p, q=below.q, s=s, k=k, order=len(visit),
+        p=below.p, q=below.q, s=s, k=k, order=order,
         elements=elements, gen_perm=gen_perm, parents=parents, tokens=tokens,
     )
-    return group, proj[t]
+    return group, onto
 
 
 def _renumber(perm: np.ndarray):
@@ -599,12 +635,14 @@ def _renumber(perm: np.ndarray):
     Returns (visit, parents, tokens, gen_perm): visit[i] is the old index
     of new element i, which is reached from parents[i] by tokens[i], and
     gen_perm holds the tables in the new numbering.  visit is shorter
-    than perm's rows when 0 does not reach them all.
+    than perm's rows when 0 does not reach them all.  Indices stay in
+    perm's dtype and tokens are int8.
     """
     width, size = perm.shape
-    label = np.full(size, -1, dtype=np.int64)
+    label = np.full(size, -1, dtype=perm.dtype)
     label[0] = 0
-    visit, parents, tokens = [np.zeros(1, dtype=np.int64)], [[-1]], [[-1]]
+    visit, parents = [np.zeros(1, dtype=perm.dtype)], [np.full(1, -1, dtype=perm.dtype)]
+    tokens = [np.full(1, -1, dtype=np.int8)]
     lo, hi = 0, 1
     while lo < hi:
         cand = perm[:, visit[-1]].T.ravel()  # (frontier position, token) order
@@ -612,16 +650,18 @@ def _renumber(perm: np.ndarray):
         # the first occurrence of each unvisited target is a new element
         new = miss[np.sort(np.unique(cand[miss], return_index=True)[1])]
         label[cand[new]] = np.arange(hi, hi + len(new))
-        parents.append(lo + new // width)
-        tokens.append(new % width)
+        parents.append((lo + new // width).astype(perm.dtype))
+        tokens.append((new % width).astype(np.int8))
         visit.append(cand[new])
         lo, hi = hi, hi + len(new)
     visit = np.concatenate(visit)
-    return (visit, np.concatenate(parents).astype(np.int64), np.concatenate(tokens).astype(np.int64),
-            label[perm[:, visit]])
+    gen_perm = np.empty((width, len(visit)), dtype=perm.dtype)
+    for t, row in enumerate(perm):
+        gen_perm[t] = label[row[visit]]
+    return visit, np.concatenate(parents), np.concatenate(tokens), gen_perm
 
 
-_ROWS = 1 << 16  # rows per chunk of the lifted elements
+_ROWS = 4096  # rows per chunk of the lifted elements
 
 
 def _mod_sum(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:

@@ -425,7 +425,8 @@ def ldos(
     if delta_e <= 0:
         raise ConfigError("delta_e must be positive")
     w = np.exp(-0.5 * ((spec.eigenvalues - energy) / delta_e) ** 2)
-    out = (np.abs(spec.eigenvectors) ** 2) @ w
+    # one memory order for the reduction, so the last digits do not depend on the vectors' layout
+    out = np.asfortranarray(np.abs(spec.eigenvectors) ** 2) @ w
     if site_weights is not None:
         out = out * np.asarray(site_weights, dtype=float)
     return out

@@ -66,6 +66,8 @@ def test_cached_tables_are_frozen(key):
     digest = hashlib.sha256()
     for name in quotient._CACHE_ARRAYS:
         table = np.ascontiguousarray(getattr(group, name))
+        if name != "elements":
+            table = table.astype(np.int64)  # the digests were frozen over int64 index tables
         digest.update(f"{name}{table.dtype}{table.shape}".encode())
         digest.update(table.tobytes())
     assert digest.hexdigest()[:16] == FROZEN_TABLES[key]

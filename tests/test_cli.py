@@ -315,6 +315,30 @@ def test_corrupt_gen_perm_in_cache_exits_4(tmp_path, capsys, index, value, messa
     assert not (tmp_path / "out").exists()
 
 
+def test_cache_with_int64_tables_gives_the_same_kpm_bytes(tmp_path):
+    # files written before the index tables were narrowed hold gen_perm, parents and tokens as int64
+    cache, path = _cached_k2(tmp_path)
+    built = quotient.build_quotient(5, 4, 2, 2)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    for name in ("gen_perm", "parents", "tokens"):
+        arrays[name] = arrays[name].astype(np.int64)
+    np.savez(path, **arrays)
+    loaded = quotient.QuotientGroup.load(str(path))
+    for name in quotient._CACHE_ARRAYS:
+        assert getattr(loaded, name).dtype == getattr(built, name).dtype, name
+        assert np.array_equal(getattr(loaded, name), getattr(built, name)), name
+    argv = ["spectrum", "5", "4", "--k", "2", "--method", "kpm", "--moments", "64"]
+    assert run(["--out", str(tmp_path / "loaded"), "--cache-dir", str(cache)] + argv) == 0
+    assert run(["--out", str(tmp_path / "built")] + argv) == 0
+    with np.load(path) as data:
+        assert data["gen_perm"].dtype == np.int64  # the file was read, not rewritten
+    names = sorted(p.name for p in (tmp_path / "built").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "loaded").iterdir())
+    for name in names:
+        assert (tmp_path / "loaded" / name).read_bytes() == (tmp_path / "built" / name).read_bytes(), name
+
+
 def test_truncated_cache_exits_4(tmp_path, capsys):
     cache, path = _cached_k2(tmp_path)
     data = path.read_bytes()

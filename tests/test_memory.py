@@ -1,0 +1,65 @@
+"""Traced memory of the quotient tables and of the periodic operator.
+
+tracemalloc counts numpy's buffers, so a peak above the memory traced at
+the start is the largest set of arrays a call held at once.  Building
+G_k should hold little beyond the tables it returns, and filling the
+periodic CSR little beyond the CSR.  Each bound leaves room for noise
+but fails when int64 tables, wide chunk temporaries or a COO copy of
+the operator come back.
+"""
+
+import os
+import tracemalloc
+
+import pytest
+
+from hyperbulk import operators, quotient
+
+MiB = 2**20
+
+
+def traced_peak(call, *args, **kwargs):
+    """call(*args, **kwargs) and the peak of traced bytes above those traced before it."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = call(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def table_bytes(group):
+    return sum(getattr(group, name).nbytes for name in quotient._CACHE_ARRAYS)
+
+
+def csr_bytes(mat):
+    return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+
+
+@pytest.fixture(scope="module")
+def g3():
+    return quotient.build_quotient(5, 4, 2, 3)
+
+
+def test_build_holds_little_beyond_its_tables():
+    # 7.3 MiB of tables for 81,920 elements, a traced peak of about 1.5 times that
+    group, peak = traced_peak(quotient.build_quotient, 5, 4, 2, 3)
+    assert peak <= 2.5 * table_bytes(group)
+
+
+@pytest.mark.parametrize("model", ["adj", "h1"])
+def test_periodic_operator_holds_little_beyond_its_csr(g3, model):
+    # h_1 has a duplicate word (A^4 = A^-1), so its CSR is filled and then summed
+    h = operators.adjacency(5, 4) if model == "adj" else operators.model_hamiltonian(1, 1, 0.8, 5, 4)
+    mat, peak = traced_peak(operators.represent_periodic, h, g3)
+    assert peak <= 1.5 * csr_bytes(mat)
+
+
+@pytest.mark.skipif(not os.environ.get("RUN_LONG"), reason="set RUN_LONG")
+def test_g4_build_and_operator_fit_their_bounds():
+    # {5,4} at k = 4: 5,242,880 elements, 465 MiB of tables, a traced peak near 530 MiB
+    group, peak = traced_peak(quotient.build_quotient, 5, 4, 2, 4, element_cap=2**23)
+    assert peak <= 850 * MiB
+    mat, peak = traced_peak(operators.represent_periodic, operators.adjacency(5, 4), group)
+    assert peak <= 1.2 * csr_bytes(mat)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from hyperbulk import operators, triangle
+from hyperbulk import operators, quotient, triangle
 from hyperbulk.errors import ConfigError
 from hyperbulk.tolerances import HERMITICITY, IDEMPOTENCY, RESOLUTION, TRACE
-from hyperbulk.triangle import GEN_A, GEN_B
+from hyperbulk.triangle import GEN_A, GEN_A_INV, GEN_B, GEN_B_INV
 
-from conftest import left_translation
+from conftest import all_models, left_translation
 
 NU = {1: 5, 2: 4, 3: 2}  # cyclic subgroup orders for {5,4}
 
@@ -161,3 +162,41 @@ def test_save_matrix_market(tmp_path, q54_k1):
     operators.save_matrix_market(mat, path)
     back = scipy.io.mmread(path)
     assert np.allclose(back.toarray(), mat.toarray(), atol=1e-15)
+
+
+def coo_periodic(h, group):
+    """The periodic operator assembled from COO triplets: entry (walk(x, g^-1), x) = w_g, then tocsr."""
+    n = group.order
+    dtype = np.float64 if operators._is_real(h) else np.complex128
+    cols = np.arange(n, dtype=np.int64)
+    if not len(h):
+        return sp.csr_matrix((n, n), dtype=dtype)
+    rows = np.concatenate([group.walk(cols, triangle.inverse_word(w)) for w in h.terms])
+    vals = np.concatenate([np.full(n, c if dtype == np.complex128 else c.real, dtype=dtype) for c in h.terms.values()])
+    mat = sp.coo_matrix((vals, (rows, np.tile(cols, len(h)))), shape=(n, n)).tocsr()
+    mat.sum_duplicates()
+    return mat
+
+
+# words that name one element (A^4 = A^-1, A^5 = B^4 = B B^-1 = 1 in {5,4}), real and complex;
+# with three in a column the sum's rounding depends on their order within the row: (0.1 + 0.2) + 0.3 != 0.6
+DUPLICATES = {
+    "real": operators.AlgebraElement({(GEN_A,) * 4: 0.5, (GEN_A_INV,): -0.25, (): 0.1, (GEN_A,) * 5: 0.2,
+                                      (GEN_B,) * 4: 0.3}),
+    "complex": operators.AlgebraElement({(GEN_A,) * 4: 0.5j, (GEN_A_INV,): 0.25, (): 0.1 + 0.1j,
+                                         (GEN_A,) * 5: 0.2 + 0.2j, (GEN_B_INV, GEN_B): 0.3 + 0.3j}),
+    "empty": operators.AlgebraElement(),
+}
+
+
+@pytest.mark.parametrize("key", [(5, 4, 2, 1), (5, 4, 2, 2), (6, 4, 3, 1), (7, 3, 2, 1)],
+                         ids=lambda key: "{}_{}_s{}_k{}".format(*key))
+def test_direct_csr_fill_equals_coo_assembly(key):
+    group = quotient.build_quotient(*key)
+    models = {**all_models(key[0], key[1]), **DUPLICATES}
+    for name, h in models.items():
+        got, want = operators.represent_periodic(h, group), coo_periodic(h, group)
+        assert got.format == "csr" and got.shape == want.shape, name
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)

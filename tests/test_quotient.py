@@ -203,3 +203,15 @@ def test_load_checks_tied_keys_row_by_row(tmp_path, monkeypatch, weaken, pqsk):
     with pytest.raises(NumericalContractError, match="unusable: two elements rows are equal"):
         quotient.QuotientGroup.load(path)
 
+
+
+def test_load_refuses_int64_entries_that_int32_cannot_hold(q54_k1, tmp_path):
+    # entries moved by 2^32 would wrap back onto a valid table if they were narrowed unchecked
+    path = tmp_path / "g.npz"
+    q54_k1.save(str(path))
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays["gen_perm"] = arrays["gen_perm"] + np.int64(2**32)
+    np.savez(path, **arrays)
+    with pytest.raises(NumericalContractError, match="unusable: gen_perm has entries outside the range of int32"):
+        quotient.QuotientGroup.load(str(path))

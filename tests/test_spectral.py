@@ -136,6 +136,17 @@ def test_ldos_weights(spec_k1, q54_k1, adj_k1):
     assert np.max(w) - np.min(w) < 1e-10
 
 
+@pytest.mark.parametrize("energy", [0.0, 0.37])
+def test_ldos_does_not_depend_on_the_vectors_memory_order(ball54_r3, energy):
+    # an open ball's LDOS varies from site to site; eigh returns column-major vectors
+    mat = operators.represent_open(operators.model_hamiltonian(1, 1, 0.8, 5, 4), ball54_r3)
+    spec = spectral.exact_spectrum(mat, want_vectors=True)
+    assert spec.eigenvectors.flags.f_contiguous
+    row_major = spectral.SpectrumResult(spec.eigenvalues, np.ascontiguousarray(spec.eigenvectors))
+    got = spectral.ldos(row_major, energy=energy, delta_e=0.05)
+    assert got.tobytes() == spectral.ldos(spec, energy=energy, delta_e=0.05).tobytes()
+
+
 def test_ldos_requires_vectors(spec_k1):
     with pytest.raises(ConfigError):
         spectral.ldos(spec_k1, energy=0.0, delta_e=0.05)
