@@ -190,7 +190,8 @@ def cmd_spectrum(args) -> dict:
             spectral.write_curve_csv(idos, os.path.join(out, f"idos_kpm_{name}.csv"))
             curves[k] = idos
             run = density.lanczos
-            print(f"k={k}: dim {group.order}, {run.alpha.size} Lanczos steps, edges {run.edges[0]:.6f} / "
+            folded = f" on {run.dim} reflection orbits" if run.dim < group.order else ""
+            print(f"k={k}: dim {group.order}{folded}, {run.alpha.size} Lanczos steps, edges {run.edges[0]:.6f} / "
                   f"{run.edges[1]:.6f} with Ritz residuals {run.residuals[0]:.1e} / {run.residuals[1]:.1e}")
         else:
             spec = spectral.block_spectrum(element, group)

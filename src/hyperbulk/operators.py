@@ -27,6 +27,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError
 from .quotient import QuotientGroup, Sectors
+from .tolerances import HERMITICITY
 from .triangle import (
     GEN_A,
     GEN_A_INV,
@@ -190,7 +191,7 @@ def _is_real(h: AlgebraElement) -> bool:
     return all(abs(c.imag) <= _COEFF_EPS for c in h.terms.values())
 
 
-def represent_periodic(h: AlgebraElement, group: QuotientGroup) -> sp.csr_matrix:
+def represent_periodic(h: AlgebraElement, group: QuotientGroup, fold: bool = False) -> sp.csr_matrix:
     """Right-regular representation of h on a finite quotient.
 
     (H psi)(x) = sum_g w_g psi(x g): row x holds w_g at column walk(x, g)
@@ -198,11 +199,19 @@ def represent_periodic(h: AlgebraElement, group: QuotientGroup) -> sp.csr_matrix
     entries and the CSR is filled directly, with no COO sort.  Words that
     name the same element are then summed (sum_duplicates); the arrays
     equal those of a COO assembly of the same entries.
+
+    With fold=True, an h whose weights the reflection sigma: A -> A^-1,
+    B -> B^-1 fixes (QuotientGroup.reflection) is represented on the
+    sigma-even functions only, which hold delta_e and are invariant under
+    H; see _represent_folded.  Other models (sigma(AB) = BA, so no h_3,
+    nor a complex h_1 or h_2) give the full operator.
     """
     n, width = group.order, len(h)
     dtype = np.float64 if _is_real(h) else np.complex128
     if not width:
         return sp.csr_matrix((n, n), dtype=dtype)
+    if fold and _fixed_by_reflection(h, group, dtype):
+        return _represent_folded(h, group, dtype)
     index = np.int32 if n * width < 2**31 else np.int64
     rows = np.arange(n, dtype=index)
     indices = np.empty((n, width), dtype=index)
@@ -210,10 +219,62 @@ def represent_periodic(h: AlgebraElement, group: QuotientGroup) -> sp.csr_matrix
     for j, (w, c) in enumerate(h.items()):
         indices[:, j] = group.walk(rows, w)
         data[:, j] = c if dtype == np.complex128 else c.real
-    indptr = np.arange(0, n * width + 1, width, dtype=index)
-    mat = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(n, n))
+    return _square_csr(indices, data)
+
+
+def _square_csr(indices: np.ndarray, data: np.ndarray) -> sp.csr_matrix:
+    """The square CSR whose row i holds data[i] at the columns indices[i], duplicate columns summed."""
+    m, width = indices.shape
+    indptr = np.arange(0, m * width + 1, width, dtype=indices.dtype)
+    mat = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(m, m))
     mat.sum_duplicates()
     return mat
+
+
+def _fixed_by_reflection(h: AlgebraElement, group: QuotientGroup, dtype) -> bool:
+    """Whether sigma fixes the summed weights of row e, cast to dtype, to within HERMITICITY.
+
+    Row e holds the weight of each element; H commutes with the
+    relabelling psi -> psi o sigma exactly when those weights are
+    sigma-invariant.
+    """
+    row = {}
+    for w, c in h.items():
+        y = group.project(w)
+        row[y] = row.get(y, 0.0) + (c if dtype == np.complex128 else c.real)
+    sigma = group.reflection
+    return all(abs(row.get(int(sigma[y]), 0.0) - c) <= HERMITICITY for y, c in row.items())
+
+
+def _represent_folded(h: AlgebraElement, group: QuotientGroup, dtype) -> sp.csr_matrix:
+    """H restricted to the sigma-even functions, in the orthonormal basis of the sigma-orbits.
+
+    The orbit of x is {x, sigma(x)}, with c_x = 1 element on a fixed point
+    and 2 on a pair; its unit vector is the orbit's indicator over
+    sqrt(c_x).  Rows are the representatives x <= sigma(x) in index
+    order, so the orbit of e is row 0.  Since H commutes with sigma, term
+    g of representative x puts sqrt(c_x / c_y) w_g at column orbit(x g):
+    like the full operator, every row has exactly len(h) entries before
+    sum_duplicates.  The result is Hermitian to rounding.
+    """
+    n, width = group.order, len(h)
+    sigma = group.reflection
+    rep = np.arange(n, dtype=sigma.dtype) <= sigma
+    rows = np.flatnonzero(rep).astype(sigma.dtype)
+    orbit = np.cumsum(rep, dtype=sigma.dtype)
+    orbit -= 1
+    orbit = np.where(rep, orbit, orbit[sigma])
+    del rep
+    m = len(rows)
+    index = np.int32 if m * width < 2**31 else np.int64
+    root = np.where(sigma[rows] == rows, 1.0, np.sqrt(2.0))
+    indices = np.empty((m, width), dtype=index)
+    data = np.empty((m, width), dtype=dtype)
+    for j, (w, c) in enumerate(h.items()):
+        cols = orbit[group.walk(rows, w)]
+        indices[:, j] = cols
+        data[:, j] = (c if dtype == np.complex128 else c.real) * (root / root[cols])
+    return _square_csr(indices, data)
 
 
 def _assemble(vals_all, rows_all, cols_all, n: int, dtype) -> sp.csr_matrix:

@@ -23,6 +23,9 @@ over G_k would number them.  The characters of N split every
 right-regular operator into |N| blocks of size |G_(k-1)| (twisted
 boundary conditions), and the blocks of one orbit of characters under
 conjugation by G share their spectrum; see QuotientGroup.sectors.
+The reflection A -> A^-1, B -> B^-1 is an automorphism of every level
+(QuotientGroup.reflection); single-site KPM runs on its orbits when it
+fixes the model.
 """
 
 from __future__ import annotations
@@ -141,6 +144,17 @@ class QuotientGroup(DiscoveryTree):
         Computed on first use and never saved.
         """
         return _sectors(self)
+
+    @cached_property
+    def reflection(self) -> np.ndarray:
+        """Index of sigma(x) for every element x, sigma the automorphism A -> A^-1, B -> B^-1.
+
+        sigma is conjugation by a reflection of the triangle group, so it
+        preserves the relations A^p = B^q = (AB)^2 = 1 and acts on every
+        quotient.  It is read from gen_perm, parents and tokens alone
+        (see _reflection), computed on first use and never saved.
+        """
+        return _reflection(self)
 
     def reduce_to(self, other: "QuotientGroup") -> np.ndarray:
         """Index map of the natural surjection onto a coarser quotient.
@@ -278,6 +292,41 @@ def _validate(group: QuotientGroup) -> None:
         members = rows[np.isin(keys, tied)]
         if len(np.unique(members, axis=0)) != len(members):
             raise NumericalContractError("two elements rows are equal")
+
+
+def _reflection(group: QuotientGroup) -> np.ndarray:
+    """sigma along the discovery tree: sigma(e) = e and sigma(x t) = sigma(x) t^-1.
+
+    Breadth-first numbering puts each layer's parents in the layers
+    before it, so one vectorized step per layer fills sigma.  The result
+    is then checked in linear time: sigma(x t) = sigma(x) t^-1 for every
+    element x and generator t makes sigma a homomorphism, and sigma
+    sigma = 1 a bijection.  A tree that is not breadth-first, or a sigma
+    that fails its check, raises NumericalContractError.
+    """
+    n, perm, parents, tokens = group.order, group.gen_perm, group.parents, group.tokens
+    inverse = np.array([inverse_token(t) for t in range(4)])
+    if n > 1 and (parents[1] != 0 or np.any(np.diff(parents[1:]) < 0)
+                  or tokens[1:].min() < 0 or tokens[1:].max() >= len(inverse)):
+        raise NumericalContractError("the discovery tree is not breadth-first; group tables are corrupt")
+    sigma = np.zeros(n, dtype=perm.dtype)
+    hi = 1
+    while hi < n:
+        # the next layer: every element whose parent is already reached
+        nxt = hi + int(np.searchsorted(parents[hi:], hi))
+        if nxt == hi:
+            raise NumericalContractError(f"the discovery tree reaches {hi} of {n} elements; group tables are corrupt")
+        sigma[hi:nxt] = perm[inverse[tokens[hi:nxt]], sigma[parents[hi:nxt]]]
+        hi = nxt
+    for t in range(len(inverse)):
+        if np.any(perm[inverse[t]][sigma] != sigma[perm[t]]):
+            raise NumericalContractError(
+                f"sigma(x g) != sigma(x) g^-1 for generator {t}: A -> A^-1, B -> B^-1 is not an automorphism "
+                "of these tables"
+            )
+    if np.any(sigma[sigma] != np.arange(n, dtype=sigma.dtype)):
+        raise NumericalContractError("the reflection A -> A^-1, B -> B^-1 is not an involution of these tables")
+    return sigma
 
 
 @dataclass(frozen=True)

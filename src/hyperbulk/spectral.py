@@ -10,8 +10,10 @@ normalized Chebyshev trace is one matrix element,
 <delta_e|T_n(H)|delta_e>: KPM runs one plain Lanczos recursion from the
 identity site, whose Jacobi matrix gives both the spectral edges (its
 extreme Ritz values) and the moments (Gauss quadrature), with no random
-states and no ARPACK.  The eigenpairs of an energy window come from
-sparse shift-invert block Krylov, with the window's size counted
+states and no ARPACK.  When the reflection A -> A^-1, B -> B^-1 fixes
+the model, that recursion runs on the operator folded onto the
+reflection's orbits, about half the sites.  The eigenpairs of an energy
+window come from sparse shift-invert block Krylov, with the window's size counted
 exactly by Sylvester's law of inertia; each Krylov block takes the
 block three-term recurrence's terms out against the last two blocks,
 then one Gram-Schmidt pass over the whole basis, and another only where
@@ -104,13 +106,15 @@ class LanczosRun:
     alpha and beta[:-1] are J's diagonal and off-diagonal, beta[-1] the
     norm of the last remainder (0 at an exact breakdown).  edges are J's
     extreme eigenvalues and residuals their Ritz residuals beta[-1] |s_k|,
-    s_k the last entry of J's unit eigenvector.
+    s_k the last entry of J's unit eigenvector.  dim is the dimension of
+    the operator the run was made on.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
     edges: tuple[float, float]
     residuals: tuple[float, float]
+    dim: int
 
 
 @dataclass
@@ -237,7 +241,7 @@ def _lanczos(mat, start: np.ndarray, min_steps: int) -> LanczosRun:
             residuals = tuple(b * abs(float(vecs[-1, 0])) for _, vecs in ritz)
             limit = BOUND_TOL * max(edges[1] - edges[0], 1e-12)
             if b == 0.0 or max(residuals) <= limit:
-                return LanczosRun(np.array(alpha), np.array(beta), edges, residuals)
+                return LanczosRun(np.array(alpha), np.array(beta), edges, residuals, start.size)
             if steps >= cap:
                 raise NumericalContractError(
                     f"Lanczos edges unconverged after {cap} steps: Ritz residual {residuals[0]:.1e} at the lower "
@@ -323,8 +327,12 @@ def kpm_dos(
     the identity element.  One Lanczos run from delta_e gives these
     moments, exact with no stochastic trace, and the edges that rescale
     H into (-1, 1) (see _single_site_moments); the curve carries the run as
-    DOSCurve.lanczos.  Jackson damping suppresses Gibbs oscillations.
-    Nothing is random: seed is only echoed in the metadata.
+    DOSCurve.lanczos.  When the reflection sigma: A -> A^-1, B -> B^-1
+    fixes h's weights, delta_e and every Lanczos vector are sigma-even, so
+    the run is made on represent_periodic(h, group, fold=True), whose
+    rows are the sigma-orbits, and run.dim is their number.  Jackson
+    damping suppresses Gibbs oscillations.  Nothing is random: seed is
+    only echoed in the metadata.
     """
     from .operators import represent_periodic
 
@@ -332,7 +340,7 @@ def kpm_dos(
         raise ConfigError(f"moments must be at least 2, got {moments}")
     if grid_points < 2:
         raise ConfigError(f"grid_points must be at least 2, got {grid_points}")
-    mu, (lo, hi), run = _single_site_moments(represent_periodic(h, group), moments)
+    mu, (lo, hi), run = _single_site_moments(represent_periodic(h, group, fold=True), moments)
     a, b = (hi - lo) / 2.0, (hi + lo) / 2.0
 
     x = np.linspace(-1.0, 1.0, grid_points + 2)[1:-1]  # avoid the open endpoints
