@@ -19,9 +19,10 @@ level above G_1 is therefore lifted from the one below rather than
 enumerated (_lift): G_(k-1)'s elements are lifted mod s^k along its
 discovery tree, the Schreier cocycle of that lift generates N, and
 G_k's tables follow from G_(k-1)'s and the cocycle, numbered as a BFS
-over G_k would number them.  The characters of N split every
-right-regular operator into |N| blocks of size |G_(k-1)| (twisted
-boundary conditions), and the blocks of one orbit of characters under
+over G_k would number them, and keeps each element's coordinates (t, n)
+as QuotientGroup.lift.  The characters of N split every right-regular
+operator into |N| blocks of size |G_(k-1)| (twisted boundary
+conditions), and the blocks of one orbit of characters under
 conjugation by G share their spectrum; see QuotientGroup.sectors.
 The reflection A -> A^-1, B -> B^-1 is an automorphism of every level
 (QuotientGroup.reflection); single-site KPM runs on its orbits when it
@@ -31,7 +32,6 @@ fixes the model.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import os
 import zipfile
@@ -63,7 +63,7 @@ from .triangle import (
 __all__ = ["QuotientGroup", "Sectors", "build_quotient"]
 
 DEFAULT_ELEMENT_CAP = 500_000
-CACHE_VERSION = 3  # version 1 files carry no version field; version 2 also held inv and left_perm
+CACHE_VERSION = 4  # version 1 files carry no version field, version 2 held inv and left_perm, 3 no lift
 
 
 def _storage_dtype(m: int):
@@ -85,9 +85,11 @@ class QuotientGroup(DiscoveryTree):
 
     gen_perm[t][i] is the index of (element i) * (generator t), with t
     running over A, A^-1, B, B^-1.  elements[i] holds the canonical
-    mod-s^k coefficients, shape (3, 3d).  Construction narrows the index
-    tables to int32 (int64 from order 2^31 on) and tokens to int8, so
-    built, lifted and loaded groups hold the same arrays.
+    mod-s^k coefficients, shape (3, 3d).  Element i is n L(t) with
+    lift[i] = t |N| + n, |N| = kernel_order (see _lift; at k = 1 lift is
+    the identity and |N| = 1).  Construction narrows the index tables to
+    int32 (int64 from order 2^31 on) and tokens to int8, so built, lifted
+    and loaded groups hold the same arrays.
     """
 
     p: int
@@ -99,11 +101,13 @@ class QuotientGroup(DiscoveryTree):
     gen_perm: np.ndarray          # (4, order), _index_dtype(order)
     parents: np.ndarray           # (order,) discovery tree parent indices, _index_dtype(order)
     tokens: np.ndarray            # (order,) discovery tree generator tokens, int8
+    lift: np.ndarray              # (order,) coordinates t * kernel_order + n, _index_dtype(order)
+    kernel_order: int             # |ker(G_k -> G_(k-1))|
     torsion: dict = field(default_factory=dict)
 
     def __post_init__(self):
         index = _index_dtype(self.order)
-        for name, dtype in (("gen_perm", index), ("parents", index), ("tokens", np.int8)):
+        for name, dtype in (("gen_perm", index), ("parents", index), ("tokens", np.int8), ("lift", index)):
             setattr(self, name, _narrow(getattr(self, name), dtype, name))
 
     @property
@@ -125,14 +129,9 @@ class QuotientGroup(DiscoveryTree):
         return int(self.walk(0, word))
 
     def element_order(self, i: int) -> int:
-        if i == 0:
-            return 1
-        word = self.word(i)
-        j = i
-        order = 1
+        word, j, order = self.word(i), i, 1
         while j != 0:
-            j = self.walk(j, word)
-            order += 1
+            j, order = self.walk(j, word), order + 1
             if order > self.order:
                 raise RuntimeError("order exceeded group size; table corrupt")
         return order
@@ -141,7 +140,7 @@ class QuotientGroup(DiscoveryTree):
     def sectors(self) -> "Sectors":
         """Character sectors of ker(G_k -> G_(k-1)) and their conjugation orbits.
 
-        Computed on first use and never saved.
+        Read from lift (see _sectors), computed on first use and never saved.
         """
         return _sectors(self)
 
@@ -178,18 +177,8 @@ class QuotientGroup(DiscoveryTree):
         """
         if not path.endswith(".npz"):
             path += ".npz"
-        header = json.dumps(
-            {
-                "version": CACHE_VERSION,
-                "hyperbulk": __version__,
-                "p": self.p,
-                "q": self.q,
-                "s": self.s,
-                "k": self.k,
-                "order": self.order,
-                "torsion": self.torsion,
-            }
-        )
+        header = json.dumps({"version": CACHE_VERSION, "hyperbulk": __version__,
+                             **{key: getattr(self, key) for key in _HEADER}, "torsion": self.torsion})
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
@@ -214,21 +203,13 @@ class QuotientGroup(DiscoveryTree):
         try:
             with np.load(path) as data:
                 header = json.loads(bytes(data["header"]).decode())
+                if header.get("version") != CACHE_VERSION:
+                    raise NumericalContractError(
+                        f"format version {header.get('version')!r}, expected {CACHE_VERSION}; "
+                        "delete the file or use another --cache-dir"
+                    )
                 arrays = {name: data[name] for name in _CACHE_ARRAYS}
-            if header.get("version") != CACHE_VERSION:
-                raise NumericalContractError(
-                    f"format version {header.get('version')!r}, expected {CACHE_VERSION}; "
-                    "delete the file or use another --cache-dir"
-                )
-            group = cls(
-                p=header["p"],
-                q=header["q"],
-                s=header["s"],
-                k=header["k"],
-                order=header["order"],
-                torsion=dict(header["torsion"]),
-                **arrays,
-            )
+            group = cls(**{key: header[key] for key in _HEADER}, torsion=dict(header["torsion"]), **arrays)
             _validate(group)
         except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile, zlib.error,
                 NumericalContractError) as exc:
@@ -236,7 +217,8 @@ class QuotientGroup(DiscoveryTree):
         return group
 
 
-_CACHE_ARRAYS = ("elements", "gen_perm", "parents", "tokens")
+_CACHE_ARRAYS = ("elements", "gen_perm", "parents", "tokens", "lift")
+_HEADER = ("p", "q", "s", "k", "order", "kernel_order")
 
 
 def _narrow(table: np.ndarray, dtype, name: str) -> np.ndarray:
@@ -256,33 +238,39 @@ def _validate(group: QuotientGroup) -> None:
     """Check a loaded quotient's tables; raise NumericalContractError on a defect.
 
     Every gen_perm row is a permutation undone by the row of the inverse
-    generator, and the elements rows are distinct.  Apart from one sort
-    of a 64-bit key per element, every check is a linear pass.  The
+    generator, the breadth-first discovery tree follows gen_perm, lift is
+    a permutation and the elements rows are distinct.  Apart from one
+    sort of a 64-bit key per element, every check is a linear pass.  The
     tables arrive narrowed by QuotientGroup construction, also those of
     files written with int64 tables.
     """
     n = group.order
-    for name, shape in {"gen_perm": (4, n), "parents": (n,), "tokens": (n,)}.items():
-        if getattr(group, name).shape != shape:
-            raise NumericalContractError(f"{name} has shape {getattr(group, name).shape}, expected {shape}")
+    for name, shape in {"gen_perm": (4, n), "parents": (n,), "tokens": (n,), "lift": (n,)}.items():
+        table = getattr(group, name)
+        if table.shape != shape:
+            raise NumericalContractError(f"{name} has shape {table.shape}, expected {shape}")
+        if not np.issubdtype(table.dtype, np.integer):
+            raise NumericalContractError(f"{name} is not an integer table")
     if group.elements.ndim != 3 or len(group.elements) != n:
         raise NumericalContractError(f"elements has shape {group.elements.shape} for order {n}")
+    if type(group.kernel_order) is not int or group.kernel_order < 1 or n % group.kernel_order:
+        raise NumericalContractError(f"kernel order {group.kernel_order!r} does not divide the order {n}")
     perm = group.gen_perm
-    if not np.issubdtype(perm.dtype, np.integer):
-        raise NumericalContractError("a gen_perm row is not a permutation")
     seen = np.empty(n, dtype=bool)
-    for row in perm:
-        # n entries in [0, n) that hit every index are a permutation
-        if row.min() < 0 or row.max() >= n:
-            raise NumericalContractError("a gen_perm row is not a permutation")
-        seen[:] = False
-        seen[row] = True
-        if not seen.all():
-            raise NumericalContractError("a gen_perm row is not a permutation")
+    for what, table in (("a gen_perm row", perm), ("lift", group.lift[None])):
+        for row in table:
+            # n entries in [0, n) that hit every index are a permutation
+            seen[:] = False
+            if row.min() >= 0 and row.max() < n:
+                seen[row] = True
+            if not seen.all():
+                raise NumericalContractError(f"{what} is not a permutation")
     ident = np.arange(n, dtype=perm.dtype)
     for t, row in enumerate(perm):
         if np.any(row[perm[inverse_token(t)]] != ident):
             raise NumericalContractError("gen_perm rows of a generator and its inverse do not compose to 1")
+    if not _breadth_first(group) or np.any(perm[group.tokens[1:], group.parents[1:]] != ident[1:]):
+        raise NumericalContractError("the discovery tree is not breadth-first along gen_perm edges")
     rows = np.ascontiguousarray(group.elements).reshape(n, -1).view(np.uint8)
     keys = byte_keys(rows)
     sorted_keys = np.sort(keys)
@@ -292,6 +280,13 @@ def _validate(group: QuotientGroup) -> None:
         members = rows[np.isin(keys, tied)]
         if len(np.unique(members, axis=0)) != len(members):
             raise NumericalContractError("two elements rows are equal")
+
+
+def _breadth_first(group: QuotientGroup) -> bool:
+    """Whether parents[1:] rise from 0 with parents[i] < i, and tokens[1:] lie in [0, 4)."""
+    parents, tokens = group.parents[1:], group.tokens[1:]
+    return not parents.size or bool(parents[0] == 0 and np.all(np.diff(parents) >= 0) and tokens.min() >= 0
+                                    and np.all(parents < np.arange(1, group.order)) and tokens.max() < 4)
 
 
 def _reflection(group: QuotientGroup) -> np.ndarray:
@@ -306,16 +301,13 @@ def _reflection(group: QuotientGroup) -> np.ndarray:
     """
     n, perm, parents, tokens = group.order, group.gen_perm, group.parents, group.tokens
     inverse = np.array([inverse_token(t) for t in range(4)])
-    if n > 1 and (parents[1] != 0 or np.any(np.diff(parents[1:]) < 0)
-                  or tokens[1:].min() < 0 or tokens[1:].max() >= len(inverse)):
+    if not _breadth_first(group):
         raise NumericalContractError("the discovery tree is not breadth-first; group tables are corrupt")
     sigma = np.zeros(n, dtype=perm.dtype)
     hi = 1
     while hi < n:
-        # the next layer: every element whose parent is already reached
+        # the next layer: every element whose parent is already reached (parents[hi] < hi)
         nxt = hi + int(np.searchsorted(parents[hi:], hi))
-        if nxt == hi:
-            raise NumericalContractError(f"the discovery tree reaches {hi} of {n} elements; group tables are corrupt")
         sigma[hi:nxt] = perm[inverse[tokens[hi:nxt]], sigma[parents[hi:nxt]]]
         hi = nxt
     for t in range(len(inverse)):
@@ -334,9 +326,10 @@ class Sectors:
     """Block structure of a quotient over the abelian kernel N of G_k -> G_(k-1).
 
     Each element factors uniquely as x = n t, with n in N and t the
-    transversal element of its coset: the coset's first element in BFS
-    order.  Right-regular operators commute with left translations, so
-    each maps the sector of a character chi of N (the functions with
+    transversal element of its coset: the lift L(t) of element t of
+    G_(k-1), which is also the coset's first element in BFS order.
+    Right-regular operators commute with left translations, so each maps
+    the sector of a character chi of N (the functions with
     psi(n x) = chi(n) psi(x)) into itself: one block of size |G_k| / |N|
     per character.  For k = 1, or an s that is not prime, N is taken
     trivial and the single block is the whole operator.
@@ -382,86 +375,57 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
 
 
-def _row_reduce(rows: np.ndarray, s: int):
-    """Pivot columns of the rows' reduced row echelon basis over GF(s), s prime.
-
-    Since the basis is reduced, a row's coordinates in it are its entries
-    at the pivot columns.  Also returns the indices of the rows that
-    raised the rank, which span the same space.
-    """
-    basis = np.zeros((0, rows.shape[1]), dtype=np.int64)
-    pivots, picked = [], []
-    for i, row in enumerate(rows):
-        v = row.copy()
-        for b, p in zip(basis, pivots):
-            v = (v - v[p] * b) % s
-        nonzero = np.flatnonzero(v)
-        if nonzero.size == 0:
-            continue
-        p = int(nonzero[0])
-        v = v * pow(int(v[p]), -1, s) % s
-        basis = np.vstack([(basis - np.outer(basis[:, p], v)) % s, v])
-        pivots.append(p)
-        picked.append(i)
-    return pivots, picked
-
-
-def _times_inverse(group: QuotientGroup, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Index of x[i] y[i]^-1 for index arrays x and y.
-
-    y = g_t1 ... g_tL has y^-1 = g_tL^-1 ... g_t1^-1: every y's word is
-    walked from its last token back to the root, all at once.
-    """
-    inverse = np.array([inverse_token(t) for t in range(4)])
-    out, node = np.array(x, dtype=np.int64), np.array(y, dtype=np.int64)
-    live = np.flatnonzero(node)
-    while live.size:
-        out[live] = group.gen_perm[inverse[group.tokens[node[live]]], out[live]]
-        node[live] = group.parents[node[live]]
-        live = live[node[live] > 0]
-    return out
-
-
 def _sectors(group: QuotientGroup) -> Sectors:
+    """Sectors read from lift: element x = (t, n) = n L(t) lies in coset t, and x L(t)^-1 = n.
+
+    N's elements are numbered in _span's basis, every radix s (s prime),
+    so n's base-s digits are its coordinates and character a takes
+    exp(2 pi i a.n / s) on n.  One linear pass checks
+    (t, n) g = (t g, n + c(t, g)) for every x and generator g, with t g
+    and c(t, g) read at (t, 0); with one (t, 0) per coset, that makes the
+    coordinates a bijection and n a homomorphism on N.  Coordinates that
+    fail raise NumericalContractError.  A composite s takes N trivial.
+    """
     s, order = group.s, group.order
-    level = group.k - 1 if group.k >= 2 and _is_prime(s) else group.k
-
-    # cosets of N are the fibres over G_level, numbered in BFS order of their first element
-    # (at level = k the modulus s^k may not fit the rows' dtype; they are reduced already)
-    transversal, coset = unique_rows(group.elements if level == group.k else group.elements % s**level)
-
-    members = np.flatnonzero(coset == 0)  # N is the identity's coset; members[0] = 0
-    position = np.full(order, -1, dtype=np.int64)
-    position[members] = np.arange(len(members))
-    kernel = position[_times_inverse(group, np.arange(order), transversal[coset])]
-    if np.any(kernel < 0):
-        raise NumericalContractError("x t^-1 left the kernel for some element; group tables are corrupt")
-
-    # n = 1 + s^level X with X mod s; characters read X in a GF(s) basis of its span
-    flat = group.elements[members].reshape(len(members), -1).astype(np.int64)
-    X = ((flat - flat[0]) // s**level) % s
-    pivots, gens = _row_reduce(X, s)
-    coords = X[:, pivots]
-    if len(members) != s ** len(pivots):
-        raise NumericalContractError(
-            f"kernel of order {len(members)} is not an elementary abelian group of rank {len(pivots)}"
-        )
-    # X must be a homomorphism: right multiplication by each basis element b
-    # of N translates every X(a) by X(b)
-    for b in gens:
-        ab = position[group.walk(members, group.word(int(members[b])))]
-        if np.any(ab < 0) or np.any(X[ab] != (X + X[b]) % s):
+    lift, size = (group.lift, group.kernel_order) if _is_prime(s) else (np.arange(order), 1)
+    places = round(np.log(size) / np.log(s))
+    if s**places != size:
+        raise NumericalContractError(f"kernel of order {size} is not an elementary abelian group of exponent {s}")
+    coset, n = np.divmod(lift, size)
+    transversal = np.flatnonzero(n == 0)
+    count = order // size
+    if lift[0] != 0 or len(transversal) != count or np.any(coset[transversal] != np.arange(count)):
+        raise NumericalContractError("the lift's coordinates do not give one element (t, 0) per coset")
+    steps = np.divmod(lift[group.gen_perm[:, transversal]], size)  # (t g, c(t, g)) for every t and g
+    for t, row in enumerate(group.gen_perm):
+        to_coset, to_n = np.divmod(lift[row], size)
+        if np.any(to_coset != steps[0][t, coset]) or np.any(to_n != _digit_sum(n, steps[1][t, coset], s, size)):
             raise NumericalContractError(
-                f"kernel map is not a homomorphism: X(ab) != X(a) + X(b) mod {s} "
-                f"for basis element b = {members[b]}"
+                f"the lift's coordinates break (t, n) g = (t g, n + c(t, g)) for generator {t}; "
+                "group tables are corrupt"
             )
-    digits = np.array(list(itertools.product(range(s), repeat=len(pivots))), dtype=np.int64)
-    phase = (digits @ coords.T) % s
+
+    members = np.flatnonzero(coset == 0)  # N in BFS order; members[0] = 0
+    rank = np.empty(size, dtype=np.int64)
+    rank[n[members]] = np.arange(size)
+    kernel = rank[n]
+    digits = np.arange(size)[:, None] // s ** np.arange(places) % s
+    phase = digits @ digits[n[members]].T % s
     if np.all(2 * phase % s == 0):
         chars = np.where(phase == 0, 1.0, -1.0)
     else:
         chars = np.exp(2j * np.pi * phase / s)
-    return Sectors(transversal, coset, kernel, chars, _character_orbits(group, members, position, phase))
+    orbit = _character_orbits(group, members, np.where(coset == 0, kernel, -1), phase)
+    return Sectors(transversal, coset, kernel, chars, orbit)
+
+
+def _digit_sum(a: np.ndarray, b: np.ndarray, s: int, size: int) -> np.ndarray:
+    """Index of the digit-wise sum mod s of a and b, read as base-s numbers below size."""
+    out, place = np.zeros_like(a), 1
+    while place < size:
+        out += (a // place + b // place) % s * place
+        place *= s
+    return out
 
 
 def _character_orbits(group: QuotientGroup, members, position, phase) -> np.ndarray:
@@ -520,6 +484,7 @@ def build_quotient(
     group = QuotientGroup(
         p=p, q=q, s=s, k=1, order=len(found.index),
         elements=found.index.rows, gen_perm=found.gen_perm, parents=found.parents, tokens=found.tokens,
+        lift=np.arange(len(found.index)), kernel_order=1,
     )
     if k > 1:
         base = _Base(group, tables, (power_table(gens.ctx) % s).astype(np.int64))
@@ -528,14 +493,9 @@ def build_quotient(
             group, proj = _lift(group, proj, base, element_cap, what)
 
     # torsion audit: the generators should keep their infinite-group orders
-    idx_a = group.project((GEN_A,))
-    idx_b = group.project((GEN_B,))
-    idx_ab = group.project((GEN_A, GEN_B))
-    group.torsion = {
-        "A": {"expected": p, "order": group.element_order(idx_a)},
-        "B": {"expected": q, "order": group.element_order(idx_b)},
-        "AB": {"expected": 2, "order": group.element_order(idx_ab)},
-    }
+    words = {"A": ((GEN_A,), p), "B": ((GEN_B,), q), "AB": ((GEN_A, GEN_B), 2)}
+    group.torsion = {name: {"expected": e, "order": group.element_order(group.project(w))}
+                     for name, (w, e) in words.items()}
     return group
 
 
@@ -549,9 +509,19 @@ class _Base:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        """Index of each element's inverse."""
-        g = self.group
-        return _times_inverse(g, np.zeros(g.order, dtype=np.int64), np.arange(g.order))
+        """Index of each element's inverse.
+
+        y = g_t1 ... g_tL has y^-1 = g_tL^-1 ... g_t1^-1: every word is
+        walked from its last token back to the root, all at once.
+        """
+        g, inverse = self.group, np.array([inverse_token(t) for t in range(4)])
+        out, node = np.zeros(g.order, dtype=np.int64), np.arange(g.order)
+        live = np.flatnonzero(node)
+        while live.size:
+            out[live] = g.gen_perm[inverse[g.tokens[node[live]]], out[live]]
+            node[live] = g.parents[node[live]]
+            live = live[node[live] > 0]
+        return out
 
     @cached_property
     def right(self) -> np.ndarray:
@@ -587,7 +557,8 @@ def _lift(below: QuotientGroup, proj: np.ndarray, base: _Base, cap: int, what: s
     lies in the abelian kernel N.  The Schreier cocycle
     c(t, g) = L(t) g L(t g)^-1 is read as X mod s, N is the additive
     closure of its values, and (t, n) g = (t g, n + c(t, g)).  An integer
-    BFS over those tables numbers G_k as bfs numbers it from its rows.
+    BFS over those tables numbers G_k as bfs numbers it from its rows;
+    its visit order t |N| + n is kept as G_k's lift coordinates.
 
     proj maps below's elements onto G_1.  Returns G_k and its map onto
     G_1.  A lift or cocycle that fails its check raises
@@ -670,10 +641,9 @@ def _lift(below: QuotientGroup, proj: np.ndarray, base: _Base, cap: int, what: s
         t, n = np.divmod(visit[part], size)
         onto[part] = v = proj[t]
         elements[part] = _mod_sum(lift[t], step * image[n, v].astype(lift.dtype), m)
-    del visit
     group = QuotientGroup(
         p=below.p, q=below.q, s=s, k=k, order=order,
-        elements=elements, gen_perm=gen_perm, parents=parents, tokens=tokens,
+        elements=elements, gen_perm=gen_perm, parents=parents, tokens=tokens, lift=visit, kernel_order=size,
     )
     return group, onto
 

@@ -64,7 +64,7 @@ FROZEN_TABLES = {
 def test_cached_tables_are_frozen(key):
     group = quotient.build_quotient(*key)
     digest = hashlib.sha256()
-    for name in quotient._CACHE_ARRAYS:
+    for name in ("elements", "gen_perm", "parents", "tokens"):  # the four tables of the first cache format
         table = np.ascontiguousarray(getattr(group, name))
         if name != "elements":
             table = table.astype(np.int64)  # the digests were frozen over int64 index tables

@@ -129,13 +129,34 @@ def test_composite_modulus_falls_back_to_one_block():
 
 
 def test_broken_kernel_map_raises(q54_k2):
-    # one kernel element stored with another's coefficients: X(ab) = X(a) + X(b) fails
+    # two kernel elements with exchanged coordinates (still a permutation): (t, n) g = (t g, n + c(t, g)) fails
     kernel = np.flatnonzero(q54_k2.sectors.coset == 0)
-    elements = q54_k2.elements.copy()
-    elements[kernel[-1]] = elements[kernel[1]]
-    bad = dataclasses.replace(q54_k2, elements=elements)
-    with pytest.raises(NumericalContractError, match="homomorphism"):
+    lift = q54_k2.lift.copy()
+    lift[kernel[[1, 2]]] = lift[kernel[[2, 1]]]
+    bad = dataclasses.replace(q54_k2, lift=lift)
+    with pytest.raises(NumericalContractError, match=r"break \(t, n\) g = \(t g, n \+ c\(t, g\)\)"):
         bad.sectors
+
+
+def test_transversal_missing_from_the_coordinates_raises(q54_k2):
+    # coset 1's first element given the coordinates of its second: no element is (1, 0)
+    lift = q54_k2.lift.copy()
+    x = np.flatnonzero(q54_k2.sectors.coset == 1)
+    lift[x[0]] = lift[x[1]]
+    bad = dataclasses.replace(q54_k2, lift=lift)
+    with pytest.raises(NumericalContractError, match=r"one element \(t, 0\) per coset"):
+        bad.sectors
+
+
+@pytest.mark.parametrize("key", [(5, 4, 2, 2), (5, 4, 2, 3), (6, 6, 3, 2)], ids=lambda key: "{}_{}_s{}_k{}".format(*key))
+def test_built_and_loaded_groups_give_the_same_sectors(groups, q54_k3, key, tmp_path):
+    built = q54_k3 if key == (5, 4, 2, 3) else groups[key]
+    path = str(tmp_path / "g.npz")
+    built.save(path)
+    loaded = quotient.QuotientGroup.load(path)
+    for name in ("transversal", "coset", "kernel", "chars", "orbit"):
+        got, want = getattr(loaded.sectors, name), getattr(built.sectors, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def test_non_hermitian_block_raises(q54_k2):
@@ -221,7 +242,7 @@ def character_images(chars, perm):
 
 def test_orbit_sizes_54(q54_k2, q54_k3):
     assert tuple(q54_k2.sectors.orbit_sizes) == (1, 5, 5, 5)
-    assert tuple(q54_k3.sectors.orbit_sizes) == (1, 1, 10, 10, 10)
+    assert tuple(q54_k3.sectors.orbit_sizes) == (1, 10, 10, 10, 1)
     for group in (q54_k2, q54_k3):
         sec = group.sectors
         assert sec.representatives[0] == 0  # the trivial character is fixed

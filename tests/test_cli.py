@@ -276,6 +276,58 @@ def _cached_k2(tmp_path):
     return cache, cache / "quotient_5_4_s2_k2.npz"
 
 
+def _written(out):
+    return sorted(out.rglob("*")) if out.exists() else []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["group", "5", "4", "--k", "2"], ["spectrum", "5", "4", "--k", "2", "--method", "kpm", "--moments", "16"]],
+    ids=["group", "spectrum-kpm"],
+)
+def test_altered_token_in_cache_exits_4(tmp_path, capsys, argv):
+    # element 7's discovery-tree edge no longer follows gen_perm: the file is refused as it loads
+    cache, path = _cached_k2(tmp_path)
+    group = quotient.QuotientGroup.load(str(path))
+    group.tokens[7] ^= 2
+    group.save(str(path))
+    capsys.readouterr()
+    assert run(["--out", str(tmp_path / "out"), "--cache-dir", str(cache)] + argv) == 4
+    assert "the discovery tree is not breadth-first along gen_perm edges" in capsys.readouterr().err
+    assert _written(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["spectrum", "5", "4", "--k", "2"], ["flow", "5", "4", "--k", "2", "--samples", "2"]], ids=["spectrum", "flow"]
+)
+def test_altered_coordinates_in_cache_exit_4(tmp_path, capsys, argv):
+    # two kernel elements with exchanged coordinates load (lift is still a permutation) and fail in the sectors
+    cache, path = _cached_k2(tmp_path)
+    group = quotient.QuotientGroup.load(str(path))
+    kernel = np.flatnonzero(group.sectors.coset == 0)
+    group.lift[kernel[[1, 2]]] = group.lift[kernel[[2, 1]]]
+    group.save(str(path))
+    quotient.QuotientGroup.load(str(path))
+    capsys.readouterr()
+    assert run(["--out", str(tmp_path / "out"), "--cache-dir", str(cache)] + argv) == 4
+    assert "break (t, n) g = (t g, n + c(t, g))" in capsys.readouterr().err
+    assert _written(tmp_path / "out") == []
+
+
+def test_version_3_cache_exits_4(tmp_path, capsys):
+    # the previous format held no lift and no kernel order
+    cache, path = _cached_k2(tmp_path)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files if name != "lift"}
+    header = json.loads(bytes(arrays["header"]).decode())
+    header["version"] = 3
+    del header["kernel_order"]
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    assert run(["--out", str(tmp_path), "--cache-dir", str(cache), "group", "5", "4", "--k", "2"]) == 4
+    assert "format version 3, expected 4" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

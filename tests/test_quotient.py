@@ -176,6 +176,8 @@ BROKEN = {
     "gen_perm rows .* do not compose to 1": lambda g: {"gen_perm": _swap(g.gen_perm, 0, 5, 9)},
     "elements rows are equal": lambda g: {"elements": np.concatenate([g.elements[:1], g.elements[:-1]])},
     "tokens has shape": lambda g: {"tokens": g.tokens[:-1]},
+    "discovery tree is not breadth-first along gen_perm edges": lambda g: {"tokens": g.tokens ^ (np.arange(g.order) == 7) * 2},
+    "lift is not a permutation": lambda g: {"lift": np.zeros_like(g.lift)},
 }
 
 

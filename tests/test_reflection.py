@@ -94,20 +94,6 @@ def test_altered_tables_fail_the_reflection_check(q54_k1, name):
         group.reflection
 
 
-def test_reflection_failure_in_a_cache_exits_4(tmp_path, capsys):
-    # the loaded tables pass their own checks; a wrong discovery-tree token surfaces in the fold
-    cache = tmp_path / "cache"
-    assert cli.main(["--out", str(tmp_path), "--cache-dir", str(cache), "group", "5", "4", "--k", "2"]) == 0
-    path = str(cache / "quotient_5_4_s2_k2.npz")
-    group = quotient.QuotientGroup.load(path)
-    group.tokens[7] ^= 2
-    group.save(path)
-    capsys.readouterr()
-    argv = ["spectrum", "5", "4", "--k", "2", "--method", "kpm", "--moments", "16"]
-    assert cli.main(["--out", str(tmp_path / "out"), "--cache-dir", str(cache)] + argv) == 4
-    assert "is not an automorphism" in capsys.readouterr().err
-
-
 def orbit_isometry(group):
     """The order x m isometry whose column j is the unit indicator of the j-th orbit {x, sigma(x)}."""
     sigma = group.reflection
