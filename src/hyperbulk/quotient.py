@@ -11,7 +11,10 @@ word-metric balls: each layer is one batched matmul with the generator
 tables mod s, deduplicated through sorted 64-bit row keys confirmed row
 by row.  The same products fill the right-multiplication permutations
 gen_perm, and every word the operator layer applies is a walk through
-them (QuotientGroup.walk).
+them (QuotientGroup.walk).  A group holds only these index tables and
+its discovery tree; the element rows are recomputed from the tree when
+something reads them (QuotientGroup.elements), and the cache holds no
+rows.
 
 For k >= 2 the kernel N of G_k -> G_(k-1) is abelian, because
 (1 + s^(k-1) X)(1 + s^(k-1) Y) = 1 + s^(k-1) (X + Y) mod s^k.  Each
@@ -63,7 +66,8 @@ from .triangle import (
 __all__ = ["QuotientGroup", "Sectors", "build_quotient"]
 
 DEFAULT_ELEMENT_CAP = 500_000
-CACHE_VERSION = 4  # version 1 files carry no version field, version 2 held inv and left_perm, 3 no lift
+# version 1 files carry no version field, version 2 held inv and left_perm, 3 no lift, 4 the element rows
+CACHE_VERSION = 5
 
 
 def _storage_dtype(m: int):
@@ -84,12 +88,13 @@ class QuotientGroup(DiscoveryTree):
     """Finite quotient with generator-action permutations.
 
     gen_perm[t][i] is the index of (element i) * (generator t), with t
-    running over A, A^-1, B, B^-1.  elements[i] holds the canonical
-    mod-s^k coefficients, shape (3, 3d).  Element i is n L(t) with
+    running over A, A^-1, B, B^-1.  Element i is n L(t) with
     lift[i] = t |N| + n, |N| = kernel_order (see _lift; at k = 1 lift is
     the identity and |N| = 1).  Construction narrows the index tables to
     int32 (int64 from order 2^31 on) and tokens to int8, so built, lifted
-    and loaded groups hold the same arrays.
+    and loaded groups hold the same arrays.  The group holds only these
+    index tables; the element rows are computed from them on first use
+    (elements).
     """
 
     p: int
@@ -97,7 +102,6 @@ class QuotientGroup(DiscoveryTree):
     s: int
     k: int
     order: int
-    elements: np.ndarray          # (order, 3, 3d), _storage_dtype(s^k)
     gen_perm: np.ndarray          # (4, order), _index_dtype(order)
     parents: np.ndarray           # (order,) discovery tree parent indices, _index_dtype(order)
     tokens: np.ndarray            # (order,) discovery tree generator tokens, int8
@@ -135,6 +139,15 @@ class QuotientGroup(DiscoveryTree):
             if order > self.order:
                 raise RuntimeError("order exceeded group size; table corrupt")
         return order
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        """(order, 3, 3d) canonical mod-s^k coefficients of every element, _storage_dtype(s^k).
+
+        Computed from the discovery tree on first use and never saved;
+        equal rows raise NumericalContractError (see _rows).
+        """
+        return _rows(self)
 
     @cached_property
     def sectors(self) -> "Sectors":
@@ -217,7 +230,7 @@ class QuotientGroup(DiscoveryTree):
         return group
 
 
-_CACHE_ARRAYS = ("elements", "gen_perm", "parents", "tokens", "lift")
+_CACHE_ARRAYS = ("gen_perm", "parents", "tokens", "lift")
 _HEADER = ("p", "q", "s", "k", "order", "kernel_order")
 
 
@@ -238,11 +251,11 @@ def _validate(group: QuotientGroup) -> None:
     """Check a loaded quotient's tables; raise NumericalContractError on a defect.
 
     Every gen_perm row is a permutation undone by the row of the inverse
-    generator, the breadth-first discovery tree follows gen_perm, lift is
-    a permutation and the elements rows are distinct.  Apart from one
-    sort of a 64-bit key per element, every check is a linear pass.  The
-    tables arrive narrowed by QuotientGroup construction, also those of
-    files written with int64 tables.
+    generator, the breadth-first discovery tree follows gen_perm, and
+    lift is a permutation.  Every check is a linear pass.  The tables
+    arrive narrowed by QuotientGroup construction, also those of files
+    written with int64 tables.  The element rows are not stored; they
+    are checked where they are computed (_rows).
     """
     n = group.order
     for name, shape in {"gen_perm": (4, n), "parents": (n,), "tokens": (n,), "lift": (n,)}.items():
@@ -251,8 +264,6 @@ def _validate(group: QuotientGroup) -> None:
             raise NumericalContractError(f"{name} has shape {table.shape}, expected {shape}")
         if not np.issubdtype(table.dtype, np.integer):
             raise NumericalContractError(f"{name} is not an integer table")
-    if group.elements.ndim != 3 or len(group.elements) != n:
-        raise NumericalContractError(f"elements has shape {group.elements.shape} for order {n}")
     if type(group.kernel_order) is not int or group.kernel_order < 1 or n % group.kernel_order:
         raise NumericalContractError(f"kernel order {group.kernel_order!r} does not divide the order {n}")
     perm = group.gen_perm
@@ -271,15 +282,52 @@ def _validate(group: QuotientGroup) -> None:
             raise NumericalContractError("gen_perm rows of a generator and its inverse do not compose to 1")
     if not _breadth_first(group) or np.any(perm[group.tokens[1:], group.parents[1:]] != ident[1:]):
         raise NumericalContractError("the discovery tree is not breadth-first along gen_perm edges")
-    rows = np.ascontiguousarray(group.elements).reshape(n, -1).view(np.uint8)
-    keys = byte_keys(rows)
+
+
+def _rows(group: QuotientGroup) -> np.ndarray:
+    """Element rows along the discovery tree: row(i) = row(parents[i]) g_tokens[i] mod s^k.
+
+    Breadth-first numbering puts each layer's parents in the layers
+    before it, so the rows are filled one layer at a time, one table
+    product per generator, with the exact generator tables mod s^k.
+    The rows must then be distinct: one sort of a 64-bit key per
+    element, and an exact compare of the rows whose keys tie.  A tree
+    that is not breadth-first, or two equal rows, raise
+    NumericalContractError.
+    """
+    n, m, parents, tokens = group.order, group.modulus, group.parents, group.tokens
+    if not _breadth_first(group):
+        raise NumericalContractError("the discovery tree is not breadth-first; group tables are corrupt")
+    gens = build_generators(group.p, group.q)
+    tables = [t % m for t in mult_tables([gens.token_matrix(t) for t in range(4)])]
+    ident = _identity(gens.ctx.d, m)
+    rows = np.empty((n, *ident.shape), dtype=ident.dtype)
+    rows[0] = ident
+    hi = 1
+    while hi < n:
+        nxt = hi + int(np.searchsorted(parents[hi:], hi))
+        for t, table in enumerate(tables):
+            at = hi + np.flatnonzero(tokens[hi:nxt] == t)
+            rows[at] = right_products(rows[parents[at]], [table], m)[:, 0]
+        hi = nxt
+
+    flat = rows.reshape(n, -1).view(np.uint8)
+    keys = byte_keys(flat)
     sorted_keys = np.sort(keys)
     tied = sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]
     if tied.size:
         # distinct rows can share a key: only an exact compare of the rows that do refuses
-        members = rows[np.isin(keys, tied)]
+        members = flat[np.isin(keys, tied)]
         if len(np.unique(members, axis=0)) != len(members):
-            raise NumericalContractError("two elements rows are equal")
+            raise NumericalContractError("two elements rows are equal; group tables are corrupt")
+    return rows
+
+
+def _identity(d: int, m: int) -> np.ndarray:
+    """The identity matrix as a (3, 3d) row of coefficients mod m, in _storage_dtype(m)."""
+    ident = np.zeros((3, 3 * d), dtype=_storage_dtype(m))
+    ident[range(3), range(0, 3 * d, d)] = 1
+    return ident
 
 
 def _breadth_first(group: QuotientGroup) -> bool:
@@ -478,13 +526,10 @@ def build_quotient(
     tables = mult_tables([gens.token_matrix(t) for t in range(4)])
     product_dtype(3 * d * (s**k - 1) ** 2)  # refuse a modulus whose table products wrap int64 before any level
     what = f"quotient of {{{p},{q}}} mod {s}^{k}"
-    ident = np.zeros((3, 3 * d), dtype=_storage_dtype(s))
-    ident[range(3), range(0, 3 * d, d)] = 1
-    found = bfs([t % s for t in tables], ident, modulus=s, cap=element_cap, what=what)
+    found = bfs([t % s for t in tables], _identity(d, s), modulus=s, cap=element_cap, what=what)
     group = QuotientGroup(
-        p=p, q=q, s=s, k=1, order=len(found.index),
-        elements=found.index.rows, gen_perm=found.gen_perm, parents=found.parents, tokens=found.tokens,
-        lift=np.arange(len(found.index)), kernel_order=1,
+        p=p, q=q, s=s, k=1, order=len(found.index), gen_perm=found.gen_perm, parents=found.parents,
+        tokens=found.tokens, lift=np.arange(len(found.index)), kernel_order=1,
     )
     if k > 1:
         base = _Base(group, tables, (power_table(gens.ctx) % s).astype(np.int64))
@@ -560,13 +605,14 @@ def _lift(below: QuotientGroup, proj: np.ndarray, base: _Base, cap: int, what: s
     BFS over those tables numbers G_k as bfs numbers it from its rows;
     its visit order t |N| + n is kept as G_k's lift coordinates.
 
-    proj maps below's elements onto G_1.  Returns G_k and its map onto
-    G_1.  A lift or cocycle that fails its check raises
+    proj maps below's elements onto G_1.  Returns G_k, whose element
+    rows are left to QuotientGroup.elements, and its map onto G_1.
+    A lift or cocycle that fails its check raises
     NumericalContractError; more than cap elements ResourceLimitError.
     """
     s, k = below.s, below.k + 1
     m, step = s**k, s ** (k - 1)
-    count, width = below.order, below.elements.shape[2]
+    count, width = below.order, base.group.elements.shape[2]
     tables = [t % m for t in base.tables]
     lift = np.zeros((count, 3, width), dtype=_storage_dtype(m))
     lift[0] = base.group.elements[0]
@@ -612,7 +658,7 @@ def _lift(below: QuotientGroup, proj: np.ndarray, base: _Base, cap: int, what: s
         raise NumericalContractError(
             f"cocycle of {what}: L(t) g != (1 + s^{k - 1} X) L(t g) mod {s}^{k} for some pair (t, g)"
         )
-    del values, shift
+    del values, shift, image, lift
 
     # (t, n) g = (t g, n + c(t, g)); translation by each distinct value adds one generator of N at a time
     order = count * size
@@ -633,19 +679,11 @@ def _lift(below: QuotientGroup, proj: np.ndarray, base: _Base, cap: int, what: s
             f"lift of {what} reaches {len(visit)} of its {order} elements from the identity"
         )
 
-    # element rows n L(t) = L(t) + s^(k-1) X_n L(t) mod s^k, in chunks that bound the temporaries
-    elements = np.empty((order, 3, width), dtype=lift.dtype)
-    onto = np.empty(order, dtype=proj.dtype)
-    for start in range(0, order, _ROWS):
-        part = slice(start, start + _ROWS)
-        t, n = np.divmod(visit[part], size)
-        onto[part] = v = proj[t]
-        elements[part] = _mod_sum(lift[t], step * image[n, v].astype(lift.dtype), m)
     group = QuotientGroup(
         p=below.p, q=below.q, s=s, k=k, order=order,
-        elements=elements, gen_perm=gen_perm, parents=parents, tokens=tokens, lift=visit, kernel_order=size,
+        gen_perm=gen_perm, parents=parents, tokens=tokens, lift=visit, kernel_order=size,
     )
-    return group, onto
+    return group, proj[visit // size]
 
 
 def _renumber(perm: np.ndarray):
@@ -653,9 +691,9 @@ def _renumber(perm: np.ndarray):
 
     Returns (visit, parents, tokens, gen_perm): visit[i] is the old index
     of new element i, which is reached from parents[i] by tokens[i], and
-    gen_perm holds the tables in the new numbering.  visit is shorter
-    than perm's rows when 0 does not reach them all.  Indices stay in
-    perm's dtype and tokens are int8.
+    gen_perm holds the tables in the new numbering, written over perm's
+    leading columns.  visit is shorter than perm's rows when 0 does not
+    reach them all.  Indices stay in perm's dtype and tokens are int8.
     """
     width, size = perm.shape
     label = np.full(size, -1, dtype=perm.dtype)
@@ -673,14 +711,10 @@ def _renumber(perm: np.ndarray):
         tokens.append((new % width).astype(np.int8))
         visit.append(cand[new])
         lo, hi = hi, hi + len(new)
-    visit = np.concatenate(visit)
-    gen_perm = np.empty((width, len(visit)), dtype=perm.dtype)
-    for t, row in enumerate(perm):
-        gen_perm[t] = label[row[visit]]
-    return visit, np.concatenate(parents), np.concatenate(tokens), gen_perm
-
-
-_ROWS = 4096  # rows per chunk of the lifted elements
+    visit, parents, tokens = np.concatenate(visit), np.concatenate(parents), np.concatenate(tokens)
+    for row in perm:
+        row[: len(visit)] = label[row[visit]]
+    return visit, parents, tokens, perm[:, : len(visit)]
 
 
 def _mod_sum(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:

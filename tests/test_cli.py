@@ -261,13 +261,13 @@ def test_corrupt_kernel_in_cache_exits_4(tmp_path, capsys):
     path = cache / "quotient_5_4_s2_k2.npz"
     assert run(["--out", str(tmp_path), "--cache-dir", str(cache), "group", "5", "4", "--k", "2"]) == 0
     group = quotient.QuotientGroup.load(str(path))
-    # one kernel element stored with another's coefficients: the kernel map is no longer additive
+    # two kernel elements of coset 0 with exchanged coordinates: the kernel map is no longer additive
     kernel = np.flatnonzero(group.sectors.coset == 0)
-    group.elements[kernel[-1]] = group.elements[kernel[1]]
+    group.lift[kernel[[1, -1]]] = group.lift[kernel[[-1, 1]]]
     group.save(str(path))
     code = run(["--out", str(tmp_path), "--cache-dir", str(cache), "flow", "5", "4", "--k", "2", "--samples", "2"])
     assert code == 4
-    assert "numerical contract" in capsys.readouterr().err
+    assert "break (t, n) g = (t g, n + c(t, g))" in capsys.readouterr().err
 
 
 def _cached_k2(tmp_path):
@@ -325,7 +325,7 @@ def test_version_3_cache_exits_4(tmp_path, capsys):
     arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
     assert run(["--out", str(tmp_path), "--cache-dir", str(cache), "group", "5", "4", "--k", "2"]) == 4
-    assert "format version 3, expected 4" in capsys.readouterr().err
+    assert f"format version 3, expected {quotient.CACHE_VERSION}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -334,15 +334,22 @@ def test_version_3_cache_exits_4(tmp_path, capsys):
         ["group", "5", "4", "--k", "2"],
         ["spectrum", "5", "4", "--k", "2", "--method", "kpm", "--moments", "16"],
     ],
+    ids=["group", "spectrum-kpm"],
 )
-def test_corrupt_elements_in_cache_exit_4_for_group_and_kpm(tmp_path, capsys, argv):
+def test_version_4_cache_exits_4(tmp_path, capsys, argv):
+    # the previous format also held the element rows, which are now computed from the tables
     cache, path = _cached_k2(tmp_path)
-    group = quotient.QuotientGroup.load(str(path))
-    kernel = np.flatnonzero(group.sectors.coset == 0)
-    group.elements[kernel[-1]] = group.elements[kernel[1]]
-    group.save(str(path))
-    assert run(["--out", str(tmp_path), "--cache-dir", str(cache)] + argv) == 4
-    assert "elements rows are equal" in capsys.readouterr().err
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    header = json.loads(bytes(arrays["header"]).decode())
+    header["version"] = 4
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    arrays["elements"] = quotient.build_quotient(5, 4, 2, 2).elements
+    np.savez(path, **arrays)
+    capsys.readouterr()
+    assert run(["--out", str(tmp_path / "out"), "--cache-dir", str(cache)] + argv) == 4
+    assert "format version 4, expected 5" in capsys.readouterr().err
+    assert _written(tmp_path / "out") == []
 
 
 @pytest.mark.parametrize(
@@ -356,7 +363,7 @@ def test_corrupt_elements_in_cache_exit_4_for_group_and_kpm(tmp_path, capsys, ar
     ],
 )
 def test_corrupt_gen_perm_in_cache_exits_4(tmp_path, capsys, index, value, message):
-    # equal elements rows: test_corrupt_elements_in_cache_exit_4_for_group_and_kpm
+    # an altered discovery tree: test_altered_token_in_cache_exits_4
     cache, path = _cached_k2(tmp_path)
     group = quotient.QuotientGroup.load(str(path))
     group.gen_perm[index] = value(group.gen_perm) if callable(value) else value

@@ -118,6 +118,24 @@ def test_save_is_atomic_and_versioned(q54_k1, tmp_path):
         assert json.loads(bytes(data["header"]).decode())["version"] == quotient.CACHE_VERSION
 
 
+def test_cache_holds_only_the_index_tables(q54_k2, tmp_path):
+    # the element rows are computed from the tables on demand, never written
+    q54_k2.save(str(tmp_path / "g.npz"))
+    with np.load(tmp_path / "g.npz") as data:
+        assert sorted(data.files) == ["gen_perm", "header", "lift", "parents", "tokens"]
+
+
+@pytest.mark.parametrize("pqsk", [(5, 4, 2, 1), (5, 4, 2, 2), (5, 4, 2, 3), (6, 6, 3, 2)],
+                         ids=lambda key: "{}_{}_s{}_k{}".format(*key))
+def test_loaded_group_computes_the_built_rows(tmp_path, pqsk):
+    group = quotient.build_quotient(*pqsk)
+    group.save(str(tmp_path / "g.npz"))
+    loaded = quotient.QuotientGroup.load(str(tmp_path / "g.npz"))
+    assert "elements" not in vars(loaded)  # not read from the file
+    assert loaded.elements.dtype == group.elements.dtype == quotient._storage_dtype(group.modulus)
+    assert np.array_equal(loaded.elements, group.elements)
+
+
 def test_cache_header_names_the_package_version(q54_k1, tmp_path):
     path = tmp_path / "g.npz"
     q54_k1.save(str(path))
@@ -155,7 +173,7 @@ def test_flipped_cache_byte_fails_the_zip_crc(q54_k1, tmp_path):
     path = tmp_path / "g.npz"
     q54_k1.save(str(path))
     with zipfile.ZipFile(path) as zf:
-        info = zf.getinfo("elements.npy")
+        info = zf.getinfo("gen_perm.npy")
     raw = bytearray(path.read_bytes())
     name_len, extra_len = struct.unpack("<HH", raw[info.header_offset + 26 : info.header_offset + 30])
     raw[info.header_offset + 30 + name_len + extra_len + info.file_size - 1] ^= 1
@@ -174,7 +192,6 @@ def _swap(rows, t, i, j):
 BROKEN = {
     "gen_perm row is not a permutation": lambda g: {"gen_perm": np.where(g.gen_perm == 1, 0, g.gen_perm)},
     "gen_perm rows .* do not compose to 1": lambda g: {"gen_perm": _swap(g.gen_perm, 0, 5, 9)},
-    "elements rows are equal": lambda g: {"elements": np.concatenate([g.elements[:1], g.elements[:-1]])},
     "tokens has shape": lambda g: {"tokens": g.tokens[:-1]},
     "discovery tree is not breadth-first along gen_perm edges": lambda g: {"tokens": g.tokens ^ (np.arange(g.order) == 7) * 2},
     "lift is not a permutation": lambda g: {"lift": np.zeros_like(g.lift)},
@@ -191,20 +208,20 @@ def test_load_rejects_broken_tables(q54_k1, tmp_path, defect):
 
 @pytest.mark.parametrize("weaken", [lambda keys: keys & np.uint64(3), lambda keys: keys * np.uint64(0)], ids=["4-keys", "1-key"])
 @pytest.mark.parametrize("pqsk", [(5, 4, 2, 1), (6, 6, 3, 2)], ids=["72-byte-rows", "18-byte-rows"])
-def test_load_checks_tied_keys_row_by_row(tmp_path, monkeypatch, weaken, pqsk):
-    # distinct rows that share a key load; equal rows are refused whatever their keys
+def test_rows_check_tied_keys_row_by_row(tmp_path, monkeypatch, weaken, pqsk):
+    # distinct rows that share a key are computed; equal rows are refused whatever their keys
     group = quotient.build_quotient(*pqsk)
-    byte_keys = quotient.byte_keys
-    monkeypatch.setattr(quotient, "byte_keys", lambda rows: weaken(byte_keys(rows)))
+    want = group.elements
     path = str(tmp_path / "g.npz")
     group.save(path)
-    loaded = quotient.QuotientGroup.load(path)
-    for name in quotient._CACHE_ARRAYS:
-        assert np.array_equal(getattr(loaded, name), getattr(group, name))
-    dataclasses.replace(group, **BROKEN["elements rows are equal"](group)).save(path)
-    with pytest.raises(NumericalContractError, match="unusable: two elements rows are equal"):
-        quotient.QuotientGroup.load(path)
-
+    byte_keys = quotient.byte_keys
+    monkeypatch.setattr(quotient, "byte_keys", lambda rows: weaken(byte_keys(rows)))
+    assert np.array_equal(quotient.QuotientGroup.load(path).elements, want)
+    # the last element reached by the tree edge of the one before it: two equal rows
+    parents, tokens = group.parents.copy(), group.tokens.copy()
+    parents[-1], tokens[-1] = parents[-2], tokens[-2]
+    with pytest.raises(NumericalContractError, match="two elements rows are equal"):
+        dataclasses.replace(group, parents=parents, tokens=tokens).elements
 
 
 def test_load_refuses_int64_entries_that_int32_cannot_hold(q54_k1, tmp_path):
