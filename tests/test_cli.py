@@ -334,17 +334,21 @@ def test_version_3_cache_exits_4(tmp_path, capsys):
         ["group", "5", "4", "--k", "2"],
         ["spectrum", "5", "4", "--k", "2", "--method", "kpm", "--moments", "16"],
     ],
-    ids=["group", "spectrum-kpm"],
 )
-def test_version_4_cache_exits_4(tmp_path, capsys, argv):
-    # the previous format also held the element rows, which are now computed from the tables
+def test_corrupt_elements_in_cache_exit_4_for_group_and_kpm(tmp_path, capsys, argv):
+    # the previous format also held the element rows, which are now computed from the tables:
+    # a version-4 file, here with two equal rows, is refused before anything reads them
     cache, path = _cached_k2(tmp_path)
     with np.load(path) as data:
         arrays = {name: data[name] for name in data.files}
     header = json.loads(bytes(arrays["header"]).decode())
     header["version"] = 4
     arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-    arrays["elements"] = quotient.build_quotient(5, 4, 2, 2).elements
+    group = quotient.QuotientGroup.load(str(path))
+    elements = group.elements.copy()
+    kernel = np.flatnonzero(group.sectors.coset == 0)
+    elements[kernel[-1]] = elements[kernel[1]]
+    arrays["elements"] = elements
     np.savez(path, **arrays)
     capsys.readouterr()
     assert run(["--out", str(tmp_path / "out"), "--cache-dir", str(cache)] + argv) == 4

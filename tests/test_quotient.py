@@ -208,7 +208,7 @@ def test_load_rejects_broken_tables(q54_k1, tmp_path, defect):
 
 @pytest.mark.parametrize("weaken", [lambda keys: keys & np.uint64(3), lambda keys: keys * np.uint64(0)], ids=["4-keys", "1-key"])
 @pytest.mark.parametrize("pqsk", [(5, 4, 2, 1), (6, 6, 3, 2)], ids=["72-byte-rows", "18-byte-rows"])
-def test_rows_check_tied_keys_row_by_row(tmp_path, monkeypatch, weaken, pqsk):
+def test_load_checks_tied_keys_row_by_row(tmp_path, monkeypatch, weaken, pqsk):
     # distinct rows that share a key are computed; equal rows are refused whatever their keys
     group = quotient.build_quotient(*pqsk)
     want = group.elements
