@@ -191,90 +191,67 @@ def _is_real(h: AlgebraElement) -> bool:
     return all(abs(c.imag) <= _COEFF_EPS for c in h.terms.values())
 
 
+def _row_e(h: AlgebraElement, group: QuotientGroup) -> dict:
+    """Row e of h's periodic operator: {y: weight} over the distinct elements y = project(w).
+
+    Elements are keyed in order of first occurrence.  Each weight sums, in
+    h's term order, the coefficients of the words that name y, cast to
+    h's dtype (real for a real h); sums that cancel stay as zeros.
+    """
+    real, row = _is_real(h), {}
+    for w, c in h.items():
+        y, c = group.project(w), (c.real if real else c)
+        row[y] = row[y] + c if y in row else c
+    return row
+
+
 def represent_periodic(h: AlgebraElement, group: QuotientGroup, fold: bool = False) -> sp.csr_matrix:
     """Right-regular representation of h on a finite quotient.
 
-    (H psi)(x) = sum_g w_g psi(x g): row x holds w_g at column walk(x, g)
-    for each term, in h's term order, so every row has exactly len(h)
-    entries and the CSR is filled directly, with no COO sort.  Words that
-    name the same element are then summed (sum_duplicates); the arrays
-    equal those of a COO assembly of the same entries.
+    (H psi)(x) = sum_y w_y psi(x y) over row e (_row_e): row x holds w_y at
+    column x y, one walk of y's tree word per element y, so the CSR is
+    filled directly; its arrays equal those of a COO assembly of h.
 
-    With fold=True, an h whose weights the reflection sigma: A -> A^-1,
-    B -> B^-1 fixes (QuotientGroup.reflection) is represented on the
-    sigma-even functions only, which hold delta_e and are invariant under
-    H; see _represent_folded.  Other models (sigma(AB) = BA, so no h_3,
-    nor a complex h_1 or h_2) give the full operator.
+    With fold=True, an h whose row e the reflection sigma: A -> A^-1,
+    B -> B^-1 fixes (to within HERMITICITY) is represented on the
+    sigma-even functions, which hold delta_e and are invariant under H.
+    Rows are the orbits {x, sigma(x)} of the representatives
+    x <= sigma(x) in index order (orbit e is row 0), each the unit vector
+    of the orbit's c_x = 1 or 2 elements; y puts sqrt(c_x / c_(x y)) w_y
+    at column orbit(x y), and columns that coincide (x y' = sigma(x y))
+    are summed.  Other models (sigma(AB) = BA, so no h_3, nor a complex
+    h_1 or h_2) give the full operator.
     """
-    n, width = group.order, len(h)
-    dtype = np.float64 if _is_real(h) else np.complex128
+    row = _row_e(h, group)
+    n, width, dtype = group.order, len(row), np.float64 if _is_real(h) else np.complex128
     if not width:
         return sp.csr_matrix((n, n), dtype=dtype)
-    if fold and _fixed_by_reflection(h, group, dtype):
-        return _represent_folded(h, group, dtype)
-    index = np.int32 if n * width < 2**31 else np.int64
-    rows = np.arange(n, dtype=index)
-    indices = np.empty((n, width), dtype=index)
-    data = np.empty((n, width), dtype=dtype)
-    for j, (w, c) in enumerate(h.items()):
-        indices[:, j] = group.walk(rows, w)
-        data[:, j] = c if dtype == np.complex128 else c.real
-    return _square_csr(indices, data)
-
-
-def _square_csr(indices: np.ndarray, data: np.ndarray) -> sp.csr_matrix:
-    """The square CSR whose row i holds data[i] at the columns indices[i], duplicate columns summed."""
-    m, width = indices.shape
-    indptr = np.arange(0, m * width + 1, width, dtype=indices.dtype)
-    mat = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(m, m))
-    mat.sum_duplicates()
-    return mat
-
-
-def _fixed_by_reflection(h: AlgebraElement, group: QuotientGroup, dtype) -> bool:
-    """Whether sigma fixes the summed weights of row e, cast to dtype, to within HERMITICITY.
-
-    Row e holds the weight of each element; H commutes with the
-    relabelling psi -> psi o sigma exactly when those weights are
-    sigma-invariant.
-    """
-    row = {}
-    for w, c in h.items():
-        y = group.project(w)
-        row[y] = row.get(y, 0.0) + (c if dtype == np.complex128 else c.real)
-    sigma = group.reflection
-    return all(abs(row.get(int(sigma[y]), 0.0) - c) <= HERMITICITY for y, c in row.items())
-
-
-def _represent_folded(h: AlgebraElement, group: QuotientGroup, dtype) -> sp.csr_matrix:
-    """H restricted to the sigma-even functions, in the orthonormal basis of the sigma-orbits.
-
-    The orbit of x is {x, sigma(x)}, with c_x = 1 element on a fixed point
-    and 2 on a pair; its unit vector is the orbit's indicator over
-    sqrt(c_x).  Rows are the representatives x <= sigma(x) in index
-    order, so the orbit of e is row 0.  Since H commutes with sigma, term
-    g of representative x puts sqrt(c_x / c_y) w_g at column orbit(x g):
-    like the full operator, every row has exactly len(h) entries before
-    sum_duplicates.  The result is Hermitian to rounding.
-    """
-    n, width = group.order, len(h)
-    sigma = group.reflection
-    rep = np.arange(n, dtype=sigma.dtype) <= sigma
-    rows = np.flatnonzero(rep).astype(sigma.dtype)
-    orbit = np.cumsum(rep, dtype=sigma.dtype)
-    orbit -= 1
-    orbit = np.where(rep, orbit, orbit[sigma])
-    del rep
+    sigma = group.reflection if fold else None
+    if sigma is None or any(abs(row.get(int(sigma[y]), 0.0) - c) > HERMITICITY for y, c in row.items()):
+        sigma, rows = None, np.arange(n, dtype=group.gen_perm.dtype)
+    else:
+        rep = np.arange(n, dtype=sigma.dtype) <= sigma
+        rows = np.flatnonzero(rep).astype(sigma.dtype)
+        orbit = np.cumsum(rep, dtype=sigma.dtype) - 1
+        orbit = np.where(rep, orbit, orbit[sigma])
+        root = np.where(sigma[rows] == rows, 1.0, np.sqrt(2.0))
     m = len(rows)
     index = np.int32 if m * width < 2**31 else np.int64
-    root = np.where(sigma[rows] == rows, 1.0, np.sqrt(2.0))
     indices = np.empty((m, width), dtype=index)
     data = np.empty((m, width), dtype=dtype)
-    for j, (w, c) in enumerate(h.items()):
-        cols = orbit[group.walk(rows, w)]
-        indices[:, j] = cols
-        data[:, j] = (c if dtype == np.complex128 else c.real) * (root / root[cols])
-    return _square_csr(indices, data)
+    for j, (y, c) in enumerate(row.items()):
+        indices[:, j] = group.walk(rows, group.word(y))
+        if sigma is not None:
+            indices[:, j] = orbit[indices[:, j]]
+            c = c * (root / root[indices[:, j]])
+        data[:, j] = c
+    indptr = np.arange(0, m * width + 1, width, dtype=index)
+    mat = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(m, m))
+    if sigma is None:
+        mat.sort_indices()
+    else:
+        mat.sum_duplicates()
+    return mat
 
 
 def _assemble(vals_all, rows_all, cols_all, n: int, dtype) -> sp.csr_matrix:
@@ -315,20 +292,20 @@ class BlockOperator:
 def represent_blocks(h: AlgebraElement, group: QuotientGroup) -> BlockOperator:
     """Character blocks of represent_periodic(h, group).
 
-    The periodic operator has (H psi)(x) = sum_g w_g psi(x g).  On a
-    sector, psi(n t) = chi(n) psi(t), so for each transversal row t and
-    each term, t g = n t'' adds w_g chi(n) to the block entry (t, t'').
+    The periodic operator has (H psi)(x) = sum_y w_y psi(x y) over row e
+    (_row_e).  On a sector, psi(n t) = chi(n) psi(t), so for each
+    transversal row t and element y, t y = n t'' adds w_y chi(n) to the
+    block entry (t, t''): one walk of the transversal per element y.
     """
-    sec = group.sectors
+    sec, row = group.sectors, _row_e(h, group)
     b = sec.block_size
-    target = np.array([group.walk(sec.transversal, w) for w in h.terms], dtype=np.int64).reshape(-1)
-    coeffs = np.array(list(h.terms.values()), dtype=np.complex128)
+    target = np.array([group.walk(sec.transversal, group.word(y)) for y in row], dtype=np.int64).reshape(-1)
     return BlockOperator(
         sec,
-        np.tile(np.arange(b, dtype=np.int64), len(h)),
+        np.tile(np.arange(b, dtype=np.int64), len(row)),
         sec.coset[target],
         sec.kernel[target],
-        np.repeat(coeffs.real if _is_real(h) else coeffs, b),
+        np.repeat(list(row.values()), b),
     )
 
 

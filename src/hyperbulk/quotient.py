@@ -54,12 +54,12 @@ from .triangle import (
     TessellationParams,
     bfs,
     build_generators,
-    byte_keys,
     inverse_token,
     mult_tables,
     power_table,
     product_dtype,
     right_products,
+    row_keys,
     unique_rows,
 )
 
@@ -253,9 +253,13 @@ def _validate(group: QuotientGroup) -> None:
     Every gen_perm row is a permutation undone by the row of the inverse
     generator, the breadth-first discovery tree follows gen_perm, and
     lift is a permutation.  Every check is a linear pass.  The tables
-    arrive narrowed by QuotientGroup construction, also those of files
-    written with int64 tables.  The element rows are not stored; they
-    are checked where they are computed (_rows).
+    must also be of the header's level k: exactly at k = 1 is the kernel
+    trivial and lift the identity, and the |N| elements of coset 0,
+    walked mod s^k along their tree words, are distinct and 1 mod
+    s^(k-1), which costs |N| short walks.  The tables arrive narrowed by
+    QuotientGroup construction, also those of files written with int64
+    tables.  The element rows are not stored; they are checked where
+    they are computed (_rows).
     """
     n = group.order
     for name, shape in {"gen_perm": (4, n), "parents": (n,), "tokens": (n,), "lift": (n,)}.items():
@@ -282,6 +286,20 @@ def _validate(group: QuotientGroup) -> None:
             raise NumericalContractError("gen_perm rows of a generator and its inverse do not compose to 1")
     if not _breadth_first(group) or np.any(perm[group.tokens[1:], group.parents[1:]] != ident[1:]):
         raise NumericalContractError("the discovery tree is not breadth-first along gen_perm edges")
+    if (group.k == 1) != (group.kernel_order == 1 and np.array_equal(group.lift, ident)):
+        raise NumericalContractError(f"level {group.k} with a kernel of order {group.kernel_order}: exactly level 1 "
+                                     "has a trivial kernel and the identity lift")
+    # N's rows mod s^k (coset 0), its tree words walked side by side from the identity
+    tables, one = _tables(group)
+    words = [group.word(int(x)) for x in np.flatnonzero(group.lift < group.kernel_order)]
+    kernel = np.repeat(one[None], len(words), axis=0)
+    for j in range(max(map(len, words))):
+        at = [i for i, w in enumerate(words) if len(w) > j]
+        kernel[at] = right_products(kernel[at], tables, group.modulus)[range(len(at)), [words[i][j] for i in at]]
+    step = group.s ** (group.k - 1)
+    if len({row.tobytes() for row in kernel}) < len(words) or np.any(kernel % step != one % step):
+        raise NumericalContractError(f"the kernel's elements are not distinct mod {group.s}^{group.k} and 1 mod "
+                                     f"{group.s}^{group.k - 1}; the tables are not those of level {group.k}")
 
 
 def _rows(group: QuotientGroup) -> np.ndarray:
@@ -298,9 +316,7 @@ def _rows(group: QuotientGroup) -> np.ndarray:
     n, m, parents, tokens = group.order, group.modulus, group.parents, group.tokens
     if not _breadth_first(group):
         raise NumericalContractError("the discovery tree is not breadth-first; group tables are corrupt")
-    gens = build_generators(group.p, group.q)
-    tables = [t % m for t in mult_tables([gens.token_matrix(t) for t in range(4)])]
-    ident = _identity(gens.ctx.d, m)
+    tables, ident = _tables(group)
     rows = np.empty((n, *ident.shape), dtype=ident.dtype)
     rows[0] = ident
     hi = 1
@@ -311,8 +327,8 @@ def _rows(group: QuotientGroup) -> np.ndarray:
             rows[at] = right_products(rows[parents[at]], [table], m)[:, 0]
         hi = nxt
 
-    flat = rows.reshape(n, -1).view(np.uint8)
-    keys = byte_keys(flat)
+    flat = rows.reshape(n, -1)
+    keys = row_keys(flat)
     sorted_keys = np.sort(keys)
     tied = sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]
     if tied.size:
@@ -321,6 +337,12 @@ def _rows(group: QuotientGroup) -> np.ndarray:
         if len(np.unique(members, axis=0)) != len(members):
             raise NumericalContractError("two elements rows are equal; group tables are corrupt")
     return rows
+
+
+def _tables(group: QuotientGroup):
+    """The exact generator tables mod s^k, and the identity row (see _identity)."""
+    gens = build_generators(group.p, group.q)
+    return mult_tables([gens.token_matrix(t) for t in range(4)], group.modulus), _identity(gens.ctx.d, group.modulus)
 
 
 def _identity(d: int, m: int) -> np.ndarray:

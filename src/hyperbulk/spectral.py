@@ -332,14 +332,25 @@ def kpm_dos(
     the run is made on represent_periodic(h, group, fold=True), whose
     rows are the sigma-orbits, and run.dim is their number.  Jackson
     damping suppresses Gibbs oscillations.  Nothing is random: seed is
-    only echoed in the metadata.
+    only echoed in the metadata.  An h whose row e is not Hermitian (the
+    weight at y^-1 the conjugate of the weight at y, to within
+    HERMITICITY) raises NumericalContractError before the run.
     """
-    from .operators import represent_periodic
+    from .operators import _row_e, represent_periodic
+    from .triangle import inverse_word, word_str
 
     if moments < 2:
         raise ConfigError(f"moments must be at least 2, got {moments}")
     if grid_points < 2:
         raise ConfigError(f"grid_points must be at least 2, got {grid_points}")
+    row = _row_e(h, group)
+    for y, c in row.items():
+        defect = abs(row.get(group.project(inverse_word(group.word(y))), 0.0) - np.conj(c))
+        if defect > HERMITICITY:
+            raise NumericalContractError(
+                f"the model is not Hermitian: its weight {c:.6g} at element {y} (word '{word_str(group.word(y))}') "
+                f"and the conjugate of its weight at the inverse differ by {defect:.2e} > {HERMITICITY:.0e}"
+            )
     mu, (lo, hi), run = _single_site_moments(represent_periodic(h, group, fold=True), moments)
     a, b = (hi - lo) / 2.0, (hi + lo) / 2.0
 

@@ -47,7 +47,6 @@ __all__ = [
     "product_dtype",
     "right_products",
     "row_keys",
-    "byte_keys",
     "unique_rows",
     "RowIndex",
     "DiscoveryTree",
@@ -270,7 +269,7 @@ def word_to_matrix(word: tuple, gens: Generators) -> GroupMatrix:
 # products, keys and lookup.
 
 
-_CHUNK = 4096  # rows per batched product or key pass: bounds the wide temporaries
+_CHUNK = 4096  # rows per batched product: bounds the wide temporaries
 
 
 def matrix_to_flat(mat: GroupMatrix) -> np.ndarray:
@@ -359,30 +358,17 @@ def _key_weights(width: int) -> np.ndarray:
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
-    """uint64 key of each integer row: a fixed random linear form mod 2^64.
+    """uint64 key of each integer row: its bytes read as 8-byte words times fixed random weights, mod 2^64.
 
+    Rows are keyed at their stored width, zero-padded to whole words, so
+    only rows of one dtype compare (an int64 row's words are its entries).
     Equal rows get equal keys; distinct rows rarely share one, and
     RowIndex never trusts a key without a full row compare.
     """
-    flat = rows.reshape(len(rows), -1)
-    weights = _key_weights(flat.shape[1])
-    keys = np.empty(len(flat), dtype=np.uint64)
-    for start in range(0, len(flat), _CHUNK):
-        keys[start : start + _CHUNK] = flat[start : start + _CHUNK].astype(np.uint64) @ weights
-    return keys
-
-
-def byte_keys(rows: np.ndarray) -> np.ndarray:
-    """uint64 key of each row of bytes: its 8-byte words times the row_keys weights, mod 2^64.
-
-    Equal rows get equal keys.  Unlike row_keys, the key depends on the
-    storage dtype, so only rows of one dtype compare; it costs one
-    integer matmul over the row's words instead of one per entry.
-    """
-    pad = -rows.shape[1] % 8
-    if pad:
-        rows = np.concatenate([rows, np.zeros((len(rows), pad), dtype=np.uint8)], axis=1)
-    words = rows.view(np.uint64)
+    flat = np.ascontiguousarray(rows.reshape(len(rows), -1)).view(np.uint8)
+    if flat.shape[1] % 8:
+        flat = np.concatenate([flat, np.zeros((len(flat), -flat.shape[1] % 8), dtype=np.uint8)], axis=1)
+    words = flat.view(np.uint64)
     return words @ _key_weights(words.shape[1])
 
 
@@ -428,8 +414,11 @@ class RowIndex:
         """Index of each row, or -1 where it is not indexed.
 
         A key match counts only when the full rows are equal, so a row
-        whose key collides with another row's is reported absent.
+        whose key collides with another row's is reported absent.  Rows of
+        another dtype than the indexed ones raise TypeError.
         """
+        if rows.dtype != self.rows.dtype:
+            raise TypeError(f"{rows.dtype} rows queried in an index of {self.rows.dtype} rows")
         keys = row_keys(rows) if keys is None else keys
         at, hit = self._slots(keys)
         hit = np.flatnonzero(hit)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hyperbulk import operators, quotient, spectral, triangle
+from hyperbulk.triangle import GEN_A, GEN_A_INV, GEN_B, GEN_B_INV
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -45,6 +46,17 @@ def all_models(p, q):
         for kidx in range(1, nu[alpha] + 1):
             out[f"h{alpha}_{kidx}"] = operators.model_hamiltonian(alpha, kidx, EPS, p, q)
     return out
+
+
+# words that name one element (A^4 = A^-1, A^5 = B^4 = B B^-1 = 1 in {5,4}), real and complex;
+# with three in a column the sum's rounding depends on their order within the row: (0.1 + 0.2) + 0.3 != 0.6
+DUPLICATES = {
+    "real": operators.AlgebraElement({(GEN_A,) * 4: 0.5, (GEN_A_INV,): -0.25, (): 0.1, (GEN_A,) * 5: 0.2,
+                                      (GEN_B,) * 4: 0.3}),
+    "complex": operators.AlgebraElement({(GEN_A,) * 4: 0.5j, (GEN_A_INV,): 0.25, (): 0.1 + 0.1j,
+                                         (GEN_A,) * 5: 0.2 + 0.2j, (GEN_B_INV, GEN_B): 0.3 + 0.3j}),
+    "empty": operators.AlgebraElement(),
+}
 
 
 def left_translation(group, t, indices=None):

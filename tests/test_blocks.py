@@ -21,7 +21,7 @@ from hyperbulk import operators, quotient, spectral
 from hyperbulk.errors import NumericalContractError, ResourceLimitError
 from hyperbulk.triangle import GEN_A, GEN_B, inverse_token, inverse_word
 
-from conftest import EPS, all_models, left_translation
+from conftest import DUPLICATES, EPS, all_models, left_translation
 
 TOL = 1e-10
 
@@ -117,8 +117,13 @@ def test_block_spectrum_matches_dense_k2(q54_k2, name, dense_spectrum):
 def test_trivial_kernel_block_is_the_dense_matrix(groups):
     group = groups[(5, 4, 2, 1)]
     h = operators.model_hamiltonian(1, 1, EPS, 5, 4)
-    block = operators.represent_blocks(h, group).block(0)
-    assert np.allclose(block, operators.represent_periodic(h, group).toarray(), atol=1e-15)
+    for name, model in {"h1_1": h, **DUPLICATES}.items():
+        block = operators.represent_blocks(model, group).block(0)
+        assert np.allclose(block, operators.represent_periodic(model, group).toarray(), atol=1e-15), name
+    # h_1's 8 words name 7 elements (A^4 = A^-1): one entry per element and transversal row
+    for key in ((5, 4, 2, 1), (5, 4, 2, 2)):
+        op = operators.represent_blocks(h, groups[key])
+        assert op.values.size == op.sectors.block_size * 7, key
 
 
 def test_composite_modulus_falls_back_to_one_block():

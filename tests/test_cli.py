@@ -427,6 +427,32 @@ def test_cache_of_another_quotient_exits_4(tmp_path, capsys):
     assert "holds {5,4} mod 2^2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "built, label, message",
+    [(2, 1, "level 1 with a kernel of order 16"), (3, 2, "the tables are not those of level 2")],
+    ids=["k2-as-k1", "k3-as-k2"],
+)
+def test_cache_labelled_with_another_level_exits_4(tmp_path, capsys, built, label, message):
+    # G_k's tables under G_(k-1)'s name and header: consistent tables of the wrong level
+    cache = tmp_path / "cache"
+    assert run(["--out", str(tmp_path), "--cache-dir", str(cache), "group", "5", "4", "--k", str(built)]) == 0
+    path = cache / f"quotient_5_4_s2_k{label}.npz"
+    (cache / f"quotient_5_4_s2_k{built}.npz").rename(path)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    header = json.loads(bytes(arrays["header"]).decode())
+    header["k"] = label
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    capsys.readouterr()
+    argv = ["--out", str(tmp_path / "out"), "--cache-dir", str(cache)]
+    assert run(argv + ["group", "5", "4", "--k", str(label)]) == 4
+    assert message in capsys.readouterr().err
+    assert run(argv + ["spectrum", "5", "4", "--k", str(label), "--method", "kpm", "--moments", "16"]) == 4
+    assert message in capsys.readouterr().err
+    assert _written(tmp_path / "out") == []
+
+
 def test_junction_command(tmp_path, capsys):
     code = run(
         ["--out", str(tmp_path), "junction", "--radius", "5", "--energies", "0.0"]

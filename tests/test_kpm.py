@@ -26,7 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbulk import cli, operators, spectral
-from hyperbulk.errors import ConfigError
+from hyperbulk.errors import ConfigError, NumericalContractError
+from hyperbulk.triangle import GEN_A, GEN_B
 
 TOL = 1e-12
 EPS = 0.8
@@ -201,6 +202,17 @@ def test_kpm_reaches_k3(tmp_path, capsys):
     assert 250 <= steps < 300
     lo, hi = json.loads((tmp_path / "dos_kpm_h3_1_5_4_s2_k3.csv.meta.json").read_text())["bounds"]
     assert lo < -0.8063 and 1.0 < hi
+
+
+def test_non_hermitian_model_fails_before_the_run(q54_k2, monkeypatch):
+    # (A + B) / 2 has no A^-1 or B^-1 term; without the check 2000 Lanczos steps end in "edges unconverged"
+    monkeypatch.setattr(spectral, "_lanczos", lambda *args: pytest.fail("the run started"))
+    h = operators.AlgebraElement({(GEN_A,): 0.5, (GEN_B,): 0.5})
+    with pytest.raises(NumericalContractError, match=r"not Hermitian: its weight 0.5 at element 1 \(word 'a'\) .* 5.00e-01 > 1e-12"):
+        spectral.kpm_dos(h, q54_k2)
+    # a complex weight on the identity is its own inverse's weight, not its conjugate
+    with pytest.raises(NumericalContractError, match=r"element 0 \(word ''\) .* 1.00e\+00"):
+        spectral.kpm_dos(operators.AlgebraElement({(): 0.5j}), q54_k2)
 
 
 def test_zero_operator_has_no_bounds(q54_k1, tmp_path, capsys, monkeypatch):

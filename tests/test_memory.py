@@ -52,9 +52,10 @@ def test_build_holds_little_beyond_its_tables():
 
 @pytest.mark.parametrize("model", ["adj", "h1"])
 def test_periodic_operator_holds_little_beyond_its_csr(g3, model):
-    # h_1 has a duplicate word (A^4 = A^-1), so its CSR is filled and then summed
+    # h_1's 8 words name 7 elements (A^4 = A^-1), merged in row e before the fill: 7 entries a row, none summed
     h = operators.adjacency(5, 4) if model == "adj" else operators.model_hamiltonian(1, 1, 0.8, 5, 4)
     mat, peak = traced_peak(operators.represent_periodic, h, g3)
+    assert mat.nnz == (4 if model == "adj" else 7) * g3.order
     assert peak <= 1.5 * csr_bytes(mat)
 
 

@@ -5,9 +5,9 @@ import scipy.sparse as sp
 from hyperbulk import operators, quotient, triangle
 from hyperbulk.errors import ConfigError
 from hyperbulk.tolerances import HERMITICITY, IDEMPOTENCY, RESOLUTION, TRACE
-from hyperbulk.triangle import GEN_A, GEN_A_INV, GEN_B, GEN_B_INV
+from hyperbulk.triangle import GEN_A, GEN_B
 
-from conftest import all_models, left_translation
+from conftest import DUPLICATES, all_models, left_translation
 
 NU = {1: 5, 2: 4, 3: 2}  # cyclic subgroup orders for {5,4}
 
@@ -176,17 +176,6 @@ def coo_periodic(h, group):
     mat = sp.coo_matrix((vals, (rows, np.tile(cols, len(h)))), shape=(n, n)).tocsr()
     mat.sum_duplicates()
     return mat
-
-
-# words that name one element (A^4 = A^-1, A^5 = B^4 = B B^-1 = 1 in {5,4}), real and complex;
-# with three in a column the sum's rounding depends on their order within the row: (0.1 + 0.2) + 0.3 != 0.6
-DUPLICATES = {
-    "real": operators.AlgebraElement({(GEN_A,) * 4: 0.5, (GEN_A_INV,): -0.25, (): 0.1, (GEN_A,) * 5: 0.2,
-                                      (GEN_B,) * 4: 0.3}),
-    "complex": operators.AlgebraElement({(GEN_A,) * 4: 0.5j, (GEN_A_INV,): 0.25, (): 0.1 + 0.1j,
-                                         (GEN_A,) * 5: 0.2 + 0.2j, (GEN_B_INV, GEN_B): 0.3 + 0.3j}),
-    "empty": operators.AlgebraElement(),
-}
 
 
 @pytest.mark.parametrize("key", [(5, 4, 2, 1), (5, 4, 2, 2), (6, 4, 3, 1), (7, 3, 2, 1)],

@@ -214,8 +214,8 @@ def test_load_checks_tied_keys_row_by_row(tmp_path, monkeypatch, weaken, pqsk):
     want = group.elements
     path = str(tmp_path / "g.npz")
     group.save(path)
-    byte_keys = quotient.byte_keys
-    monkeypatch.setattr(quotient, "byte_keys", lambda rows: weaken(byte_keys(rows)))
+    row_keys = quotient.row_keys
+    monkeypatch.setattr(quotient, "row_keys", lambda rows: weaken(row_keys(rows)))
     assert np.array_equal(quotient.QuotientGroup.load(path).elements, want)
     # the last element reached by the tree edge of the one before it: two equal rows
     parents, tokens = group.parents.copy(), group.tokens.copy()

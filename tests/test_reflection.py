@@ -23,6 +23,8 @@ from test_kpm import TOL, exact_moments, three_term_moments
 
 # the {5,4} models whose weights sigma fixes; sigma(AB) = BA rules out every h_3
 FOLDED = {"adj", "h1_5", "h2_2", "h2_4"}
+# sigma-fixed only once its coinciding words are merged (A^4 = A^-1): weight 1/2 at A and at A^-1
+MERGED = operators.AlgebraElement({(triangle.GEN_A,): 0.5, (triangle.GEN_A,) * 4: 0.25, (triangle.GEN_A_INV,): 0.25})
 
 # every family at k = 1 for s = 2 and 3, the k = 2 ones below 10,000 elements, and {5,4} at k = 3
 SMALL_K2 = [(5, 4), (5, 5), (6, 4), (6, 5), (6, 6), (8, 3), (8, 4), (8, 6), (8, 8)]
@@ -110,11 +112,11 @@ def test_fold_decision_and_folded_operator(q54_k1, q54_k2, k):
     sigma = group.reflection
     fixed = int(np.count_nonzero(sigma == np.arange(group.order)))
     iso = orbit_isometry(group)
-    for name, h in all_models(5, 4).items():
+    for name, h in {**all_models(5, 4), "merged": MERGED}.items():
         full = operators.represent_periodic(h, group)
         mat = operators.represent_periodic(h, group, fold=True)
         assert mat.format == "csr" and mat.dtype == full.dtype, name
-        if name not in FOLDED:
+        if name not in FOLDED | {"merged"}:
             assert mat.shape == full.shape, name
             assert abs(mat - full).max() == 0.0, name
             continue

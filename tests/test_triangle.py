@@ -159,9 +159,20 @@ def test_ball_export_jsonl(tmp_path):
     assert first["word"] == ""
 
 
-def test_byte_keys_pad_rows_to_whole_words():
+def test_row_keys_pad_rows_to_whole_words():
     rows = np.random.default_rng(3).integers(0, 256, size=(50, 27), dtype=np.uint8)
     padded = np.concatenate([rows, np.zeros((50, 5), dtype=np.uint8)], axis=1)
-    keys = triangle.byte_keys(rows)
-    assert np.array_equal(keys, triangle.byte_keys(padded))
+    keys = triangle.row_keys(rows)
+    assert np.array_equal(keys, triangle.row_keys(padded))
     assert len(np.unique(keys)) == 50
+    # an int64 row's 8-byte words are its entries: its key is the linear form of the entries
+    wide = rows.astype(np.int64) - 128
+    assert np.array_equal(triangle.row_keys(wide), wide.astype(np.uint64) @ triangle._key_weights(27))
+
+
+def test_row_index_refuses_rows_of_another_dtype():
+    rows = np.arange(12, dtype=np.uint8).reshape(4, 3)
+    index = triangle.RowIndex(rows)
+    assert list(index.find(rows[::-1].copy())) == [3, 2, 1, 0]
+    with pytest.raises(TypeError, match="int64 rows queried in an index of uint8 rows"):
+        index.find(rows.astype(np.int64))
