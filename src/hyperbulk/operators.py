@@ -205,6 +205,16 @@ def _row_e(h: AlgebraElement, group: QuotientGroup) -> dict:
     return row
 
 
+def _reflection_fixes(row: dict, sigma: np.ndarray, conjugate: bool) -> bool:
+    """Whether row e's weight at sigma(y) is w_y, or conj(w_y) with conjugate, for every y (to within HERMITICITY).
+
+    Without conjugate this says sigma fixes the model, with it that the
+    antiunitary K sigma does.
+    """
+    return not any(abs(row.get(int(sigma[y]), 0.0) - (c.conjugate() if conjugate else c)) > HERMITICITY
+                   for y, c in row.items())
+
+
 def represent_periodic(h: AlgebraElement, group: QuotientGroup, fold: bool = False) -> sp.csr_matrix:
     """Right-regular representation of h on a finite quotient.
 
@@ -227,7 +237,7 @@ def represent_periodic(h: AlgebraElement, group: QuotientGroup, fold: bool = Fal
     if not width:
         return sp.csr_matrix((n, n), dtype=dtype)
     sigma = group.reflection if fold else None
-    if sigma is None or any(abs(row.get(int(sigma[y]), 0.0) - c) > HERMITICITY for y, c in row.items()):
+    if sigma is None or not _reflection_fixes(row, sigma, conjugate=False):
         sigma, rows = None, np.arange(n, dtype=group.gen_perm.dtype)
     else:
         rep = np.arange(n, dtype=sigma.dtype) <= sigma
@@ -272,6 +282,13 @@ class BlockOperator:
 
     Entry e adds values[e] * chi(kernel[e]) to block chi at (rows[e],
     cols[e]); rows and columns index the sectors' transversal.
+    antiunitary says whether C = K sigma fixes the operator: its weight
+    at sigma(y) is the conjugate of its weight at y (see Sectors).
+
+    Both block methods write into out when it is given, a C-ordered
+    b x b array of the block's dtype that they zero first, and fill it
+    with the block's transpose: the block they return is out.T, in the
+    Fortran order LAPACK reads in place.
     """
 
     sectors: Sectors
@@ -279,14 +296,54 @@ class BlockOperator:
     cols: np.ndarray
     kernel: np.ndarray
     values: np.ndarray
+    antiunitary: bool
 
-    def block(self, j: int) -> np.ndarray:
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of block(j), complex when the model or the characters are."""
+        return np.result_type(self.values, self.sectors.chars)
+
+    def folds(self, j: int) -> bool:
+        """Whether block j is complex and C fixes it, so that real_block(j) is its real symmetric form."""
+        return self.antiunitary and bool(self.sectors.fixed[j]) and self.dtype.kind == "c"
+
+    def block(self, j: int, out: np.ndarray | None = None) -> np.ndarray:
         """Dense block of character j."""
-        chars = self.sectors.chars[j]
+        return self._fill(self.cols, self.rows, self.values * self.sectors.chars[j][self.kernel], out)
+
+    def real_block(self, j: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Block j as the real symmetric W^H B W, for a character j that C fixes.
+
+        W's columns are unit vectors that C fixes: sqrt(phi_c) e_c on a
+        coset with c' = c, and on a pair c < c' column c is
+        sqrt(phi_c) (e_c + e_c') / sqrt(2) and column c' is
+        i sqrt(phi_c) (e_c - e_c') / sqrt(2), with phi_c = conj(chi(m_c)),
+        equal on the pair (Sectors).  C commutes with B, so W^H B W is
+        real: each coset meets at most two columns, and each entry of B
+        adds the real parts of at most four terms to it.
+        """
+        sec = self.sectors
+        c = np.arange(sec.block_size)
+        lo, hi = np.minimum(c, sec.mirror), np.maximum(c, sec.mirror)
+        root = np.sqrt(np.conj(sec.chars[j][sec.mirror_kernel]).astype(np.complex128))[lo]
+        half = np.sqrt(0.5)
+        coef = np.stack([root * np.where(lo == hi, 1.0, half),
+                         root * np.select([lo == hi, c == lo], [0.0, 1j * half], -1j * half)])
+        column = np.stack([lo, hi])
+        vals = self.values * sec.chars[j][self.kernel]
+        terms = (coef[:, None, self.rows].conj() * vals * coef[None, :, self.cols]).real
+        shape = terms.shape
+        return self._fill(np.broadcast_to(column[None, :, self.cols], shape).ravel(),
+                          np.broadcast_to(column[:, None, self.rows], shape).ravel(), terms.ravel(), out)
+
+    def _fill(self, rows, cols, vals, out):
+        """out (allocated when None) zeroed and summed vals at (rows, cols), returned transposed."""
         b = self.sectors.block_size
-        out = np.zeros((b, b), dtype=np.result_type(self.values, chars))
-        np.add.at(out, (self.rows, self.cols), self.values * chars[self.kernel])
-        return out
+        if out is None:
+            out = np.empty((b, b), dtype=vals.dtype)
+        out.fill(0)
+        np.add.at(out.reshape(-1), rows * b + cols, vals)
+        return out.T
 
 
 def represent_blocks(h: AlgebraElement, group: QuotientGroup) -> BlockOperator:
@@ -306,6 +363,7 @@ def represent_blocks(h: AlgebraElement, group: QuotientGroup) -> BlockOperator:
         sec.coset[target],
         sec.kernel[target],
         np.repeat(list(row.values()), b),
+        _reflection_fixes(row, group.reflection, conjugate=True),
     )
 
 

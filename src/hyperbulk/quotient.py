@@ -29,7 +29,8 @@ conditions), and the blocks of one orbit of characters under
 conjugation by G share their spectrum; see QuotientGroup.sectors.
 The reflection A -> A^-1, B -> B^-1 is an automorphism of every level
 (QuotientGroup.reflection); single-site KPM runs on its orbits when it
-fixes the model.
+fixes the model, and composed with complex conjugation it makes the
+character blocks it fixes real (Sectors).
 """
 
 from __future__ import annotations
@@ -254,9 +255,10 @@ def _validate(group: QuotientGroup) -> None:
     generator, the breadth-first discovery tree follows gen_perm, and
     lift is a permutation.  Every check is a linear pass.  The tables
     must also be of the header's level k: exactly at k = 1 is the kernel
-    trivial and lift the identity, and the |N| elements of coset 0,
-    walked mod s^k along their tree words, are distinct and 1 mod
-    s^(k-1), which costs |N| short walks.  The tables arrive narrowed by
+    trivial and lift the identity, and above it the |N| elements of
+    coset 0, walked mod s^k along their tree words, are distinct and 1
+    mod s^(k-1), which costs |N| short walks (and the generator tables
+    mod s^k, which level 1 never builds).  The tables arrive narrowed by
     QuotientGroup construction, also those of files written with int64
     tables.  The element rows are not stored; they are checked where
     they are computed (_rows).
@@ -289,6 +291,8 @@ def _validate(group: QuotientGroup) -> None:
     if (group.k == 1) != (group.kernel_order == 1 and np.array_equal(group.lift, ident)):
         raise NumericalContractError(f"level {group.k} with a kernel of order {group.kernel_order}: exactly level 1 "
                                      "has a trivial kernel and the identity lift")
+    if group.kernel_order == 1:
+        return  # level 1: N is the identity alone, whose walk checks nothing
     # N's rows mod s^k (coset 0), its tree words walked side by side from the identity
     tables, one = _tables(group)
     words = [group.word(int(x)) for x in np.flatnonzero(group.lift < group.kernel_order)]
@@ -410,11 +414,23 @@ class Sectors:
     operator, so all blocks of one orbit are isospectral (Clifford's
     theorem): a spectrum needs one block per orbit, repeated |O| times.
 
+    The reflection sigma: A -> A^-1, B -> B^-1 maps N onto itself, so
+    the antiunitary C = K sigma, (C psi)(x) = conj(psi(sigma(x))), maps
+    the chi sector onto the sector of conj(chi sigma).  C commutes with a
+    model whose weight at sigma(y) is the conjugate of its weight at y,
+    and C^2 = 1; on a sector that C fixes such a model has a real
+    symmetric form (see operators.BlockOperator.real_block).  sigma pairs
+    the cosets, c <-> c' = coset of sigma(t_c), and C reads
+    (C v)_c = conj(chi(m_c)) conj(v_c') on a block vector v, with
+    m_c = sigma(t_c) t_c'^-1 in N.
+
     transversal[c] is the element index of coset c's representative,
     coset[x] the coset of element x, kernel[x] the position in N of
-    x t^-1, chars[j, n] the value of character j on N's element n, and
+    x t^-1, chars[j, n] the value of character j on N's element n,
     orbit[j] the conjugation orbit of character j, orbits numbered by
-    their smallest character.
+    their smallest character, mirror[c] the coset c', mirror_kernel[c]
+    the position in N of m_c, and fixed[j] whether C fixes character j,
+    conj(chi_j(sigma(n))) = chi_j(n) on N.
     """
 
     transversal: np.ndarray
@@ -422,6 +438,9 @@ class Sectors:
     kernel: np.ndarray
     chars: np.ndarray
     orbit: np.ndarray
+    mirror: np.ndarray
+    mirror_kernel: np.ndarray
+    fixed: np.ndarray
 
     @property
     def block_size(self) -> int:
@@ -433,8 +452,11 @@ class Sectors:
 
     @property
     def representatives(self) -> np.ndarray:
-        """The smallest character of each orbit, in orbit order."""
-        return np.unique(self.orbit, return_index=True)[1]
+        """One character of each orbit, in orbit order: the smallest that C fixes, else the smallest."""
+        key = np.arange(self.count) + self.count * ~self.fixed
+        best = np.full(self.orbit.max() + 1, 2 * self.count)
+        np.minimum.at(best, self.orbit, key)
+        return best % self.count
 
     @property
     def orbit_sizes(self) -> np.ndarray:
@@ -453,8 +475,13 @@ def _sectors(group: QuotientGroup) -> Sectors:
     exp(2 pi i a.n / s) on n.  One linear pass checks
     (t, n) g = (t g, n + c(t, g)) for every x and generator g, with t g
     and c(t, g) read at (t, 0); with one (t, 0) per coset, that makes the
-    coordinates a bijection and n a homomorphism on N.  Coordinates that
-    fail raise NumericalContractError.  A composite s takes N trivial.
+    coordinates a bijection and n a homomorphism on N.  The reflection
+    (QuotientGroup.reflection) must map N onto itself and pair the cosets
+    by an involution c <-> c' whose kernel parts satisfy
+    m_c' = sigma(m_c)^-1, so that C's phases conj(chi(m_c)) agree on a
+    pair for every character C fixes; both are linear checks.  Coordinates
+    or a reflection that fail raise NumericalContractError.  A composite
+    s takes N trivial.
     """
     s, order = group.s, group.order
     lift, size = (group.lift, group.kernel_order) if _is_prime(s) else (np.arange(order), 1)
@@ -486,7 +513,17 @@ def _sectors(group: QuotientGroup) -> Sectors:
     else:
         chars = np.exp(2j * np.pi * phase / s)
     orbit = _character_orbits(group, members, np.where(coset == 0, kernel, -1), phase)
-    return Sectors(transversal, coset, kernel, chars, orbit)
+
+    sigma = group.reflection
+    mirror, image = coset[sigma[transversal]], n[sigma[transversal]]  # c' and m_c's coordinates
+    reflected = kernel[sigma[members]]  # position of sigma(n) for N's n, in N's BFS order
+    if np.any(coset[sigma[members]] != 0) or np.any(mirror[mirror] != np.arange(count)):
+        raise NumericalContractError("the reflection does not map the kernel onto itself and pair its cosets")
+    if np.any(_digit_sum(image[mirror], n[sigma[members[rank[image]]]], s, size) != 0):
+        raise NumericalContractError("the reflection's kernel parts break m_c' = sigma(m_c)^-1: the phases of "
+                                     "a coset pair do not match")
+    fixed = np.all((phase + phase[:, reflected]) % s == 0, axis=1)
+    return Sectors(transversal, coset, kernel, chars, orbit, mirror, rank[image], fixed)
 
 
 def _digit_sum(a: np.ndarray, b: np.ndarray, s: int, size: int) -> np.ndarray:

@@ -5,12 +5,13 @@ over the character sectors of a quotient for periodic ones, and a kernel
 polynomial method for large quotients.  Blocks whose characters are
 conjugate under the group are isospectral, so a periodic spectrum
 diagonalizes one block per conjugation orbit and repeats its
-eigenvalues.  A right-regular operator has a constant diagonal, so its
-normalized Chebyshev trace is one matrix element,
-<delta_e|T_n(H)|delta_e>: KPM runs one plain Lanczos recursion from the
-identity site, whose Jacobi matrix gives both the spectral edges (its
-extreme Ritz values) and the moments (Gauss quadrature), with no random
-states and no ARPACK.  When the reflection A -> A^-1, B -> B^-1 fixes
+eigenvalues; a complex block that the antiunitary K sigma fixes is
+diagonalized as a real symmetric matrix.  A right-regular operator has
+a constant diagonal, so its normalized Chebyshev trace is one matrix
+element, <delta_e|T_n(H)|delta_e>: KPM runs one plain Lanczos
+recursion from the identity site, whose Jacobi matrix gives both the
+spectral edges (its extreme Ritz values) and the moments (Gauss
+quadrature), with no random states and no ARPACK.  When the reflection A -> A^-1, B -> B^-1 fixes
 the model, that recursion runs on the operator folded onto the
 reflection's orbits, about half the sites.  The eigenpairs of an energy
 window come from sparse shift-invert block Krylov, with the window's size counted
@@ -135,11 +136,15 @@ class Gap:
         return self.upper - self.lower
 
 
-def exact_spectrum(mat, want_vectors: bool = False, dense_cap: int = DENSE_CAP) -> SpectrumResult:
+def exact_spectrum(mat, want_vectors: bool = False, dense_cap: int = DENSE_CAP,
+                   overwrite: bool = False) -> SpectrumResult:
     """Full spectrum by dense Hermitian diagonalization.
 
     Refuses dimensions beyond dense_cap; use kpm_dos or eigenpairs_near
-    for larger operators.
+    for larger operators.  overwrite=True lets LAPACK work in a dense
+    input's own memory, which it destroys (no copy when the input is
+    Fortran-ordered), and skips the finiteness check: for a caller that
+    fills a buffer of its own and has checked its entries (block_spectrum).
     """
     n = mat.shape[0]
     if n > dense_cap:
@@ -149,9 +154,9 @@ def exact_spectrum(mat, want_vectors: bool = False, dense_cap: int = DENSE_CAP) 
         )
     dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
     if want_vectors:
-        vals, vecs = sla.eigh(dense)
+        vals, vecs = sla.eigh(dense, overwrite_a=overwrite, check_finite=not overwrite)
         return SpectrumResult(vals, vecs)
-    return SpectrumResult(sla.eigvalsh(dense))
+    return SpectrumResult(sla.eigvalsh(dense, overwrite_a=overwrite, check_finite=not overwrite))
 
 
 def block_spectrum(h, group, dense_cap: int = DENSE_CAP) -> SpectrumResult:
@@ -161,9 +166,18 @@ def block_spectrum(h, group, dense_cap: int = DENSE_CAP) -> SpectrumResult:
     size |G_k| / |N| (see QuotientGroup.sectors).  The blocks of one
     conjugation orbit O of characters are isospectral, so only the
     orbit's representative block is diagonalized and its eigenvalues
-    are repeated |O| times.  dense_cap applies to the block size.
+    are repeated |O| times.  A complex block is diagonalized in real
+    arithmetic, as a real symmetric matrix of the same size
+    (BlockOperator.real_block), when the antiunitary C = K sigma fixes
+    both the model (every h_1 and h_2, the adjacency, and their
+    mixtures; not h_3, since sigma(AB) = BA) and the block's character;
+    the representatives are chosen among the characters C fixes where
+    the orbit has one.  Other blocks stay complex Hermitian.  Every
+    block is filled into one buffer, reused from block to block and
+    overwritten by the eigensolver, and its Hermiticity is checked a
+    few rows at a time.  dense_cap applies to the block size.
     Raises NumericalContractError when a diagonalized block is not
-    Hermitian.
+    Hermitian (or not finite).
     """
     from .operators import represent_blocks
 
@@ -175,16 +189,33 @@ def block_spectrum(h, group, dense_cap: int = DENSE_CAP) -> SpectrumResult:
             f"block size {b} exceeds the dense diagonalization cap {dense_cap}; "
             f"use kpm_dos, or raise dense_cap"
         )
+    reps = sec.representatives
+    folds = [op.folds(j) for j in reps]
+    buffer = np.empty(b * b, dtype=np.float64 if all(folds) else op.dtype)
     vals = []
-    for j, size in zip(sec.representatives, sec.orbit_sizes):
-        block = op.block(j)
-        defect = float(np.abs(block - block.conj().T).max())
-        if defect > HERMITICITY:
+    for j, fold, size in zip(reps, folds, sec.orbit_sizes):
+        if fold:
+            block = op.real_block(j, buffer.view(np.float64)[: b * b].reshape(b, b))
+        else:
+            block = op.block(j, buffer.reshape(b, b))
+        defect = _hermiticity_defect(block)
+        if not defect <= HERMITICITY:
             raise NumericalContractError(
                 f"sector block {j} has Hermiticity defect {defect:.2e} > {HERMITICITY:.0e}"
             )
-        vals.append(np.tile(exact_spectrum(block, dense_cap=dense_cap).eigenvalues, size))
+        vals.append(np.tile(exact_spectrum(block, dense_cap=dense_cap, overwrite=True).eigenvalues, size))
     return SpectrumResult(np.sort(np.concatenate(vals)))
+
+
+def _hermiticity_defect(block: np.ndarray) -> float:
+    """max |B - B^H| over a square block (NaN for non-finite entries).
+
+    Strips of 64 rows right of the diagonal are compared with the
+    columns below it, so no temporary is larger than 64 x b.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf is the NaN that reports a non-finite entry
+        return float(np.max([np.abs(block[i : i + 64, i:] - block[i:, i : i + 64].conj().T).max()
+                             for i in range(0, len(block), 64)]))
 
 
 def idos_curve(spec: SpectrumResult, grid: np.ndarray, metadata: dict | None = None) -> DOSCurve:
@@ -413,10 +444,15 @@ def simplex_path(samples_per_edge: int = 40) -> list[tuple[float, float, float]]
 def spectral_flow(models, path, group, dense_cap: int = DENSE_CAP) -> np.ndarray:
     """Sorted spectra of the interpolated model along a simplex path.
 
-    Each path point is diagonalized block by block (block_spectrum), one
-    block per conjugation orbit of characters, but dense_cap still bounds
-    the whole quotient's order: a flow over a larger quotient runs
-    (path length) x (orbit count) eigensolves.
+    Each distinct path point is diagonalized once, block by block
+    (block_spectrum): one block per conjugation orbit of characters, in
+    real arithmetic wherever the antiunitary K sigma fixes the point's
+    model and the block's character (h_1, h_2 and their mixtures; any
+    weight on h_3 keeps the blocks complex).  A point that repeats, as
+    the closing point of simplex_path does, reuses the spectrum of its
+    first occurrence.  dense_cap still bounds the whole quotient's
+    order: a flow over a larger quotient runs (distinct points) x
+    (orbit count) eigensolves.
     Returns an array of shape (len(path), dim).
     """
     from .operators import interpolate
@@ -425,9 +461,9 @@ def spectral_flow(models, path, group, dense_cap: int = DENSE_CAP) -> np.ndarray
         raise ResourceLimitError(
             f"spectral flow on a quotient of order {group.order} exceeds the cap {dense_cap}"
         )
-    return np.array(
-        [block_spectrum(interpolate(models, weights), group, dense_cap).eigenvalues for weights in path]
-    )
+    points = [tuple(map(float, weights)) for weights in path]
+    spectra = {w: block_spectrum(interpolate(models, w), group, dense_cap).eigenvalues for w in dict.fromkeys(points)}
+    return np.array([spectra[w] for w in points])
 
 
 def ldos(

@@ -7,7 +7,10 @@ represent_blocks over every character checks that the blocks of an orbit
 are isospectral.  The orbits are checked against conjugations built from
 exact left translations.  Eigenvalues are compared to
 1e-10, well above the ~dim * eps * |H| (about 1e-12 at dim 2560) that
-either dense eigensolver can be off by.
+either dense eigensolver can be off by.  Blocks that the antiunitary
+K sigma fixes are diagonalized in real arithmetic; the complex block's
+eigvalsh stays their oracle, at 1e-12, and the reflection behind them is
+checked against exact products with the triangle group's reflection.
 """
 
 import dataclasses
@@ -19,9 +22,10 @@ from hypothesis import strategies as st
 
 from hyperbulk import operators, quotient, spectral
 from hyperbulk.errors import NumericalContractError, ResourceLimitError
-from hyperbulk.triangle import GEN_A, GEN_B, inverse_token, inverse_word
+from hyperbulk.triangle import GEN_A, GEN_A_INV, GEN_B, GEN_B_INV, inverse_token, inverse_word
 
 from conftest import DUPLICATES, EPS, all_models, left_translation
+from test_reflection import conjugated_by_s_y
 
 TOL = 1e-10
 
@@ -170,6 +174,22 @@ def test_non_hermitian_block_raises(q54_k2):
         spectral.block_spectrum(hop, q54_k2)
 
 
+@pytest.mark.parametrize(
+    "hop, folds",
+    [
+        # K sigma fixes it (weight -i at sigma(A^2 B) = A^-2 B^-1), but (A^2 B)^-1 has no weight
+        (operators.AlgebraElement({(GEN_A, GEN_A, GEN_B): 1.0j, (GEN_A_INV, GEN_A_INV, GEN_B_INV): -1.0j}), True),
+        (operators.AlgebraElement({(): float("inf")}), False),  # inf - inf on the diagonal: a NaN defect
+    ],
+    ids=["real-block", "infinite"],
+)
+def test_real_or_infinite_block_that_is_not_hermitian_raises(q54_k2, hop, folds):
+    op = operators.represent_blocks(hop, q54_k2)
+    assert op.folds(op.sectors.representatives[0]) == folds
+    with pytest.raises(NumericalContractError, match="Hermiticity"):
+        spectral.block_spectrum(hop, q54_k2)
+
+
 def test_dense_cap_applies_to_block_size(q54_k2):
     adj = operators.adjacency(5, 4)
     assert spectral.block_spectrum(adj, q54_k2, dense_cap=160).dim == 2560
@@ -306,3 +326,170 @@ def test_conjugate_outside_the_character_table_raises(q54_k2):
     # keep the trivial character and one from an orbit of size 5: its conjugates are missing
     with pytest.raises(NumericalContractError, match="not a row of the character table"):
         quotient._character_orbits(q54_k2, members, position, phase[:2])
+
+
+# families with character blocks that K sigma folds: every {5,4} orbit and some orbits of the others
+FOLD_KEYS = [(5, 4, 2, 1), (5, 4, 2, 2), (6, 4, 3, 2), (6, 6, 3, 2), (7, 3, 2, 2), (8, 4, 2, 2)]
+REAL_TOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def fold_groups(groups):
+    return {key: groups[key] if key in groups else quotient.build_quotient(*key) for key in FOLD_KEYS}
+
+
+def folding_models(p, q):
+    """adj, every h_1 and h_2, and h_1 + h_2 mixtures: the models K sigma fixes."""
+    models = {name: h for name, h in all_models(p, q).items() if not name.startswith("h3")}
+    for k1, k2 in ((1, 1), (2, q - 1), (p - 1, 2)):
+        h1, h2 = (operators.model_hamiltonian(alpha, kidx, EPS, p, q) for alpha, kidx in ((1, k1), (2, k2)))
+        models[f"h1_{k1}+h2_{k2}"] = operators.interpolate([h1, h2], [0.3, 0.7])
+    return models
+
+
+def oracle_spectrum(op):
+    """Sorted eigenvalues from the complex blocks of the representatives, each repeated over its orbit."""
+    sec = op.sectors
+    return np.sort(np.concatenate([np.tile(np.linalg.eigvalsh(op.block(j)), size)
+                                   for j, size in zip(sec.representatives, sec.orbit_sizes)]))
+
+
+def dense_check(group, name):
+    """Whether to compare with dense eigvalsh: every model up to order 1000; up to order 3000 only the {5,4}
+    models the session's shared oracle holds (test_block_spectrum_matches_dense_k2) and one h_1 + h_2
+    mixture, since each complex dense solve there takes seconds."""
+    if group.order <= 1000:
+        return True
+    return group.order <= 3000 and ((group.p, group.q) == (5, 4) and "+" not in name or name == "h1_1+h2_1")
+
+
+@pytest.mark.parametrize("key", FOLD_KEYS, ids=lambda key: "{}_{}_s{}_k{}".format(*key))
+def test_real_blocks_match_the_complex_oracle(fold_groups, key, dense_spectrum):
+    group = fold_groups[key]
+    folded = 0
+    for name, h in folding_models(key[0], key[1]).items():
+        op = operators.represent_blocks(h, group)
+        assert op.antiunitary, name
+        for j in op.sectors.representatives:
+            if op.folds(j):
+                folded += 1
+                real = op.real_block(j)
+                assert real.dtype == np.float64 and np.abs(real - real.T).max() < 1e-15, (name, j)
+                want = np.linalg.eigvalsh(op.block(j))
+                assert np.abs(np.linalg.eigvalsh(real) - want).max() < REAL_TOL, (name, j)
+        got = spectral.block_spectrum(h, group).eigenvalues
+        assert np.abs(got - oracle_spectrum(op)).max() < REAL_TOL, name
+        if dense_check(group, name):
+            if "+" in name:
+                dense = np.linalg.eigvalsh(operators.represent_periodic(h, group).toarray())
+            else:
+                dense = dense_spectrum(name, group)
+            assert np.abs(got - dense).max() < REAL_TOL, name
+    assert folded
+
+
+@pytest.mark.parametrize(
+    "key, model, folded",
+    [
+        ((5, 4, 2, 2), [(1, 1)], 4),
+        ((5, 4, 2, 2), [(3, 1)], 0),
+        ((5, 4, 2, 2), [(2, 1), (3, 1)], 0),
+        ((5, 4, 2, 2), [(1, 1), (2, 1)], 4),
+        ((8, 4, 2, 2), [(1, 1)], 5),  # the 5 of 9 orbits that hold a fixed character
+        ((6, 4, 3, 2), [(3, 1)], 0),
+        ((6, 4, 3, 2), [], 3),  # adj: 3 of 4 orbits; the characters are complex at s = 3
+    ],
+)
+def test_count_of_real_blocks(fold_groups, key, model, folded):
+    p, q = key[:2]
+    terms = [operators.model_hamiltonian(alpha, kidx, EPS, p, q) for alpha, kidx in model]
+    h = operators.interpolate(terms, [1 / len(terms)] * len(terms)) if terms else operators.adjacency(p, q)
+    op = operators.represent_blocks(h, fold_groups[key])
+    sec = op.sectors
+    assert sum(op.folds(j) for j in sec.representatives) == folded
+    assert op.antiunitary == all(alpha != 3 for alpha, _ in model)
+    # folding needs a fixed character, and the orbits that hold one fold whenever the model does
+    assert [op.folds(j) for j in sec.representatives] == [
+        op.antiunitary and op.dtype.kind == "c" and bool(sec.fixed[sec.orbit == o].any())
+        for o in range(len(sec.representatives))
+    ]
+
+
+def test_real_adjacency_blocks_stay_as_they_are(fold_groups):
+    # a real model on real characters already has real blocks; nothing folds
+    op = operators.represent_blocks(operators.adjacency(5, 4), fold_groups[(5, 4, 2, 2)])
+    assert op.antiunitary and op.dtype == np.float64
+    assert not any(op.folds(j) for j in range(op.sectors.count))
+
+
+@pytest.mark.parametrize("key", FOLD_KEYS, ids=lambda key: "{}_{}_s{}_k{}".format(*key))
+def test_representatives_are_fixed_characters_where_the_orbit_has_one(fold_groups, key):
+    sec = fold_groups[key].sectors
+    reps = sec.representatives
+    assert np.array_equal(sec.orbit[reps], np.arange(len(reps)))
+    for o, j in enumerate(reps):
+        members = np.flatnonzero(sec.orbit == o)
+        fixed = members[sec.fixed[members]]
+        assert j == (fixed.min() if fixed.size else members.min()), o
+
+
+@pytest.mark.parametrize("key", [(5, 4, 2, 1), (5, 4, 2, 2), (6, 4, 3, 2), (6, 6, 3, 2), (8, 4, 2, 2)],
+                         ids=lambda key: "{}_{}_s{}_k{}".format(*key))
+def test_mirror_and_fixed_characters_match_exact_reflections(fold_groups, key):
+    group = fold_groups[key]
+    sec = group.sectors
+    members = np.flatnonzero(sec.coset == 0)
+    position = np.full(group.order, -1)
+    position[members] = np.arange(len(members))
+    # sigma(n) for n in N and sigma(t_c) for the transversal, by exact products with s_y
+    sigma_n = position[conjugated_by_s_y(group, members)]
+    assert np.all(sigma_n >= 0)
+    sigma_t = conjugated_by_s_y(group, sec.transversal)
+    assert np.array_equal(sec.mirror, sec.coset[sigma_t])
+    assert np.array_equal(sec.mirror_kernel, sec.kernel[sigma_t])
+    want = np.abs(sec.chars[:, sigma_n].conj() - sec.chars).max(axis=1) < 1e-12
+    assert np.array_equal(sec.fixed, want)
+    # C's phases conj(chi(m_c)) agree on every coset pair for every fixed character
+    phases = sec.chars[sec.fixed][:, sec.mirror_kernel].conj()
+    assert np.abs(phases - phases[:, sec.mirror]).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "move, message",
+    [("kernel", "does not map the kernel onto itself"), ("coset", "phases of a coset pair do not match")],
+)
+def test_reflection_that_breaks_the_coset_pairing_raises(q54_k2, move, message):
+    sec = q54_k2.sectors
+    sigma = q54_k2.reflection.copy()
+    if move == "kernel":
+        # a kernel element sent out of N
+        sigma[np.flatnonzero(sec.coset == 0)[1]] = sec.transversal[1]
+    else:
+        # sigma(t_5) moved within its coset: m_5 changes, m_(5') does not
+        c = 5
+        target = np.flatnonzero(sec.coset == sec.mirror[c])
+        sigma[sec.transversal[c]] = target[target != sigma[sec.transversal[c]]][0]
+    bad = dataclasses.replace(q54_k2)
+    bad.__dict__["reflection"] = sigma
+    with pytest.raises(NumericalContractError, match=message):
+        bad.sectors
+
+
+def test_flow_solves_each_distinct_point_once(q54_k2, monkeypatch):
+    solves = []
+    eigvalsh = spectral.sla.eigvalsh
+
+    def counted(a, **kwargs):
+        solves.append(a.dtype)
+        return eigvalsh(a, **kwargs)
+
+    monkeypatch.setattr(spectral.sla, "eigvalsh", counted)
+    models = [operators.model_hamiltonian(alpha, 1, EPS, 5, 4) for alpha in (1, 2, 3)]
+    path = spectral.simplex_path(2)
+    flows = spectral.spectral_flow(models, path, q54_k2)
+    orbits = len(q54_k2.sectors.representatives)
+    assert len(path) == 7 and len(set(path)) == 6
+    assert len(solves) == 6 * orbits
+    assert np.array_equal(flows[-1], flows[0])
+    # h_1, h_1 + h_2 and h_2 fold (3 points x 4 orbits); h_3 is real, the mixtures with h_3 stay complex
+    assert [dtype.kind for dtype in solves].count("c") == 2 * orbits

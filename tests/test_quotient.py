@@ -111,6 +111,21 @@ def test_save_load_round_trip(tmp_path, q54_k1):
     assert loaded.word(5) == q54_k1.word(5)
 
 
+def test_level_1_load_builds_no_generator_tables(q54_k1, q54_k2, tmp_path, monkeypatch):
+    # N is the identity alone at k = 1: the kernel walk, and the tables mod s^k it needs, are skipped
+    built = []
+    tables = quotient._tables
+    monkeypatch.setattr(quotient, "_tables", lambda group: built.append(group.k) or tables(group))
+    for group in (q54_k1, q54_k2):
+        group.save(str(tmp_path / f"g{group.k}.npz"))
+        quotient.QuotientGroup.load(str(tmp_path / f"g{group.k}.npz"))
+    assert built == [2]
+    # level 1 still needs the identity lift
+    dataclasses.replace(q54_k1, lift=np.roll(q54_k1.lift, 1)).save(str(tmp_path / "bad.npz"))
+    with pytest.raises(NumericalContractError, match="exactly level 1 has a trivial kernel and the identity lift"):
+        quotient.QuotientGroup.load(str(tmp_path / "bad.npz"))
+
+
 def test_save_is_atomic_and_versioned(q54_k1, tmp_path):
     q54_k1.save(str(tmp_path / "g"))  # the suffix is appended, as np.savez does
     assert [p.name for p in tmp_path.iterdir()] == ["g.npz"]
