@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--cache-dir", default=None, help="quotient cache directory")
-    parser.add_argument("--threads", type=int, default=None, help="pin BLAS/OpenMP threads")
+    parser.add_argument("--threads", type=int, default=None, help="pin BLAS/OpenMP threads (kpm/auto spectra: 1)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -431,20 +431,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be positive", file=sys.stderr)
-            return 2
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
+    if args.threads is not None and args.threads < 1:
+        print("error: --threads must be positive", file=sys.stderr)
+        return 2
+    for var in _THREAD_VARS:
+        if args.threads is not None:
             os.environ[var] = str(args.threads)
+        elif args.command == "spectrum" and args.method != "exact":
+            # KPM's Lanczos vectors gain nothing from BLAS threads and lose much to their overhead;
+            # auto runs exact only on orders up to DENSE_CAP, whose blocks are small
+            os.environ.setdefault(var, "1")
     from .outputs import write_json  # loads numpy, so only after the threads are pinned
 
     try:

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, NumericalContractError
 from .outputs import write_csv
 from .tolerances import SHEET_DRIFT
-from .triangle import Ball, GroupMatrix, TessellationParams, build_generators
+from .triangle import Ball, DiscoveryTree, GroupMatrix, TessellationParams, build_generators
 
 
 def bilinear_form(p: int, q: int) -> np.ndarray:
@@ -218,30 +218,21 @@ def _ball_numeric_matrices(ball: Ball) -> np.ndarray:
     return coeffs @ pows
 
 
-def _chase_numeric_matrices(parents, tokens, gens) -> np.ndarray:
-    """Rebuild numeric matrices by walking parent links (quotient groups)."""
-    gen_num = [gens.token_matrix(t).numeric() for t in range(4)]
-    n = len(parents)
-    out = np.empty((n, 3, 3))
-    out[0] = np.eye(3)
-    for i in range(1, n):
-        out[i] = out[parents[i]] @ gen_num[tokens[i]]
-    return out
-
-
 def site_positions(elements, z0: complex, basis: GammaBasis | None = None) -> np.ndarray:
     """Disk positions g . z0, one per element, in element-index order.
 
-    Accepts a Ball (exact coefficients, preferred) or a quotient group
-    (numeric parent chase; positions wrap under the periodic identification).
+    Accepts a Ball (exact coefficients, preferred) or a quotient group,
+    whose float matrices are a fill along its discovery tree,
+    mat(x t) = mat(x) t (positions wrap under the periodic identification).
     """
     if isinstance(elements, Ball):
         p, q = elements.gens.p, elements.gens.q
         mats = _ball_numeric_matrices(elements)
-    elif hasattr(elements, "parents") and hasattr(elements, "tokens"):
+    elif isinstance(elements, DiscoveryTree):
         p, q = elements.p, elements.q
         gens = build_generators(p, q)
-        mats = _chase_numeric_matrices(elements.parents, elements.tokens, gens)
+        step = np.array([gens.token_matrix(t).numeric() for t in range(4)])
+        mats = elements.fill(np.eye(3), lambda m, t: m @ step[t])
     else:
         raise ConfigError("site_positions expects a Ball or a quotient group")
     if basis is None:

@@ -170,16 +170,20 @@ class QuotientGroup(DiscoveryTree):
         return _reflection(self)
 
     def reduce_to(self, other: "QuotientGroup") -> np.ndarray:
-        """Index map of the natural surjection onto a coarser quotient.
+        """Index map of the natural surjection onto a coarser quotient; its zeros are the kernel.
 
-        other must be the same (p, q, s) at smaller k.
+        other must be the same (p, q, s) at smaller k.  f(x t) = f(x) t is
+        a tree fill from other's gen_perm, with no element rows, then
+        checked for every x and t in one linear pass (NumericalContractError).
         """
         if (other.p, other.q, other.s) != (self.p, self.q, self.s) or other.k > self.k:
             raise ConfigError("target is not a coarser quotient of the same family")
-        reduced = (self.elements % other.modulus).astype(other.elements.dtype)
-        out = RowIndex(other.elements).find(reduced)
-        if np.any(out < 0):
-            raise NumericalContractError("an element has no image in the coarser quotient")
+        out = self.fill(0, lambda v, t: other.gen_perm[t, v])
+        for t, row in enumerate(self.gen_perm):
+            if np.any(out[row] != other.gen_perm[t][out]):
+                raise NumericalContractError(
+                    f"the map onto level {other.k} breaks f(x g) = f(x) g for generator {t}; group tables are corrupt"
+                )
         return out
 
     def save(self, path: str) -> None:
@@ -286,7 +290,8 @@ def _validate(group: QuotientGroup) -> None:
     for t, row in enumerate(perm):
         if np.any(row[perm[inverse_token(t)]] != ident):
             raise NumericalContractError("gen_perm rows of a generator and its inverse do not compose to 1")
-    if not _breadth_first(group) or np.any(perm[group.tokens[1:], group.parents[1:]] != ident[1:]):
+    group.layers  # a tree that is not breadth-first raises here
+    if np.any(perm[group.tokens[1:], group.parents[1:]] != ident[1:]):
         raise NumericalContractError("the discovery tree is not breadth-first along gen_perm edges")
     if (group.k == 1) != (group.kernel_order == 1 and np.array_equal(group.lift, ident)):
         raise NumericalContractError(f"level {group.k} with a kernel of order {group.kernel_order}: exactly level 1 "
@@ -309,29 +314,14 @@ def _validate(group: QuotientGroup) -> None:
 def _rows(group: QuotientGroup) -> np.ndarray:
     """Element rows along the discovery tree: row(i) = row(parents[i]) g_tokens[i] mod s^k.
 
-    Breadth-first numbering puts each layer's parents in the layers
-    before it, so the rows are filled one layer at a time, one table
-    product per generator, with the exact generator tables mod s^k.
-    The rows must then be distinct: one sort of a 64-bit key per
+    The rows are a tree fill (_tree_rows) with the exact generator tables
+    mod s^k.  They must then be distinct: one sort of a 64-bit key per
     element, and an exact compare of the rows whose keys tie.  A tree
     that is not breadth-first, or two equal rows, raise
     NumericalContractError.
     """
-    n, m, parents, tokens = group.order, group.modulus, group.parents, group.tokens
-    if not _breadth_first(group):
-        raise NumericalContractError("the discovery tree is not breadth-first; group tables are corrupt")
-    tables, ident = _tables(group)
-    rows = np.empty((n, *ident.shape), dtype=ident.dtype)
-    rows[0] = ident
-    hi = 1
-    while hi < n:
-        nxt = hi + int(np.searchsorted(parents[hi:], hi))
-        for t, table in enumerate(tables):
-            at = hi + np.flatnonzero(tokens[hi:nxt] == t)
-            rows[at] = right_products(rows[parents[at]], [table], m)[:, 0]
-        hi = nxt
-
-    flat = rows.reshape(n, -1)
+    rows = _tree_rows(group, *_tables(group), group.modulus)
+    flat = rows.reshape(group.order, -1)
     keys = row_keys(flat)
     sorted_keys = np.sort(keys)
     tied = sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]
@@ -341,6 +331,19 @@ def _rows(group: QuotientGroup) -> np.ndarray:
         if len(np.unique(members, axis=0)) != len(members):
             raise NumericalContractError("two elements rows are equal; group tables are corrupt")
     return rows
+
+
+def _tree_rows(tree: DiscoveryTree, tables, ident: np.ndarray, m: int) -> np.ndarray:
+    """Element rows mod m as a tree fill from ident: one table product per layer and token."""
+
+    def step(rows, tokens):
+        out = np.empty_like(rows)
+        for t, table in enumerate(tables):
+            at = np.flatnonzero(tokens == t)
+            out[at] = right_products(rows[at], [table], m)[:, 0]
+        return out
+
+    return tree.fill(ident, step)
 
 
 def _tables(group: QuotientGroup):
@@ -356,34 +359,17 @@ def _identity(d: int, m: int) -> np.ndarray:
     return ident
 
 
-def _breadth_first(group: QuotientGroup) -> bool:
-    """Whether parents[1:] rise from 0 with parents[i] < i, and tokens[1:] lie in [0, 4)."""
-    parents, tokens = group.parents[1:], group.tokens[1:]
-    return not parents.size or bool(parents[0] == 0 and np.all(np.diff(parents) >= 0) and tokens.min() >= 0
-                                    and np.all(parents < np.arange(1, group.order)) and tokens.max() < 4)
-
-
 def _reflection(group: QuotientGroup) -> np.ndarray:
-    """sigma along the discovery tree: sigma(e) = e and sigma(x t) = sigma(x) t^-1.
+    """sigma as a tree fill: sigma(e) = e and sigma(x t) = sigma(x) t^-1.
 
-    Breadth-first numbering puts each layer's parents in the layers
-    before it, so one vectorized step per layer fills sigma.  The result
-    is then checked in linear time: sigma(x t) = sigma(x) t^-1 for every
-    element x and generator t makes sigma a homomorphism, and sigma
-    sigma = 1 a bijection.  A tree that is not breadth-first, or a sigma
-    that fails its check, raises NumericalContractError.
+    The result is then checked in linear time: sigma(x t) = sigma(x) t^-1
+    for every element x and generator t makes sigma a homomorphism, and
+    sigma sigma = 1 a bijection.  A tree that is not breadth-first, or a
+    sigma that fails its check, raises NumericalContractError.
     """
-    n, perm, parents, tokens = group.order, group.gen_perm, group.parents, group.tokens
+    n, perm = group.order, group.gen_perm
     inverse = np.array([inverse_token(t) for t in range(4)])
-    if not _breadth_first(group):
-        raise NumericalContractError("the discovery tree is not breadth-first; group tables are corrupt")
-    sigma = np.zeros(n, dtype=perm.dtype)
-    hi = 1
-    while hi < n:
-        # the next layer: every element whose parent is already reached (parents[hi] < hi)
-        nxt = hi + int(np.searchsorted(parents[hi:], hi))
-        sigma[hi:nxt] = perm[inverse[tokens[hi:nxt]], sigma[parents[hi:nxt]]]
-        hi = nxt
+    sigma = group.fill(perm.dtype.type(0), lambda v, t: perm[inverse[t], v])
     for t in range(len(inverse)):
         if np.any(perm[inverse[t]][sigma] != sigma[perm[t]]):
             raise NumericalContractError(
@@ -591,10 +577,9 @@ def build_quotient(
         tokens=found.tokens, lift=np.arange(len(found.index)), kernel_order=1,
     )
     if k > 1:
-        base = _Base(group, tables, (power_table(gens.ctx) % s).astype(np.int64))
-        proj = np.arange(group.order, dtype=group.gen_perm.dtype)
+        base = _Base(group, found.index.rows, tables, (power_table(gens.ctx) % s).astype(np.int64))
         for _ in range(2, k + 1):
-            group, proj = _lift(group, proj, base, element_cap, what)
+            group = _lift(group, base, element_cap, what)
 
     # torsion audit: the generators should keep their infinite-group orders
     words = {"A": ((GEN_A,), p), "B": ((GEN_B,), q), "AB": ((GEN_A, GEN_B), 2)}
@@ -605,9 +590,10 @@ def build_quotient(
 
 @dataclass
 class _Base:
-    """G_1 with what every lift reads: the exact generator tables and xi's powers mod s."""
+    """G_1 with what every lift reads: its rows from bfs, the exact generator tables and xi's powers mod s."""
 
     group: QuotientGroup
+    rows: np.ndarray  # (|G_1|, 3, 3d), _storage_dtype(s)
     tables: list
     hankel: np.ndarray  # power_table mod s
 
@@ -631,10 +617,10 @@ class _Base:
     def right(self) -> np.ndarray:
         """(|G_1|, 3d, 3d) tables of right multiplication by each element, mod s."""
         g, d = self.group, len(self.hankel)
-        rows = g.elements.reshape(g.order, 3, 3, d).astype(np.int64)  # [v, l, j, t]
-        tables = np.tensordot(rows, self.hankel, axes=([3], [1]))       # [v, l, j, r, s]
+        rows = self.rows.reshape(g.order, 3, 3, d).astype(np.int64)  # [v, l, j, t]
+        tables = np.tensordot(rows, self.hankel, axes=([3], [1]))     # [v, l, j, r, s]
         tables = tables.transpose(0, 1, 3, 2, 4).reshape(g.order, 3 * d, 3 * d) % g.s
-        return tables.astype(g.elements.dtype)
+        return tables.astype(self.rows.dtype)
 
     def times(self, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
         """rows[i] times element v[i] mod s, in the rows' dtype: one matmul per distinct v.
@@ -653,7 +639,7 @@ class _Base:
         return out.reshape(shape)
 
 
-def _lift(below: QuotientGroup, proj: np.ndarray, base: _Base, cap: int, what: str):
+def _lift(below: QuotientGroup, base: _Base, cap: int, what: str) -> QuotientGroup:
     """G_k from G_(k-1) = below, with no table product or key lookup over G_k.
 
     Every element of G_k is n L(t): L(t) lifts element t of G_(k-1) to a
@@ -664,37 +650,29 @@ def _lift(below: QuotientGroup, proj: np.ndarray, base: _Base, cap: int, what: s
     BFS over those tables numbers G_k as bfs numbers it from its rows;
     its visit order t |N| + n is kept as G_k's lift coordinates.
 
-    proj maps below's elements onto G_1.  Returns G_k, whose element
-    rows are left to QuotientGroup.elements, and its map onto G_1.
-    A lift or cocycle that fails its check raises
+    L is a tree fill of below (_tree_rows), its differences are taken one
+    BFS layer at a time.  Returns G_k, whose element rows are left to
+    QuotientGroup.elements.  A lift or cocycle that fails its check raises
     NumericalContractError; more than cap elements ResourceLimitError.
     """
     s, k = below.s, below.k + 1
     m, step = s**k, s ** (k - 1)
-    count, width = below.order, base.group.elements.shape[2]
+    count, width = below.order, base.rows.shape[2]
     tables = [t % m for t in base.tables]
-    lift = np.zeros((count, 3, width), dtype=_storage_dtype(m))
-    lift[0] = base.group.elements[0]
+    lift = _tree_rows(below, tables, _identity(width // 3, m), m)
     # D(t, g) = (L(t) g - L(t g)) / s^(k-1); then X(t, g) = D(t, g) L(t g)^-1 mod s
-    shift = np.empty((count, 4, 3, width), dtype=base.group.elements.dtype)
+    shift = np.empty((count, 4, 3, width), dtype=base.rows.dtype)
     signed = np.min_scalar_type(-m)
-    lo, hi = 0, 1
-    while lo < hi:
-        # one layer: its products lift the next layer, after which all neighbours t g are lifted
-        nxt = int(np.searchsorted(below.parents, hi))
-        prod = right_products(lift[lo:hi], tables, m)
-        lift[hi:nxt] = prod[below.parents[hi:nxt] - lo, below.tokens[hi:nxt]]
-        target = below.gen_perm[:, lo:hi].T
-        diff = prod.astype(signed) - lift[target]
+    for lo, hi in zip(below.layers[:-1], below.layers[1:]):
+        diff = right_products(lift[lo:hi], tables, m).astype(signed) - lift[below.gen_perm[:, lo:hi].T]
         diff %= m
         if np.any(diff % step):
             raise NumericalContractError(
                 f"lift of {what}: L(t) g != L(t g) mod {s}^{k - 1}; the tables of level {k - 1} are corrupt"
             )
         shift[lo:hi] = diff // step
-        lo, hi = hi, nxt
 
-    targets = proj[below.gen_perm.T]  # the images in G_1 of every t g
+    targets = below.reduce_to(base.group)[below.gen_perm.T]  # the images in G_1 of every t g
     values = base.times(shift, base.inverse[targets]).reshape(-1, 3, width)
     first, labels = unique_rows(values)
     kernel, gens, radices = _span(values[first], s)
@@ -738,11 +716,10 @@ def _lift(below: QuotientGroup, proj: np.ndarray, base: _Base, cap: int, what: s
             f"lift of {what} reaches {len(visit)} of its {order} elements from the identity"
         )
 
-    group = QuotientGroup(
+    return QuotientGroup(
         p=below.p, q=below.q, s=s, k=k, order=order,
         gen_perm=gen_perm, parents=parents, tokens=tokens, lift=visit, kernel_order=size,
     )
-    return group, proj[visit // size]
 
 
 def _renumber(perm: np.ndarray):

@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, NumericalContractError, ResourceLimitError
 from .outputs import write_csv, write_json
-from .tolerances import EIGENPAIR_RESIDUAL, FACTOR_BACKWARD, HERMITICITY
+from .tolerances import EIGENPAIR_RESIDUAL, FACTOR_BACKWARD, HERMITICITY, IDOS_LEVEL
 
 __all__ = [
     "SpectrumResult",
@@ -219,7 +219,15 @@ def _hermiticity_defect(block: np.ndarray) -> float:
 
 
 def idos_curve(spec: SpectrumResult, grid: np.ndarray, metadata: dict | None = None) -> DOSCurve:
-    vals = np.searchsorted(spec.eigenvalues, grid, side="right") / spec.dim
+    """Fraction of eigenvalues at or below each grid energy.
+
+    Copies of one level differ in their last bits, so eigenvalues up to
+    IDOS_LEVEL * max(1, max |lambda|) above a grid energy count too: a
+    level that sits on a grid point counts whole.
+    """
+    ev = spec.eigenvalues
+    tol = IDOS_LEVEL * max(1.0, float(np.abs(ev).max(initial=0.0)))
+    vals = np.searchsorted(ev, np.asarray(grid, dtype=float) + tol, side="right") / spec.dim
     return DOSCurve(np.asarray(grid, dtype=float), vals.astype(float), metadata or {})
 
 

@@ -36,3 +36,7 @@ FACTOR_BACKWARD = 1e-10
 
 # Residual ||H x - lambda x|| of every unit eigenvector eigenpairs_near returns
 EIGENPAIR_RESIDUAL = 1e-9
+
+# An eigenvalue within this distance above a grid energy, relative to max(1, max |lambda|),
+# counts toward the IDOS there, so a degenerate level on a grid point counts whole
+IDOS_LEVEL = 1e-12

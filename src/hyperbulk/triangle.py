@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -447,7 +447,8 @@ class DiscoveryTree:
     """Words of elements numbered by a BFS.
 
     Element i is reached from element parents[i] by generator tokens[i];
-    element 0 is the identity.
+    element 0 is the identity.  Every walk along the tree is a fill, one
+    vectorized step per BFS layer; an element's BFS depth is its layer.
     """
 
     parents: np.ndarray
@@ -459,6 +460,34 @@ class DiscoveryTree:
             out.append(int(self.tokens[i]))
             i = int(self.parents[i])
         return tuple(reversed(out))
+
+    @cached_property
+    def layers(self) -> np.ndarray:
+        """Start of every BFS layer, then the order: layer j + 1 holds the children of layer j.
+
+        One searchsorted a layer over parents[1:], which must rise from 0
+        with every parent before its child (no empty layer), and tokens
+        must lie in [0, 4); else NumericalContractError, once per tree.
+        """
+        parents, tokens, n = self.parents[1:], self.tokens[1:], len(self.parents)
+        layers = [0, 1]
+        ordered = not parents.size or bool(parents[0] == 0 and np.all(np.diff(parents) >= 0)
+                                           and tokens.min() >= 0 and tokens.max() < 4)
+        while ordered and layers[-1] < n:
+            layers.append(1 + int(np.searchsorted(parents, layers[-1])))
+            ordered = layers[-1] > layers[-2]
+        if not ordered:
+            raise NumericalContractError("the discovery tree is not breadth-first; group tables are corrupt")
+        return np.array(layers)
+
+    def fill(self, root, step) -> np.ndarray:
+        """value(e) = root, value(x t) = step(value(x), t): one vectorized step per layer, in root's dtype."""
+        root = np.asarray(root)
+        out = np.empty((len(self.parents), *root.shape), dtype=root.dtype)
+        out[0] = root
+        for lo, hi in zip(self.layers[1:-1], self.layers[2:]):
+            out[lo:hi] = step(out[self.parents[lo:hi]], self.tokens[lo:hi])
+        return out
 
 
 @dataclass
@@ -473,7 +502,6 @@ class Enumeration:
     index: RowIndex
     parents: np.ndarray
     tokens: np.ndarray
-    layer_sizes: list
     gen_perm: np.ndarray
 
 
@@ -488,10 +516,10 @@ def bfs(tables, ident: np.ndarray, modulus: int | None = None, radius: int | Non
     ResourceLimitError.  Rows are stored in ident's dtype.
     """
     index = RowIndex(ident[None])
-    parents, tokens, layer_sizes = [[-1]], [[-1]], [1]
+    parents, tokens = [[-1]], [[-1]]
     perms = [np.zeros((len(tables), 0), dtype=np.int64)]
     lo = 0
-    while lo < len(index) and (radius is None or len(layer_sizes) <= radius):
+    while lo < len(index) and (radius is None or len(parents) <= radius):
         hi = len(index)
         cand = right_products(index.rows[lo:hi], tables, modulus).reshape(-1, *ident.shape)
         keys = row_keys(cand)
@@ -510,13 +538,11 @@ def bfs(tables, ident: np.ndarray, modulus: int | None = None, radius: int | Non
         parents.append(lo + new // len(tables))
         tokens.append(new % len(tables))
         perms.append(idx.reshape(hi - lo, len(tables)).T)
-        layer_sizes.append(len(new))
         lo = hi
     return Enumeration(
         index,
         np.concatenate(parents).astype(np.int64),
         np.concatenate(tokens).astype(np.int64),
-        layer_sizes,
         np.concatenate(perms, axis=1),
     )
 
@@ -536,10 +562,13 @@ class Ball(DiscoveryTree):
         self.index = found.index
         self.parents = found.parents
         self.tokens = found.tokens
-        self.layer_sizes = found.layer_sizes  # elements per word length 0..radius
 
     def __len__(self) -> int:
         return len(self.index)
+
+    @property
+    def layer_sizes(self) -> list:  # elements per word length 0..radius
+        return np.diff(self.layers).tolist()
 
     def flat(self, i: int) -> np.ndarray:
         return self.index.rows[i]

@@ -74,6 +74,22 @@ def left_translation(group, t, indices=None):
     return np.array(perm)
 
 
+def check_layers(tree):
+    """tree.layers partition the elements, and the parents of layer j + 1 lie in layer j."""
+    layers, n = tree.layers, len(tree.parents)
+    assert layers[0] == 0 and layers[-1] == n and np.all(np.diff(layers) > 0)
+    depth = np.repeat(np.arange(len(layers) - 1), np.diff(layers))
+    assert np.array_equal(depth[tree.parents[1:]], depth[1:] - 1)
+
+
+def per_element_fill(tree, root, step):
+    """value(e) = root and value(x t) = step(value(x), t), one element at a time: the oracle of tree.fill."""
+    out = [root]
+    for i in range(1, len(tree.parents)):
+        out.append(step(out[tree.parents[i]], int(tree.tokens[i])))
+    return np.array(out)
+
+
 @pytest.fixture(scope="session")
 def q54_k1():
     return quotient.build_quotient(5, 4, 2, 1)

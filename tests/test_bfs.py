@@ -6,7 +6,9 @@ dict of exact matrices, and the 64-bit row keys against forced
 collisions: two distinct elements must never be merged.
 """
 
+import dataclasses
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from hyperbulk.triangle import (
     matrix_to_flat,
     word_to_matrix,
 )
+
+from conftest import check_layers
 
 
 def reduced(mat: GroupMatrix, m: int) -> np.ndarray:
@@ -63,6 +67,7 @@ FROZEN_TABLES = {
 @pytest.mark.parametrize("key", sorted(FROZEN_TABLES), ids=lambda key: "{}_{}_s{}_k{}".format(*key))
 def test_cached_tables_are_frozen(key):
     group = quotient.build_quotient(*key)
+    check_layers(group)
     digest = hashlib.sha256()
     for name in ("elements", "gen_perm", "parents", "tokens"):  # the four tables of the first cache format
         table = np.ascontiguousarray(getattr(group, name))
@@ -73,16 +78,58 @@ def test_cached_tables_are_frozen(key):
     assert digest.hexdigest()[:16] == FROZEN_TABLES[key]
 
 
-def test_reduce_to_matches_exact_lookup(q54_k1, q54_k2, tmp_path):
+@pytest.fixture(scope="module")
+def q54_k3():
+    return quotient.build_quotient(5, 4, 2, 3)
+
+
+def saved_and_loaded(group, tmp_path):
+    path = str(tmp_path / f"k{group.k}.npz")
+    group.save(path)
+    return quotient.QuotientGroup.load(path)
+
+
+def test_reduce_to_matches_exact_lookup(q54_k1, q54_k2, q54_k3, tmp_path):
     coarse = {q54_k1.elements[i].tobytes(): i for i in range(q54_k1.order)}
-    fine = (q54_k2.elements % q54_k1.modulus).astype(q54_k1.elements.dtype)
-    want = [coarse[row.tobytes()] for row in fine]
-    assert np.array_equal(q54_k2.reduce_to(q54_k1), want)
-    # loaded groups: rows computed from the cached tables alone
-    for g in (q54_k1, q54_k2):
-        g.save(str(tmp_path / f"k{g.k}.npz"))
-    fine_loaded, coarse_loaded = (quotient.QuotientGroup.load(str(tmp_path / f"k{k}.npz")) for k in (2, 1))
-    assert np.array_equal(fine_loaded.reduce_to(coarse_loaded), want)
+    for group in (q54_k2, q54_k3):
+        fine = (group.elements % q54_k1.modulus).astype(q54_k1.elements.dtype)
+        want = [coarse[row.tobytes()] for row in fine]
+        assert np.array_equal(group.reduce_to(q54_k1), want)
+        # loaded groups: the map from the cached tables alone
+        assert np.array_equal(saved_and_loaded(group, tmp_path).reduce_to(saved_and_loaded(q54_k1, tmp_path)), want)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_reduce_to_one_level_down_is_the_lift_coset(q54_k1, q54_k2, q54_k3, tmp_path, k):
+    # element (t, n) = n L(t) of G_k maps to t in G_(k-1)
+    tower = {1: q54_k1, 2: q54_k2, 3: q54_k3}
+    fine, coarse = tower[k], tower[k - 1]
+    want = fine.lift // fine.kernel_order
+    assert np.array_equal(fine.reduce_to(coarse), want)
+    loaded = saved_and_loaded(fine, tmp_path)
+    assert np.array_equal(loaded.reduce_to(saved_and_loaded(coarse, tmp_path)), want)
+    assert "elements" not in vars(loaded)
+
+
+@pytest.mark.parametrize("which", ["fine", "coarse"])
+def test_reduce_to_refuses_swapped_gen_perm_entries(q54_k1, q54_k2, which):
+    groups = {"fine": q54_k2, "coarse": q54_k1}
+    perm = groups[which].gen_perm.copy()
+    perm[0, [5, 9]] = perm[0, [9, 5]]
+    groups[which] = dataclasses.replace(groups[which], gen_perm=perm)
+    with pytest.raises(NumericalContractError, match=r"breaks f\(x g\) = f\(x\) g for generator 0"):
+        groups["fine"].reduce_to(groups["coarse"])
+
+
+@pytest.mark.skipif(not os.environ.get("RUN_LONG"), reason="set RUN_LONG")
+def test_reduce_to_from_g4_computes_no_element_rows(q54_k1, q54_k2, q54_k3):
+    # {5,4} at k = 4: 5,242,880 elements; G_4 -> G_1 is one tree fill of G_1's table entries
+    g4 = quotient.build_quotient(5, 4, 2, 4, element_cap=2**23)
+    to_g1, to_g2, to_g3 = (g4.reduce_to(g) for g in (q54_k1, q54_k2, q54_k3))
+    assert "elements" not in vars(g4)
+    assert np.array_equal(to_g3, g4.lift // g4.kernel_order)
+    assert np.array_equal(to_g1, q54_k3.reduce_to(q54_k1)[to_g3])
+    assert np.array_equal(to_g2, q54_k3.reduce_to(q54_k2)[to_g3])
 
 
 def reference_open(h, ball):

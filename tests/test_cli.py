@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -553,6 +554,30 @@ def test_junction_config_file(tmp_path):
 
 def test_threads_validation(capsys):
     assert cli.main(["--threads", "0", "minpoly", "-n", "8"]) == 2
+
+
+KPM = ["spectrum", "5", "4", "--method", "kpm", "--moments", "16", "--grid", "8"]
+THREAD_DEFAULTS = {
+    "kpm": ([], KPM, {}, "1"),
+    "auto": ([], ["spectrum", "5", "4", "--grid", "8"], {}, "1"),
+    "exact": ([], ["spectrum", "5", "4", "--method", "exact", "--grid", "8"], {}, None),
+    "flow": ([], ["flow", "5", "4", "--samples", "2"], {}, None),
+    "threads-given": (["--threads", "2"], KPM, {}, "2"),
+    "environment-set": ([], KPM, {"OPENBLAS_NUM_THREADS": "3"}, "1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(THREAD_DEFAULTS))
+def test_kpm_and_auto_spectra_default_to_one_thread(tmp_path, monkeypatch, case):
+    flags, argv, env, want = THREAD_DEFAULTS[case]
+    for var in cli._THREAD_VARS:
+        monkeypatch.setitem(os.environ, var, "")  # restored on teardown, whatever main sets
+        monkeypatch.delitem(os.environ, var)
+    for var, value in env.items():
+        monkeypatch.setitem(os.environ, var, value)
+    assert run(flags + ["--out", str(tmp_path)] + argv) == 0
+    for var in cli._THREAD_VARS:
+        assert os.environ.get(var) == env.get(var, want), var
 
 
 def test_junction_config_pairs_and_flag_override(tmp_path):

@@ -10,6 +10,8 @@ from hyperbulk import geometry, triangle
 from hyperbulk.errors import ConfigError
 from hyperbulk.tolerances import FORM_PRESERVATION, MIDPOINT
 
+from conftest import per_element_fill
+
 
 def disk_points(max_radius=0.95):
     return st.tuples(
@@ -172,6 +174,30 @@ def test_site_positions_quotient(q54_k1):
     pos = geometry.site_positions(q54_k1, z0)
     assert pos.shape == (q54_k1.order,)
     assert np.all(np.abs(pos) < 1.0)
+
+
+def chase_numeric_matrices(parents, tokens, gens):
+    """Float matrices of a quotient's elements by a per-element walk of the parent links."""
+    gen_num = [gens.token_matrix(t).numeric() for t in range(4)]
+    out = np.empty((len(parents), 3, 3))
+    out[0] = np.eye(3)
+    for i in range(1, len(parents)):
+        out[i] = out[parents[i]] @ gen_num[tokens[i]]
+    return out
+
+
+def test_site_positions_quotient_match_the_per_element_chase(q54_k2):
+    # the tree fill multiplies the same float matrices in the same order: equal bit for bit
+    gens = triangle.build_generators(5, 4)
+    mats = chase_numeric_matrices(q54_k2.parents, q54_k2.tokens, gens)
+    step = np.array([gens.token_matrix(t).numeric() for t in range(4)])
+    assert np.array_equal(q54_k2.fill(np.eye(3), lambda m, t: m @ step[t]),
+                          per_element_fill(q54_k2, np.eye(3), lambda m, t: m @ step[t]))
+    z0 = geometry.incenter(5, 4)
+    basis = geometry.gamma_basis(5, 4)
+    v0 = basis.embed(np.asarray(geometry.disk_to_hyperboloid(z0)))
+    want = geometry._coords_to_disk_array(basis.coordinates(mats @ v0))
+    assert np.array_equal(geometry.site_positions(q54_k2, z0), want)
 
 
 def test_positions_csv(tmp_path, ball54_r3):

@@ -16,6 +16,8 @@ import pytest
 from hyperbulk import cli, quotient, triangle
 from hyperbulk.errors import NumericalContractError
 
+from conftest import check_layers
+
 # every s = 2 family of the k = 2 survey (|G_2| <= 65536), plus deeper levels and other moduli
 ROWS = [(p, q, 2, 2) for p, q in [(5, 4), (5, 5), (6, 4), (6, 5), (6, 6), (7, 3), (7, 4),
                                   (7, 6), (7, 7), (8, 3), (8, 4), (8, 6), (8, 8)]]
@@ -49,6 +51,7 @@ def test_lift_equals_enumeration(key):
     # bfs returns int64 indices; a quotient of order below 2^31 holds them as int32, tokens as int8
     dtypes = {"elements": found.index.rows.dtype, "gen_perm": np.int32, "parents": np.int32, "tokens": np.int8}
     assert group.order == len(found.index)
+    check_layers(group)
     for name in ("elements", "gen_perm", "parents", "tokens"):  # bfs gives no lift coordinates
         got = getattr(group, name)
         assert got.dtype == dtypes[name], name

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from hyperbulk import cli, operators, quotient, spectral, triangle
 from hyperbulk.errors import NumericalContractError
 
-from conftest import QUOTIENT_ORDERS, all_models
+from conftest import QUOTIENT_ORDERS, all_models, per_element_fill
 from test_kpm import TOL, exact_moments, three_term_moments
 
 # the {5,4} models whose weights sigma fixes; sigma(AB) = BA rules out every h_3
@@ -60,6 +60,14 @@ def test_reflection_is_the_involutive_automorphism_fixing_e(key):
         assert np.array_equal(sigma[perm[t]], perm[triangle.inverse_token(t)][sigma]), t
     picked = np.unique(np.r_[0, 1, n - 1, np.random.default_rng(0).integers(0, n, SAMPLE)])
     assert np.array_equal(sigma[picked], conjugated_by_s_y(group, picked))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_reflection_fill_matches_a_per_element_walk(q54_k1, q54_k2, k):
+    group = {1: q54_k1, 2: q54_k2}[k]
+    perm = group.gen_perm
+    want = per_element_fill(group, 0, lambda v, t: perm[triangle.inverse_token(t)][v])
+    assert np.array_equal(group.reflection, want)
 
 
 def test_built_and_loaded_groups_give_the_same_reflection(g3, tmp_path):

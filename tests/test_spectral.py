@@ -31,6 +31,14 @@ def test_exact_spectrum_dense_cap():
         spectral.exact_spectrum(sp.eye(10, format="csr"), dense_cap=5)
 
 
+def test_idos_counts_a_level_on_a_grid_point_whole():
+    # six copies of -0.5 a few ulps apart, as a dense solve leaves a degenerate level, and a grid point on it
+    ulp = np.spacing(0.5)
+    ev = np.sort(np.r_[-2.0, -0.5 + ulp * np.array([-2, -1, 0, 0, 1, 2]), 1.0])
+    curve = spectral.idos_curve(spectral.SpectrumResult(ev), np.array([-1.0, -0.5, 0.0, 1.0]))
+    assert list(curve.values * len(ev)) == [1, 7, 7, 8]
+
+
 def test_idos_monotone_and_normalized(spec_k1):
     grid = np.linspace(-1.2, 1.2, 400)
     curve = spectral.idos_curve(spec_k1, grid)

@@ -19,7 +19,7 @@ from hyperbulk.triangle import (
     word_to_matrix,
 )
 
-from conftest import QUOTIENT_ORDERS
+from conftest import QUOTIENT_ORDERS, check_layers
 
 ALL_PAIRS = sorted(QUOTIENT_ORDERS) + [(7, 5)]
 
@@ -133,6 +133,7 @@ def test_ball_layers_54():
     ball = triangle.ball_enumerate(5, 4, 6)
     assert ball.layer_sizes == [1, 4, 9, 16, 26, 41, 64]
     assert len(ball) == sum(ball.layer_sizes)
+    check_layers(ball)
     # element 0 is the identity with the empty word
     assert ball.word(0) == ()
     assert ball.matrix(0) == GroupMatrix.identity(ball.gens.ctx)
