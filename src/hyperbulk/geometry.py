@@ -218,7 +218,7 @@ def _ball_numeric_matrices(ball: Ball) -> np.ndarray:
     return coeffs @ pows
 
 
-def site_positions(elements, z0: complex, basis: GammaBasis | None = None) -> np.ndarray:
+def site_positions(elements, z0: complex) -> np.ndarray:
     """Disk positions g . z0, one per element, in element-index order.
 
     Accepts a Ball (exact coefficients, preferred) or a quotient group,
@@ -235,8 +235,7 @@ def site_positions(elements, z0: complex, basis: GammaBasis | None = None) -> np
         mats = elements.fill(np.eye(3), lambda m, t: m @ step[t])
     else:
         raise ConfigError("site_positions expects a Ball or a quotient group")
-    if basis is None:
-        basis = gamma_basis(p, q)
+    basis = gamma_basis(p, q)
     v0 = basis.embed(np.asarray(disk_to_hyperboloid(z0)))
     moved = mats @ v0
     return _coords_to_disk_array(basis.coordinates(moved))

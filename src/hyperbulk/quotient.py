@@ -12,9 +12,9 @@ tables mod s, deduplicated through sorted 64-bit row keys confirmed row
 by row.  The same products fill the right-multiplication permutations
 gen_perm, and every word the operator layer applies is a walk through
 them (QuotientGroup.walk).  A group holds only these index tables and
-its discovery tree; the element rows are recomputed from the tree when
-something reads them (QuotientGroup.elements), and the cache holds no
-rows.
+the lift coordinates below; its discovery tree is derived from gen_perm
+(_tree), the element rows are recomputed from the tree when something
+reads them (QuotientGroup.elements), and the cache holds no rows.
 
 For k >= 2 the kernel N of G_k -> G_(k-1) is abelian, because
 (1 + s^(k-1) X)(1 + s^(k-1) Y) = 1 + s^(k-1) (X + Y) mod s^k.  Each
@@ -40,7 +40,7 @@ import json
 import os
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -67,8 +67,8 @@ from .triangle import (
 __all__ = ["QuotientGroup", "Sectors", "build_quotient"]
 
 DEFAULT_ELEMENT_CAP = 500_000
-# version 1 files carry no version field, version 2 held inv and left_perm, 3 no lift, 4 the element rows
-CACHE_VERSION = 5
+# version 1 files carry no version field; 2 held inv and left_perm, 3 no lift, 4 the rows, 5 tree and torsion
+CACHE_VERSION = 6
 
 
 def _storage_dtype(m: int):
@@ -91,33 +91,40 @@ class QuotientGroup(DiscoveryTree):
     gen_perm[t][i] is the index of (element i) * (generator t), with t
     running over A, A^-1, B, B^-1.  Element i is n L(t) with
     lift[i] = t |N| + n, |N| = kernel_order (see _lift; at k = 1 lift is
-    the identity and |N| = 1).  Construction narrows the index tables to
-    int32 (int64 from order 2^31 on) and tokens to int8, so built, lifted
-    and loaded groups hold the same arrays.  The group holds only these
-    index tables; the element rows are computed from them on first use
-    (elements).
+    the identity and |N| = 1).  Construction narrows both tables to int32
+    (int64 from order 2^31 on), so built, lifted and loaded groups hold
+    the same arrays, and derives the discovery tree from gen_perm (_tree);
+    everything else is computed from them on first use.
     """
 
     p: int
     q: int
     s: int
     k: int
-    order: int
     gen_perm: np.ndarray          # (4, order), _index_dtype(order)
-    parents: np.ndarray           # (order,) discovery tree parent indices, _index_dtype(order)
-    tokens: np.ndarray            # (order,) discovery tree generator tokens, int8
     lift: np.ndarray              # (order,) coordinates t * kernel_order + n, _index_dtype(order)
     kernel_order: int             # |ker(G_k -> G_(k-1))|
-    torsion: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if np.ndim(self.gen_perm) != 2 or len(self.gen_perm) != 4:
+            raise NumericalContractError(f"gen_perm has shape {np.shape(self.gen_perm)}, expected (4, order)")
         index = _index_dtype(self.order)
-        for name, dtype in (("gen_perm", index), ("parents", index), ("tokens", np.int8), ("lift", index)):
-            setattr(self, name, _narrow(getattr(self, name), dtype, name))
+        self.gen_perm, self.lift = (_narrow(getattr(self, name), index, name) for name in ("gen_perm", "lift"))
+        self.parents, self.tokens = _tree(self.gen_perm)
+
+    @property
+    def order(self) -> int:
+        return self.gen_perm.shape[1]
 
     @property
     def modulus(self) -> int:
         return self.s**self.k
+
+    @cached_property
+    def torsion(self) -> dict:
+        """Orders of A, B and AB here against the rotation group's p, q and 2, computed on first use."""
+        words = {"A": ((GEN_A,), self.p), "B": ((GEN_B,), self.q), "AB": ((GEN_A, GEN_B), 2)}
+        return {name: {"expected": e, "order": self.element_order(self.project(w))} for name, (w, e) in words.items()}
 
     @property
     def torsion_preserved(self) -> bool:
@@ -164,7 +171,7 @@ class QuotientGroup(DiscoveryTree):
 
         sigma is conjugation by a reflection of the triangle group, so it
         preserves the relations A^p = B^q = (AB)^2 = 1 and acts on every
-        quotient.  It is read from gen_perm, parents and tokens alone
+        quotient.  It is read from gen_perm and its discovery tree alone
         (see _reflection), computed on first use and never saved.
         """
         return _reflection(self)
@@ -195,8 +202,7 @@ class QuotientGroup(DiscoveryTree):
         """
         if not path.endswith(".npz"):
             path += ".npz"
-        header = json.dumps({"version": CACHE_VERSION, "hyperbulk": __version__,
-                             **{key: getattr(self, key) for key in _HEADER}, "torsion": self.torsion})
+        header = json.dumps({"version": CACHE_VERSION, "hyperbulk": __version__, **{k: getattr(self, k) for k in _HEADER}})
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
@@ -227,7 +233,7 @@ class QuotientGroup(DiscoveryTree):
                         "delete the file or use another --cache-dir"
                     )
                 arrays = {name: data[name] for name in _CACHE_ARRAYS}
-            group = cls(**{key: header[key] for key in _HEADER}, torsion=dict(header["torsion"]), **arrays)
+            group = cls(**{key: header[key] for key in _HEADER}, **arrays)
             _validate(group)
         except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile, zlib.error,
                 NumericalContractError) as exc:
@@ -235,8 +241,24 @@ class QuotientGroup(DiscoveryTree):
         return group
 
 
-_CACHE_ARRAYS = ("gen_perm", "parents", "tokens", "lift")
-_HEADER = ("p", "q", "s", "k", "order", "kernel_order")
+_CACHE_ARRAYS = ("gen_perm", "lift")
+_HEADER = ("p", "q", "s", "k", "kernel_order")
+
+
+def _tree(perm: np.ndarray):
+    """The discovery tree (parents, tokens) of BFS-numbered tables, -1 at the root.
+
+    A BFS reaches i >= 1 first from its smallest neighbour j = i g_t^-1,
+    which lies in the layer before all its others, and by the first such
+    t.  Row selections and comparisons only: corrupt entries reach
+    _validate's checks as they are.
+    """
+    parents = perm.min(axis=0)  # the rows i g_t^-1 are the four rows in another order
+    tokens = np.full(parents.shape, 3, dtype=np.int8)
+    for t in (2, 1, 0):  # the first t whose row holds the minimum, by arithmetic: a boolean mask is slower
+        tokens -= (tokens - t) * (perm[inverse_token(t)] == parents)
+    parents[:1], tokens[:1] = -1, -1
+    return parents, tokens
 
 
 def _narrow(table: np.ndarray, dtype, name: str) -> np.ndarray:
@@ -256,23 +278,21 @@ def _validate(group: QuotientGroup) -> None:
     """Check a loaded quotient's tables; raise NumericalContractError on a defect.
 
     Every gen_perm row is a permutation undone by the row of the inverse
-    generator, the breadth-first discovery tree follows gen_perm, and
-    lift is a permutation.  Every check is a linear pass.  The tables
-    must also be of the header's level k: exactly at k = 1 is the kernel
-    trivial and lift the identity, and above it the |N| elements of
-    coset 0, walked mod s^k along their tree words, are distinct and 1
-    mod s^(k-1), which costs |N| short walks (and the generator tables
-    mod s^k, which level 1 never builds).  The tables arrive narrowed by
-    QuotientGroup construction, also those of files written with int64
-    tables.  The element rows are not stored; they are checked where
-    they are computed (_rows).
+    generator, the tables are numbered breadth-first (their tree passes
+    layers, siblings in token order), and lift is a permutation.  Every
+    check is a linear pass.  The tables must also be of the header's
+    level k: exactly at k = 1 is the kernel trivial and lift the
+    identity, and above it the |N| elements of coset 0, walked mod s^k
+    along their tree words, are distinct and 1 mod s^(k-1), which costs
+    |N| short walks (and the generator tables mod s^k, which level 1
+    never builds).  Construction has narrowed the tables and checked
+    gen_perm's shape; the element rows are checked in _rows.
     """
     n = group.order
-    for name, shape in {"gen_perm": (4, n), "parents": (n,), "tokens": (n,), "lift": (n,)}.items():
-        table = getattr(group, name)
-        if table.shape != shape:
-            raise NumericalContractError(f"{name} has shape {table.shape}, expected {shape}")
-        if not np.issubdtype(table.dtype, np.integer):
+    if group.lift.shape != (n,):
+        raise NumericalContractError(f"lift has shape {group.lift.shape}, expected {(n,)}")
+    for name in _CACHE_ARRAYS:
+        if not np.issubdtype(getattr(group, name).dtype, np.integer):
             raise NumericalContractError(f"{name} is not an integer table")
     if type(group.kernel_order) is not int or group.kernel_order < 1 or n % group.kernel_order:
         raise NumericalContractError(f"kernel order {group.kernel_order!r} does not divide the order {n}")
@@ -290,9 +310,9 @@ def _validate(group: QuotientGroup) -> None:
     for t, row in enumerate(perm):
         if np.any(row[perm[inverse_token(t)]] != ident):
             raise NumericalContractError("gen_perm rows of a generator and its inverse do not compose to 1")
-    group.layers  # a tree that is not breadth-first raises here
-    if np.any(perm[group.tokens[1:], group.parents[1:]] != ident[1:]):
-        raise NumericalContractError("the discovery tree is not breadth-first along gen_perm edges")
+    group.layers  # tables that are not numbered breadth-first raise here, or in the sibling check
+    if np.any((group.parents[2:] == group.parents[1:-1]) & (group.tokens[2:] <= group.tokens[1:-1])):
+        raise NumericalContractError("the tables are not numbered breadth-first: two siblings are out of token order")
     if (group.k == 1) != (group.kernel_order == 1 and np.array_equal(group.lift, ident)):
         raise NumericalContractError(f"level {group.k} with a kernel of order {group.kernel_order}: exactly level 1 "
                                      "has a trivial kernel and the identity lift")
@@ -572,19 +592,12 @@ def build_quotient(
     product_dtype(3 * d * (s**k - 1) ** 2)  # refuse a modulus whose table products wrap int64 before any level
     what = f"quotient of {{{p},{q}}} mod {s}^{k}"
     found = bfs([t % s for t in tables], _identity(d, s), modulus=s, cap=element_cap, what=what)
-    group = QuotientGroup(
-        p=p, q=q, s=s, k=1, order=len(found.index), gen_perm=found.gen_perm, parents=found.parents,
-        tokens=found.tokens, lift=np.arange(len(found.index)), kernel_order=1,
-    )
+    group = QuotientGroup(p=p, q=q, s=s, k=1, gen_perm=found.gen_perm, lift=np.arange(len(found.index)),
+                          kernel_order=1)
     if k > 1:
         base = _Base(group, found.index.rows, tables, (power_table(gens.ctx) % s).astype(np.int64))
         for _ in range(2, k + 1):
             group = _lift(group, base, element_cap, what)
-
-    # torsion audit: the generators should keep their infinite-group orders
-    words = {"A": ((GEN_A,), p), "B": ((GEN_B,), q), "AB": ((GEN_A, GEN_B), 2)}
-    group.torsion = {name: {"expected": e, "order": group.element_order(group.project(w))}
-                     for name, (w, e) in words.items()}
     return group
 
 
@@ -709,48 +722,37 @@ def _lift(below: QuotientGroup, base: _Base, cap: int, what: str) -> QuotientGro
             translate[rows] = add[b][translate[rows]]
     perm = translate[labels.reshape(count, 4).T]
     perm += (below.gen_perm.astype(index_dtype) * size)[:, :, None]
-    visit, parents, tokens, gen_perm = _renumber(perm.reshape(4, order))
+    visit, gen_perm = _renumber(perm.reshape(4, order))
     del perm
     if len(visit) != order:
         raise NumericalContractError(
             f"lift of {what} reaches {len(visit)} of its {order} elements from the identity"
         )
-
-    return QuotientGroup(
-        p=below.p, q=below.q, s=s, k=k, order=order,
-        gen_perm=gen_perm, parents=parents, tokens=tokens, lift=visit, kernel_order=size,
-    )
+    return QuotientGroup(p=below.p, q=below.q, s=s, k=k, gen_perm=gen_perm, lift=visit, kernel_order=size)
 
 
 def _renumber(perm: np.ndarray):
     """Breadth-first numbering from 0 of the integer tables perm, as bfs numbers rows.
 
-    Returns (visit, parents, tokens, gen_perm): visit[i] is the old index
-    of new element i, which is reached from parents[i] by tokens[i], and
-    gen_perm holds the tables in the new numbering, written over perm's
-    leading columns.  visit is shorter than perm's rows when 0 does not
-    reach them all.  Indices stay in perm's dtype and tokens are int8.
+    Returns (visit, gen_perm): visit[i] is the old index of new element
+    i, and gen_perm holds the tables in the new numbering, written over
+    perm's leading columns.  visit is shorter than perm's rows when 0
+    does not reach them all.  Indices stay in perm's dtype.
     """
-    width, size = perm.shape
-    label = np.full(size, -1, dtype=perm.dtype)
-    label[0] = 0
-    visit, parents = [np.zeros(1, dtype=perm.dtype)], [np.full(1, -1, dtype=perm.dtype)]
-    tokens = [np.full(1, -1, dtype=np.int8)]
-    lo, hi = 0, 1
-    while lo < hi:
+    label = np.full(perm.shape[1], -1, dtype=perm.dtype)
+    label[0], visit, hi = 0, [np.zeros(1, dtype=perm.dtype)], 1
+    while len(visit[-1]):
         cand = perm[:, visit[-1]].T.ravel()  # (frontier position, token) order
         miss = np.flatnonzero(label[cand] < 0)
         # the first occurrence of each unvisited target is a new element
-        new = miss[np.sort(np.unique(cand[miss], return_index=True)[1])]
-        label[cand[new]] = np.arange(hi, hi + len(new))
-        parents.append((lo + new // width).astype(perm.dtype))
-        tokens.append((new % width).astype(np.int8))
-        visit.append(cand[new])
-        lo, hi = hi, hi + len(new)
-    visit, parents, tokens = np.concatenate(visit), np.concatenate(parents), np.concatenate(tokens)
+        new = cand[miss[np.sort(np.unique(cand[miss], return_index=True)[1])]]
+        label[new] = np.arange(hi, hi + len(new))
+        visit.append(new)
+        hi += len(new)
+    visit = np.concatenate(visit)
     for row in perm:
         row[: len(visit)] = label[row[visit]]
-    return visit, parents, tokens, perm[:, : len(visit)]
+    return visit, perm[:, : len(visit)]
 
 
 def _mod_sum(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:

@@ -218,7 +218,7 @@ def _hermiticity_defect(block: np.ndarray) -> float:
                              for i in range(0, len(block), 64)]))
 
 
-def idos_curve(spec: SpectrumResult, grid: np.ndarray, metadata: dict | None = None) -> DOSCurve:
+def idos_curve(spec: SpectrumResult, grid: np.ndarray) -> DOSCurve:
     """Fraction of eigenvalues at or below each grid energy.
 
     Copies of one level differ in their last bits, so eigenvalues up to
@@ -228,7 +228,7 @@ def idos_curve(spec: SpectrumResult, grid: np.ndarray, metadata: dict | None = N
     ev = spec.eigenvalues
     tol = IDOS_LEVEL * max(1.0, float(np.abs(ev).max(initial=0.0)))
     vals = np.searchsorted(ev, np.asarray(grid, dtype=float) + tol, side="right") / spec.dim
-    return DOSCurve(np.asarray(grid, dtype=float), vals.astype(float), metadata or {})
+    return DOSCurve(np.asarray(grid, dtype=float), vals.astype(float))
 
 
 def idos_mse(a: DOSCurve, b: DOSCurve) -> float:
@@ -474,9 +474,7 @@ def spectral_flow(models, path, group, dense_cap: int = DENSE_CAP) -> np.ndarray
     return np.array([spectra[w] for w in points])
 
 
-def ldos(
-    spec: SpectrumResult, energy: float, delta_e: float, site_weights=None
-) -> np.ndarray:
+def ldos(spec: SpectrumResult, energy: float, delta_e: float) -> np.ndarray:
     """Gaussian-broadened local density of states per site.
 
     LDOS(E, z) = sum_n exp(-|E_n - E|^2 / (2 dE^2)) |psi_n(z)|^2, with the
@@ -489,10 +487,7 @@ def ldos(
         raise ConfigError("delta_e must be positive")
     w = np.exp(-0.5 * ((spec.eigenvalues - energy) / delta_e) ** 2)
     # one memory order for the reduction, so the last digits do not depend on the vectors' layout
-    out = np.asfortranarray(np.abs(spec.eigenvectors) ** 2) @ w
-    if site_weights is not None:
-        out = out * np.asarray(site_weights, dtype=float)
-    return out
+    return np.asfortranarray(np.abs(spec.eigenvectors) ** 2) @ w
 
 
 @dataclass

@@ -82,6 +82,18 @@ def check_layers(tree):
     assert np.array_equal(depth[tree.parents[1:]], depth[1:] - 1)
 
 
+def relabelled(perm, new):
+    """The tables perm with element x renamed new[x]: the same group, numbered otherwise."""
+    out = np.empty_like(perm)
+    out[:, new] = new[perm]
+    return out
+
+
+def fixing_0(n, seed=0):
+    """A random permutation of range(n) that fixes the identity 0."""
+    return np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(n - 1)])
+
+
 def per_element_fill(tree, root, step):
     """value(e) = root and value(x t) = step(value(x), t), one element at a time: the oracle of tree.fill."""
     out = [root]

@@ -10,6 +10,8 @@ import scipy.sparse as sp
 from hyperbulk import cli, geometry, junction, outputs, quotient, spectral, triangle
 from hyperbulk.errors import NumericalContractError
 
+from conftest import fixing_0, relabelled
+
 
 def run(argv):
     return cli.main(argv)
@@ -281,20 +283,67 @@ def _written(out):
     return sorted(out.rglob("*")) if out.exists() else []
 
 
+def _rewrite(path, header=None, **tables):
+    """Rewrite the cache file at path with header entries and arrays replaced (None deletes one)."""
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    head = json.loads(bytes(arrays["header"]).decode())
+    for entries, new in ((head, header or {}), (arrays, tables)):
+        entries.update(new)
+        for name in [name for name, value in new.items() if value is None]:
+            del entries[name]
+    arrays["header"] = np.frombuffer(json.dumps(head).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
 @pytest.mark.parametrize(
     "argv",
     [["group", "5", "4", "--k", "2"], ["spectrum", "5", "4", "--k", "2", "--method", "kpm", "--moments", "16"]],
     ids=["group", "spectrum-kpm"],
 )
-def test_altered_token_in_cache_exits_4(tmp_path, capsys, argv):
-    # element 7's discovery-tree edge no longer follows gen_perm: the file is refused as it loads
+def test_relabelled_gen_perm_in_cache_exits_4(tmp_path, capsys, argv):
+    # valid group tables under another numbering: the tree derived from them is not breadth-first
     cache, path = _cached_k2(tmp_path)
     group = quotient.QuotientGroup.load(str(path))
-    group.tokens[7] ^= 2
-    group.save(str(path))
+    _rewrite(path, gen_perm=relabelled(group.gen_perm, fixing_0(group.order)))
     capsys.readouterr()
     assert run(["--out", str(tmp_path / "out"), "--cache-dir", str(cache)] + argv) == 4
-    assert "the discovery tree is not breadth-first along gen_perm edges" in capsys.readouterr().err
+    assert "the discovery tree is not breadth-first" in capsys.readouterr().err
+    assert _written(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("rows, shape", [(slice(3), "(3, 2560)"), (0, "(2560,)")], ids=["three-rows", "one-row"])
+def test_gen_perm_of_another_shape_in_cache_exits_4(tmp_path, capsys, rows, shape):
+    # the shape is checked before the order is read or the tree derived from the rows
+    cache, path = _cached_k2(tmp_path)
+    _rewrite(path, gen_perm=quotient.QuotientGroup.load(str(path)).gen_perm[rows])
+    capsys.readouterr()
+    assert run(["--out", str(tmp_path / "out"), "--cache-dir", str(cache), "group", "5", "4", "--k", "2"]) == 4
+    assert f"gen_perm has shape {shape}" in capsys.readouterr().err
+    assert _written(tmp_path / "out") == []
+
+
+def test_torsion_in_a_cache_header_is_not_read(tmp_path, capsys):
+    # the audit is computed from the tables: a header that claims A has order 99 changes nothing
+    cache, path = _cached_k2(tmp_path)
+    want = (tmp_path / "group_5_4_s2_k2.json").read_bytes()
+    torsion = {"A": {"expected": 5, "order": 99}, "B": {"expected": 4, "order": 4}, "AB": {"expected": 2, "order": 2}}
+    _rewrite(path, header={"torsion": torsion})
+    capsys.readouterr()
+    assert run(["--out", str(tmp_path / "out"), "--cache-dir", str(cache), "group", "5", "4", "--k", "2"]) == 0
+    assert "A: expected 5, got 5  [preserved]" in capsys.readouterr().out
+    assert (tmp_path / "out" / "group_5_4_s2_k2.json").read_bytes() == want
+
+
+def test_version_5_cache_exits_4(tmp_path, capsys):
+    # version-5 files also held the discovery tree, the order and the torsion audit
+    cache, path = _cached_k2(tmp_path)
+    group = quotient.QuotientGroup.load(str(path))
+    _rewrite(path, header={"version": 5, "order": group.order, "torsion": group.torsion},
+             parents=group.parents, tokens=group.tokens)
+    capsys.readouterr()
+    assert run(["--out", str(tmp_path / "out"), "--cache-dir", str(cache), "group", "5", "4", "--k", "2"]) == 4
+    assert f"format version 5, expected {quotient.CACHE_VERSION}" in capsys.readouterr().err
     assert _written(tmp_path / "out") == []
 
 
@@ -316,15 +365,9 @@ def test_altered_coordinates_in_cache_exit_4(tmp_path, capsys, argv):
 
 
 def test_version_3_cache_exits_4(tmp_path, capsys):
-    # the previous format held no lift and no kernel order
+    # version-3 files held no lift and no kernel order
     cache, path = _cached_k2(tmp_path)
-    with np.load(path) as data:
-        arrays = {name: data[name] for name in data.files if name != "lift"}
-    header = json.loads(bytes(arrays["header"]).decode())
-    header["version"] = 3
-    del header["kernel_order"]
-    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
+    _rewrite(path, header={"version": 3, "kernel_order": None}, lift=None)
     assert run(["--out", str(tmp_path), "--cache-dir", str(cache), "group", "5", "4", "--k", "2"]) == 4
     assert f"format version 3, expected {quotient.CACHE_VERSION}" in capsys.readouterr().err
 
@@ -337,23 +380,17 @@ def test_version_3_cache_exits_4(tmp_path, capsys):
     ],
 )
 def test_corrupt_elements_in_cache_exit_4_for_group_and_kpm(tmp_path, capsys, argv):
-    # the previous format also held the element rows, which are now computed from the tables:
-    # a version-4 file, here with two equal rows, is refused before anything reads them
+    # version-4 files also held the element rows, which are now computed from the tables:
+    # such a file, here with two equal rows, is refused before anything reads them
     cache, path = _cached_k2(tmp_path)
-    with np.load(path) as data:
-        arrays = {name: data[name] for name in data.files}
-    header = json.loads(bytes(arrays["header"]).decode())
-    header["version"] = 4
-    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
     group = quotient.QuotientGroup.load(str(path))
     elements = group.elements.copy()
     kernel = np.flatnonzero(group.sectors.coset == 0)
     elements[kernel[-1]] = elements[kernel[1]]
-    arrays["elements"] = elements
-    np.savez(path, **arrays)
+    _rewrite(path, header={"version": 4}, elements=elements)
     capsys.readouterr()
     assert run(["--out", str(tmp_path / "out"), "--cache-dir", str(cache)] + argv) == 4
-    assert "format version 4, expected 5" in capsys.readouterr().err
+    assert f"format version 4, expected {quotient.CACHE_VERSION}" in capsys.readouterr().err
     assert _written(tmp_path / "out") == []
 
 
@@ -368,7 +405,7 @@ def test_corrupt_elements_in_cache_exit_4_for_group_and_kpm(tmp_path, capsys, ar
     ],
 )
 def test_corrupt_gen_perm_in_cache_exits_4(tmp_path, capsys, index, value, message):
-    # an altered discovery tree: test_altered_token_in_cache_exits_4
+    # tables numbered otherwise than by a BFS: test_relabelled_gen_perm_in_cache_exits_4
     cache, path = _cached_k2(tmp_path)
     group = quotient.QuotientGroup.load(str(path))
     group.gen_perm[index] = value(group.gen_perm) if callable(value) else value
@@ -380,16 +417,12 @@ def test_corrupt_gen_perm_in_cache_exits_4(tmp_path, capsys, index, value, messa
 
 
 def test_cache_with_int64_tables_gives_the_same_kpm_bytes(tmp_path):
-    # files written before the index tables were narrowed hold gen_perm, parents and tokens as int64
+    # tables written as int64 are narrowed as they load
     cache, path = _cached_k2(tmp_path)
     built = quotient.build_quotient(5, 4, 2, 2)
-    with np.load(path) as data:
-        arrays = {name: data[name] for name in data.files}
-    for name in ("gen_perm", "parents", "tokens"):
-        arrays[name] = arrays[name].astype(np.int64)
-    np.savez(path, **arrays)
+    _rewrite(path, **{name: getattr(built, name).astype(np.int64) for name in quotient._CACHE_ARRAYS})
     loaded = quotient.QuotientGroup.load(str(path))
-    for name in quotient._CACHE_ARRAYS:
+    for name in (*quotient._CACHE_ARRAYS, "parents", "tokens"):
         assert getattr(loaded, name).dtype == getattr(built, name).dtype, name
         assert np.array_equal(getattr(loaded, name), getattr(built, name)), name
     argv = ["spectrum", "5", "4", "--k", "2", "--method", "kpm", "--moments", "64"]
@@ -439,12 +472,7 @@ def test_cache_labelled_with_another_level_exits_4(tmp_path, capsys, built, labe
     assert run(["--out", str(tmp_path), "--cache-dir", str(cache), "group", "5", "4", "--k", str(built)]) == 0
     path = cache / f"quotient_5_4_s2_k{label}.npz"
     (cache / f"quotient_5_4_s2_k{built}.npz").rename(path)
-    with np.load(path) as data:
-        arrays = {name: data[name] for name in data.files}
-    header = json.loads(bytes(arrays["header"]).decode())
-    header["k"] = label
-    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
+    _rewrite(path, header={"k": label})
     capsys.readouterr()
     argv = ["--out", str(tmp_path / "out"), "--cache-dir", str(cache)]
     assert run(argv + ["group", "5", "4", "--k", str(label)]) == 4

@@ -2,8 +2,9 @@
 
 build_quotient enumerates G_1 and lifts every level above it through the
 Schreier cocycle of G_(k-1)'s discovery tree.  triangle.bfs over the
-mod-s^k generator tables stays the oracle: every table must equal its
-output array for array, in the quotient's narrowed index dtypes.  A
+mod-s^k generator tables stays the oracle: every table, and the
+discovery tree the quotient derives from gen_perm, must equal its output
+array for array, in the quotient's narrowed index dtypes.  A
 corrupted lift or cocycle must stop the build with a contract error
 (exit 4), never return tables.
 """
@@ -48,7 +49,8 @@ def test_lift_equals_enumeration(key):
     found = enumerated(*key)
     want = {"elements": found.index.rows, "gen_perm": found.gen_perm,
             "parents": found.parents, "tokens": found.tokens}
-    # bfs returns int64 indices; a quotient of order below 2^31 holds them as int32, tokens as int8
+    # the quotient derives its tree from gen_perm, bfs records the edges it discovered: they must agree;
+    # bfs returns int64 indices, a quotient of order below 2^31 holds them as int32, tokens as int8
     dtypes = {"elements": found.index.rows.dtype, "gen_perm": np.int32, "parents": np.int32, "tokens": np.int8}
     assert group.order == len(found.index)
     check_layers(group)

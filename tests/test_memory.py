@@ -31,7 +31,8 @@ def traced_peak(call, *args, **kwargs):
 
 
 def table_bytes(group):
-    return sum(getattr(group, name).nbytes for name in quotient._CACHE_ARRAYS)
+    """The tables a group holds: the cached ones and the discovery tree derived from gen_perm."""
+    return sum(getattr(group, name).nbytes for name in (*quotient._CACHE_ARRAYS, "parents", "tokens"))
 
 
 def csr_bytes(mat):

@@ -11,7 +11,7 @@ from hyperbulk import quotient
 from hyperbulk.errors import NumericalContractError, ResourceLimitError
 from hyperbulk.triangle import GEN_A, GEN_B, inverse_word
 
-from conftest import QUOTIENT_ORDERS, left_translation
+from conftest import QUOTIENT_ORDERS, fixing_0, left_translation, relabelled
 
 
 @pytest.mark.parametrize("p,q", sorted(QUOTIENT_ORDERS))
@@ -20,7 +20,7 @@ def test_quotient_orders_mod_2(p, q):
     assert group.order == QUOTIENT_ORDERS[(p, q)]
 
 
-def test_torsion_audit_flags_collapses():
+def test_torsion_audit_flags_collapses(tmp_path):
     # {5,4} mod 2 keeps the full rotation orders
     g54 = quotient.build_quotient(5, 4, 2, 1)
     assert g54.torsion_preserved
@@ -31,6 +31,10 @@ def test_torsion_audit_flags_collapses():
     assert not g66.torsion_preserved
     orders = {name: v["order"] for name, v in g66.torsion.items()}
     assert orders == {"A": 3, "B": 3, "AB": 2}
+    # the cache holds no audit: a loaded group computes it from its tables
+    g66.save(str(tmp_path / "g.npz"))
+    loaded = quotient.QuotientGroup.load(str(tmp_path / "g.npz"))
+    assert "torsion" not in vars(loaded) and loaded.torsion == quotient.build_quotient(6, 6, 2, 1).torsion
     # {8,4} and {8,6} collapse partially
     g84 = quotient.build_quotient(8, 4, 2, 1)
     assert {n: v["order"] for n, v in g84.torsion.items()} == {"A": 4, "B": 4, "AB": 2}
@@ -105,7 +109,7 @@ def test_save_load_round_trip(tmp_path, q54_k1):
     q54_k1.save(path)
     loaded = quotient.QuotientGroup.load(path)
     assert loaded.order == q54_k1.order
-    for name in quotient._CACHE_ARRAYS:
+    for name in (*quotient._CACHE_ARRAYS, "parents", "tokens"):  # the tree is derived from gen_perm
         assert np.array_equal(getattr(loaded, name), getattr(q54_k1, name))
     assert loaded.torsion == q54_k1.torsion
     assert loaded.word(5) == q54_k1.word(5)
@@ -134,10 +138,12 @@ def test_save_is_atomic_and_versioned(q54_k1, tmp_path):
 
 
 def test_cache_holds_only_the_index_tables(q54_k2, tmp_path):
-    # the element rows are computed from the tables on demand, never written
+    # the element rows, the discovery tree and the torsion audit are computed from the tables, never written
     q54_k2.save(str(tmp_path / "g.npz"))
     with np.load(tmp_path / "g.npz") as data:
-        assert sorted(data.files) == ["gen_perm", "header", "lift", "parents", "tokens"]
+        assert sorted(data.files) == ["gen_perm", "header", "lift"]
+        header = json.loads(bytes(data["header"]).decode())
+    assert sorted(header) == ["hyperbulk", "k", "kernel_order", "p", "q", "s", "version"]
 
 
 @pytest.mark.parametrize("pqsk", [(5, 4, 2, 1), (5, 4, 2, 2), (5, 4, 2, 3), (6, 6, 3, 2)],
@@ -203,12 +209,22 @@ def _swap(rows, t, i, j):
     return rows
 
 
+def _leaf_siblings(g):
+    """Siblings i and i + 1, the second a leaf, exchanged: the parents stay sorted and two tokens swap."""
+    leaf = ~np.isin(np.arange(g.order), g.parents)
+    i = 1 + int(np.flatnonzero((g.parents[1:-1] == g.parents[2:]) & leaf[2:])[0])
+    new = np.arange(g.order)
+    new[[i, i + 1]] = [i + 1, i]
+    return new
+
+
 # defect message -> the tables that carry it
 BROKEN = {
     "gen_perm row is not a permutation": lambda g: {"gen_perm": np.where(g.gen_perm == 1, 0, g.gen_perm)},
     "gen_perm rows .* do not compose to 1": lambda g: {"gen_perm": _swap(g.gen_perm, 0, 5, 9)},
-    "tokens has shape": lambda g: {"tokens": g.tokens[:-1]},
-    "discovery tree is not breadth-first along gen_perm edges": lambda g: {"tokens": g.tokens ^ (np.arange(g.order) == 7) * 2},
+    # valid group tables, numbered otherwise than by a BFS
+    "the discovery tree is not breadth-first": lambda g: {"gen_perm": relabelled(g.gen_perm, fixing_0(g.order))},
+    "two siblings are out of token order": lambda g: {"gen_perm": relabelled(g.gen_perm, _leaf_siblings(g))},
     "lift is not a permutation": lambda g: {"lift": np.zeros_like(g.lift)},
 }
 
@@ -233,10 +249,11 @@ def test_load_checks_tied_keys_row_by_row(tmp_path, monkeypatch, weaken, pqsk):
     monkeypatch.setattr(quotient, "row_keys", lambda rows: weaken(row_keys(rows)))
     assert np.array_equal(quotient.QuotientGroup.load(path).elements, want)
     # the last element reached by the tree edge of the one before it: two equal rows
-    parents, tokens = group.parents.copy(), group.tokens.copy()
-    parents[-1], tokens[-1] = parents[-2], tokens[-2]
+    bad = dataclasses.replace(group)
+    bad.parents, bad.tokens = group.parents.copy(), group.tokens.copy()
+    bad.parents[-1], bad.tokens[-1] = bad.parents[-2], bad.tokens[-2]
     with pytest.raises(NumericalContractError, match="two elements rows are equal"):
-        dataclasses.replace(group, parents=parents, tokens=tokens).elements
+        bad.elements
 
 
 def test_load_refuses_int64_entries_that_int32_cannot_hold(q54_k1, tmp_path):
