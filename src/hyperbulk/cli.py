@@ -223,10 +223,10 @@ def cmd_spectrum(args) -> dict:
             if k == k_ref:
                 continue
             if k in spectra:
-                vals = spectral.idos_curve(spectra[k], ref.energies).values
+                curve = spectral.idos_curve(spectra[k], ref.energies)
             else:
-                vals = np.interp(ref.energies, curves[k].energies, curves[k].values)
-            table[str(k)] = float(np.mean((vals - ref.values) ** 2))
+                curve = spectral.DOSCurve(ref.energies, np.interp(ref.energies, curves[k].energies, curves[k].values))
+            table[str(k)] = spectral.idos_mse(curve, ref)
         outputs.write_json(os.path.join(out, f"mse_{tag}_s{args.s}.json"), {"reference_k": k_ref, "mse": table})
         print("MSE vs k =", k_ref, ":", table)
     return _flags(args)

@@ -18,7 +18,6 @@ rotation orders nu = (p, q, 2).
 from __future__ import annotations
 
 import cmath
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,6 @@ from .triangle import (
     Ball,
     inverse_word,
     mult_tables,
-    parse_word,
     right_products,
     word_str,
     word_to_matrix,
@@ -53,8 +51,6 @@ __all__ = [
     "represent_blocks",
     "represent_open",
     "hermiticity_defect",
-    "algebra_to_json",
-    "algebra_from_json",
     "save_matrix_market",
 ]
 
@@ -392,17 +388,6 @@ def represent_open(h: AlgebraElement, ball: Ball) -> sp.csr_matrix:
 def hermiticity_defect(mat: sp.spmatrix) -> float:
     diff = (mat - mat.getH()).tocoo()
     return float(np.abs(diff.data).max()) if diff.nnz else 0.0
-
-
-def algebra_to_json(h: AlgebraElement) -> str:
-    return json.dumps(
-        {word_str(w): [c.real, c.imag] for w, c in sorted(h.items())}, indent=0
-    )
-
-
-def algebra_from_json(text: str) -> AlgebraElement:
-    data = json.loads(text)
-    return AlgebraElement({parse_word(k): complex(re, im) for k, (re, im) in data.items()})
 
 
 def save_matrix_market(mat: sp.spmatrix, path: str, comment: str = "") -> None:

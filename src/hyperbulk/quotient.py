@@ -48,6 +48,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NumericalContractError, ResourceLimitError
 from .triangle import (
+    ELEMENT_CAP,
     GEN_A,
     GEN_B,
     DiscoveryTree,
@@ -66,7 +67,6 @@ from .triangle import (
 
 __all__ = ["QuotientGroup", "Sectors", "build_quotient"]
 
-DEFAULT_ELEMENT_CAP = 500_000
 # version 1 files carry no version field; 2 held inv and left_perm, 3 no lift, 4 the rows, 5 tree and torsion
 CACHE_VERSION = 6
 
@@ -573,7 +573,7 @@ def build_quotient(
     q: int,
     s: int,
     k: int = 1,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
+    element_cap: int = ELEMENT_CAP,
 ) -> QuotientGroup:
     """The mod-s^k quotient of the {p, q} rotation group.
 

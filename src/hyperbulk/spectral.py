@@ -136,30 +136,25 @@ class Gap:
         return self.upper - self.lower
 
 
-def exact_spectrum(mat, want_vectors: bool = False, dense_cap: int = DENSE_CAP,
-                   overwrite: bool = False) -> SpectrumResult:
-    """Full spectrum by dense Hermitian diagonalization.
+def exact_spectrum(mat, overwrite: bool = False) -> SpectrumResult:
+    """Eigenvalues by dense Hermitian diagonalization.
 
-    Refuses dimensions beyond dense_cap; use kpm_dos or eigenpairs_near
+    Refuses a matrix wider than DENSE_CAP; use kpm_dos or eigenpairs_near
     for larger operators.  overwrite=True lets LAPACK work in a dense
     input's own memory, which it destroys (no copy when the input is
     Fortran-ordered), and skips the finiteness check: for a caller that
     fills a buffer of its own and has checked its entries (block_spectrum).
     """
     n = mat.shape[0]
-    if n > dense_cap:
+    if n > DENSE_CAP:
         raise ResourceLimitError(
-            f"dimension {n} exceeds the dense diagonalization cap {dense_cap}; "
-            f"use kpm_dos or eigenpairs_near, or raise dense_cap"
+            f"dimension {n} exceeds the dense diagonalization cap {DENSE_CAP}; use kpm_dos or eigenpairs_near"
         )
     dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
-    if want_vectors:
-        vals, vecs = sla.eigh(dense, overwrite_a=overwrite, check_finite=not overwrite)
-        return SpectrumResult(vals, vecs)
     return SpectrumResult(sla.eigvalsh(dense, overwrite_a=overwrite, check_finite=not overwrite))
 
 
-def block_spectrum(h, group, dense_cap: int = DENSE_CAP) -> SpectrumResult:
+def block_spectrum(h, group) -> SpectrumResult:
     """Full spectrum of represent_periodic(h, group), one block per orbit of characters.
 
     The quotient's kernel N = ker(G_k -> G_(k-1)) gives |N| blocks of
@@ -175,7 +170,8 @@ def block_spectrum(h, group, dense_cap: int = DENSE_CAP) -> SpectrumResult:
     the orbit has one.  Other blocks stay complex Hermitian.  Every
     block is filled into one buffer, reused from block to block and
     overwritten by the eigensolver, and its Hermiticity is checked a
-    few rows at a time.  dense_cap applies to the block size.
+    few rows at a time.  DENSE_CAP applies to the block size, checked
+    before the buffer is allocated.
     Raises NumericalContractError when a diagonalized block is not
     Hermitian (or not finite).
     """
@@ -184,11 +180,8 @@ def block_spectrum(h, group, dense_cap: int = DENSE_CAP) -> SpectrumResult:
     op = represent_blocks(h, group)
     sec = op.sectors
     b = sec.block_size
-    if b > dense_cap:
-        raise ResourceLimitError(
-            f"block size {b} exceeds the dense diagonalization cap {dense_cap}; "
-            f"use kpm_dos, or raise dense_cap"
-        )
+    if b > DENSE_CAP:
+        raise ResourceLimitError(f"block size {b} exceeds the dense diagonalization cap {DENSE_CAP}; use kpm_dos")
     reps = sec.representatives
     folds = [op.folds(j) for j in reps]
     buffer = np.empty(b * b, dtype=np.float64 if all(folds) else op.dtype)
@@ -203,7 +196,7 @@ def block_spectrum(h, group, dense_cap: int = DENSE_CAP) -> SpectrumResult:
             raise NumericalContractError(
                 f"sector block {j} has Hermiticity defect {defect:.2e} > {HERMITICITY:.0e}"
             )
-        vals.append(np.tile(exact_spectrum(block, dense_cap=dense_cap, overwrite=True).eigenvalues, size))
+        vals.append(np.tile(exact_spectrum(block, overwrite=True).eigenvalues, size))
     return SpectrumResult(np.sort(np.concatenate(vals)))
 
 
@@ -449,7 +442,7 @@ def simplex_path(samples_per_edge: int = 40) -> list[tuple[float, float, float]]
     return path
 
 
-def spectral_flow(models, path, group, dense_cap: int = DENSE_CAP) -> np.ndarray:
+def spectral_flow(models, path, group) -> np.ndarray:
     """Sorted spectra of the interpolated model along a simplex path.
 
     Each distinct path point is diagonalized once, block by block
@@ -458,19 +451,14 @@ def spectral_flow(models, path, group, dense_cap: int = DENSE_CAP) -> np.ndarray
     model and the block's character (h_1, h_2 and their mixtures; any
     weight on h_3 keeps the blocks complex).  A point that repeats, as
     the closing point of simplex_path does, reuses the spectrum of its
-    first occurrence.  dense_cap still bounds the whole quotient's
-    order: a flow over a larger quotient runs (distinct points) x
-    (orbit count) eigensolves.
+    first occurrence.  DENSE_CAP bounds each block, not the quotient's
+    order: a flow runs (distinct points) x (orbit count) eigensolves.
     Returns an array of shape (len(path), dim).
     """
     from .operators import interpolate
 
-    if group.order > dense_cap:
-        raise ResourceLimitError(
-            f"spectral flow on a quotient of order {group.order} exceeds the cap {dense_cap}"
-        )
     points = [tuple(map(float, weights)) for weights in path]
-    spectra = {w: block_spectrum(interpolate(models, w), group, dense_cap).eigenvalues for w in dict.fromkeys(points)}
+    spectra = {w: block_spectrum(interpolate(models, w), group).eigenvalues for w in dict.fromkeys(points)}
     return np.array([spectra[w] for w in points])
 
 
@@ -482,7 +470,7 @@ def ldos(spec: SpectrumResult, energy: float, delta_e: float) -> np.ndarray:
     is not negligible.
     """
     if spec.eigenvectors is None:
-        raise ConfigError("ldos needs eigenvectors; diagonalize with want_vectors=True")
+        raise ConfigError("ldos needs eigenvectors; take them from eigenpairs_near")
     if delta_e <= 0:
         raise ConfigError("delta_e must be positive")
     w = np.exp(-0.5 * ((spec.eigenvalues - energy) / delta_e) ** 2)

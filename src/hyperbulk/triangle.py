@@ -50,6 +50,7 @@ __all__ = [
     "unique_rows",
     "RowIndex",
     "DiscoveryTree",
+    "ELEMENT_CAP",
     "bfs",
     "Ball",
     "ball_enumerate",
@@ -505,6 +506,10 @@ class Enumeration:
     gen_perm: np.ndarray
 
 
+# the most elements a quotient or a ball may hold; the {5,4} ball of radius 23 has 331,584, that of radius 24 more
+ELEMENT_CAP = 500_000
+
+
 def bfs(tables, ident: np.ndarray, modulus: int | None = None, radius: int | None = None,
         cap: int | None = None, what: str = "enumeration") -> Enumeration:
     """Breadth-first closure of ident under right multiplication by the tables.
@@ -530,8 +535,7 @@ def bfs(tables, ident: np.ndarray, modulus: int | None = None, radius: int | Non
         new = miss[first]
         if cap is not None and hi + len(new) > cap:
             raise ResourceLimitError(
-                f"{what} exceeded the element cap {cap} (BFS had {hi} elements with an "
-                f"unfinished frontier); raise element_cap to continue"
+                f"{what} exceeded the element cap {cap} (BFS had {hi} elements with an unfinished frontier)"
             )
         idx[miss] = hi + labels
         index.add(cand[new], keys[new])
@@ -586,7 +590,10 @@ class Ball(DiscoveryTree):
 
 
 def ball_enumerate(p: int, q: int, radius: int, gens: Generators | None = None) -> Ball:
-    """All group elements of word length <= radius, by exact BFS."""
+    """All group elements of word length <= radius, by exact BFS.
+
+    A ball of more than ELEMENT_CAP elements raises ResourceLimitError.
+    """
     TessellationParams(p, q)
     if radius < 0:
         raise ConfigError("radius must be nonnegative")
@@ -594,7 +601,7 @@ def ball_enumerate(p: int, q: int, radius: int, gens: Generators | None = None) 
         gens = build_generators(p, q)
     tables = mult_tables([gens.token_matrix(t) for t in range(4)])
     ident = matrix_to_flat(GroupMatrix.identity(gens.ctx)).astype(np.int64)
-    return Ball(gens, radius, bfs(tables, ident, radius=radius))
+    return Ball(gens, radius, bfs(tables, ident, radius=radius, cap=ELEMENT_CAP, what=f"ball of radius {radius}"))
 
 
 def export_ball_jsonl(ball: Ball, path: str) -> None:

@@ -190,19 +190,23 @@ def test_real_or_infinite_block_that_is_not_hermitian_raises(q54_k2, hop, folds)
         spectral.block_spectrum(hop, q54_k2)
 
 
-def test_dense_cap_applies_to_block_size(q54_k2):
+def test_dense_cap_applies_to_block_size(q54_k2, monkeypatch):
     adj = operators.adjacency(5, 4)
-    assert spectral.block_spectrum(adj, q54_k2, dense_cap=160).dim == 2560
+    monkeypatch.setattr(spectral, "DENSE_CAP", 160)
+    assert spectral.block_spectrum(adj, q54_k2).dim == 2560
+    monkeypatch.setattr(spectral, "DENSE_CAP", 159)
     with pytest.raises(ResourceLimitError):
-        spectral.block_spectrum(adj, q54_k2, dense_cap=159)
+        spectral.block_spectrum(adj, q54_k2)
 
 
-def test_flow_cap_applies_to_quotient_order(q54_k2):
-    # a flow multiplies the block eigensolves by the path length, so its cap stays on the whole order
+def test_flow_cap_applies_to_block_size(q54_k2, monkeypatch):
+    # a flow diagonalizes blocks of 160 at k = 2, never the whole quotient of 2560
     models = [operators.model_hamiltonian(alpha, 1, EPS, 5, 4) for alpha in (1, 2, 3)]
-    assert spectral.spectral_flow(models, [(1.0, 0.0, 0.0)], q54_k2, dense_cap=2560).shape == (1, 2560)
+    monkeypatch.setattr(spectral, "DENSE_CAP", 160)
+    assert spectral.spectral_flow(models, [(1.0, 0.0, 0.0)], q54_k2).shape == (1, 2560)
+    monkeypatch.setattr(spectral, "DENSE_CAP", 159)
     with pytest.raises(ResourceLimitError):
-        spectral.spectral_flow(models, [(1.0, 0.0, 0.0)], q54_k2, dense_cap=2559)
+        spectral.spectral_flow(models, [(1.0, 0.0, 0.0)], q54_k2)
 
 
 simplex = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda w: sum(w) > 1e-3)

@@ -234,10 +234,31 @@ def test_spectrum_grid_below_2_exits_2(tmp_path, capsys, method, grid):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_flow_k3_exits_3(tmp_path, capsys):
-    code = run(["--out", str(tmp_path), "flow", "5", "4", "--k", "3", "--samples", "2"])
+def test_flow_past_the_element_cap_exits_3(tmp_path, capsys):
+    # {8,5} G_2 has 2560 x 1024 elements
+    code = run(["--out", str(tmp_path), "flow", "8", "5", "--k", "2", "--samples", "2"])
     assert code == 3
     assert "resource limit" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.environ.get("RUN_LONG"), reason="set RUN_LONG")
+def test_flow_k3_counts_match_c6(tmp_path):
+    # the cap bounds each block of 2560, so G_3 (81,920 elements) flows; six distinct points, about a minute
+    assert run(["--out", str(tmp_path), "flow", "5", "4", "--k", "3", "--samples", "2"]) == 0
+    flows = np.loadtxt(tmp_path / "flow_5_4_s2_k3.csv", delimiter=",", skiprows=1)
+    assert flows.shape == (7, 4 + 81920)
+    # |G_3| / nu_alpha states below the gap at the vertices h_1, h_2, h_3 (C6)
+    assert [int((flows[i, 4:] < 0).sum()) for i in (0, 2, 4)] == [81920 // 5, 81920 // 4, 81920 // 2]
+    report = json.loads((tmp_path / "flow_5_4_s2_k3_report.json").read_text())
+    assert report["interior_min_abs_energy"] < 0.01
+
+
+def test_ball_past_the_element_cap_exits_3_before_any_output(tmp_path, capsys, monkeypatch):
+    # the radius-6 ball has 161 elements
+    monkeypatch.setattr(triangle, "ELEMENT_CAP", 100)
+    assert run(["--out", str(tmp_path), "junction", "--radius", "6"]) == 3
+    assert "ball of radius 6 exceeded the element cap 100" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_spectrum_mse_reuses_each_level(tmp_path):
@@ -778,8 +799,8 @@ def _bad_junction_file(tmp_path, monkeypatch):
     return ["junction", "--config", str(tmp_path / "cfg.json")], 2
 
 
-def _flow_k3(tmp_path, monkeypatch):
-    return ["flow", "5", "4", "--k", "3", "--samples", "2"], 3
+def _flow_past_the_cap(tmp_path, monkeypatch):
+    return ["flow", "8", "5", "--k", "2", "--samples", "2"], 3
 
 
 def _count_mismatch(tmp_path, monkeypatch):
@@ -788,7 +809,7 @@ def _count_mismatch(tmp_path, monkeypatch):
     return ["junction", "--radius", "5"], 4
 
 
-@pytest.mark.parametrize("failing", [_bad_junction_file, _flow_k3, _count_mismatch], ids=["exit-2", "exit-3", "exit-4"])
+@pytest.mark.parametrize("failing", [_bad_junction_file, _flow_past_the_cap, _count_mismatch], ids=["exit-2", "exit-3", "exit-4"])
 def test_failed_run_writes_no_config_echo(tmp_path, monkeypatch, capsys, failing):
     out = tmp_path / "out"
     out.mkdir()

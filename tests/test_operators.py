@@ -144,16 +144,6 @@ def test_open_matches_periodic_in_deep_interior(q54_k2, ball54_r3):
     assert np.asarray(np.abs(per).sum(axis=1)).ravel()[0] == pytest.approx(1.0)
 
 
-def test_algebra_json_round_trip():
-    h = operators.model_hamiltonian(2, 1, 0.8, 5, 4)
-    back = operators.algebra_from_json(operators.algebra_to_json(h))
-    orig = dict(h.items())
-    got = dict(back.items())
-    assert set(orig) == set(got)
-    for w, c in orig.items():
-        assert got[w] == pytest.approx(c, abs=1e-15)
-
-
 def test_save_matrix_market(tmp_path, q54_k1):
     import scipy.io
 

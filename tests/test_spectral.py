@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from hyperbulk import operators, spectral
 from hyperbulk.errors import ConfigError, ResourceLimitError
@@ -23,12 +24,13 @@ def test_exact_spectrum_sorted_and_bounded(spec_k1):
     assert ev[-1] == pytest.approx(1.0, abs=1e-12)  # constant vector
 
 
-def test_exact_spectrum_dense_cap():
-    big = operators.AlgebraElement.identity(1.0)
+def test_exact_spectrum_dense_cap(monkeypatch):
     import scipy.sparse as sp
 
+    monkeypatch.setattr(spectral, "DENSE_CAP", 5)
+    assert spectral.exact_spectrum(sp.eye(5, format="csr")).dim == 5
     with pytest.raises(ResourceLimitError):
-        spectral.exact_spectrum(sp.eye(10, format="csr"), dense_cap=5)
+        spectral.exact_spectrum(sp.eye(6, format="csr"))
 
 
 def test_idos_counts_a_level_on_a_grid_point_whole():
@@ -136,7 +138,7 @@ def test_spectral_flow_continuity(q54_k1):
 
 
 def test_ldos_weights(spec_k1, q54_k1, adj_k1):
-    spec = spectral.exact_spectrum(adj_k1, want_vectors=True)
+    spec = spectral.SpectrumResult(*sla.eigh(adj_k1.toarray()))
     w = spectral.ldos(spec, energy=0.0, delta_e=0.05)
     assert w.shape == (q54_k1.order,)
     assert np.all(w >= 0)
@@ -148,7 +150,7 @@ def test_ldos_weights(spec_k1, q54_k1, adj_k1):
 def test_ldos_does_not_depend_on_the_vectors_memory_order(ball54_r3, energy):
     # an open ball's LDOS varies from site to site; eigh returns column-major vectors
     mat = operators.represent_open(operators.model_hamiltonian(1, 1, 0.8, 5, 4), ball54_r3)
-    spec = spectral.exact_spectrum(mat, want_vectors=True)
+    spec = spectral.SpectrumResult(*sla.eigh(mat.toarray()))
     assert spec.eigenvectors.flags.f_contiguous
     row_major = spectral.SpectrumResult(spec.eigenvalues, np.ascontiguousarray(spec.eigenvectors))
     got = spectral.ldos(row_major, energy=energy, delta_e=0.05)
