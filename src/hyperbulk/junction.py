@@ -143,25 +143,22 @@ def ray_distance(z, rays) -> np.ndarray:
 def assemble_junction(ball, positions, config: JunctionConfig) -> sp.csr_matrix:
     """Interpolated junction Hamiltonian on an open ball.
 
-    Each model is represented on the ball separately; every matrix entry
-    (r, c) is then weighted by its model's partition value at the geodesic
-    midpoint of the site positions z_r, z_c.  The midpoint is symmetric in
-    its arguments, so Hermiticity of the parts is preserved.
+    The models share one bond table; model i's weight on bond (r, c) is
+    scaled by its partition value at the geodesic midpoint of z_r and z_c,
+    summed in config order with exact zeros dropped.  The midpoint is
+    symmetric in its arguments, so Hermiticity is preserved.
     """
     p, q = ball.gens.p, ball.gens.q
     positions = np.asarray(positions, dtype=complex)
     if positions.shape[0] != len(ball):
         raise ConfigError("positions must match the ball, one per element")
     rays = junction_rays(config.resolve_phi(p))
-    total = None
-    for i, (alpha, kidx) in enumerate(config.models):
-        h = operators.model_hamiltonian(alpha, kidx, config.eps, p, q)
-        mat = operators.represent_open(h, ball).tocoo()
-        mu = geometry.midpoint(positions[mat.row], positions[mat.col])
-        chi = partition(mu, rays, config.ell)[:, i]
-        part = sp.coo_matrix((mat.data * chi, (mat.row, mat.col)), shape=mat.shape)
-        total = part if total is None else total + part
-    return total.tocsr()
+    models = [operators.model_hamiltonian(alpha, kidx, config.eps, p, q) for alpha, kidx in config.models]
+    rows, cols, coef = operators._open_bonds(models, ball)
+    terms = coef * partition(geometry.midpoint(positions[rows], positions[cols]), rays, config.ell)
+    mat = sp.csr_matrix(((terms[:, 0] + terms[:, 1]) + terms[:, 2], (rows, cols)), shape=(len(ball), len(ball)))
+    mat.eliminate_zeros()
+    return mat
 
 
 def bulk_sites(ball, margin: int = 2) -> np.ndarray:

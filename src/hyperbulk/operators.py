@@ -35,9 +35,9 @@ from .triangle import (
     Ball,
     inverse_word,
     mult_tables,
+    product_dtype,
     right_products,
     word_str,
-    word_to_matrix,
 )
 
 __all__ = [
@@ -187,8 +187,8 @@ def _is_real(h: AlgebraElement) -> bool:
     return all(abs(c.imag) <= _COEFF_EPS for c in h.terms.values())
 
 
-def _row_e(h: AlgebraElement, group: QuotientGroup) -> dict:
-    """Row e of h's periodic operator: {y: weight} over the distinct elements y = project(w).
+def _row_e(h: AlgebraElement, project) -> dict:
+    """Row e of h's operator: {y: weight} over the distinct elements y = project(w).
 
     Elements are keyed in order of first occurrence.  Each weight sums, in
     h's term order, the coefficients of the words that name y, cast to
@@ -196,7 +196,7 @@ def _row_e(h: AlgebraElement, group: QuotientGroup) -> dict:
     """
     real, row = _is_real(h), {}
     for w, c in h.items():
-        y, c = group.project(w), (c.real if real else c)
+        y, c = project(w), (c.real if real else c)
         row[y] = row[y] + c if y in row else c
     return row
 
@@ -228,7 +228,7 @@ def represent_periodic(h: AlgebraElement, group: QuotientGroup, fold: bool = Fal
     are summed.  Other models (sigma(AB) = BA, so no h_3, nor a complex
     h_1 or h_2) give the full operator.
     """
-    row = _row_e(h, group)
+    row = _row_e(h, group.project)
     n, width, dtype = group.order, len(row), np.float64 if _is_real(h) else np.complex128
     if not width:
         return sp.csr_matrix((n, n), dtype=dtype)
@@ -257,18 +257,6 @@ def represent_periodic(h: AlgebraElement, group: QuotientGroup, fold: bool = Fal
         mat.sort_indices()
     else:
         mat.sum_duplicates()
-    return mat
-
-
-def _assemble(vals_all, rows_all, cols_all, n: int, dtype) -> sp.csr_matrix:
-    """n x n CSR sum of the COO pieces of represent_open; all zero when there are none."""
-    if not rows_all:
-        return sp.csr_matrix((n, n), dtype=dtype)
-    mat = sp.coo_matrix(
-        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(n, n),
-    ).tocsr()
-    mat.sum_duplicates()
     return mat
 
 
@@ -350,7 +338,7 @@ def represent_blocks(h: AlgebraElement, group: QuotientGroup) -> BlockOperator:
     transversal row t and element y, t y = n t'' adds w_y chi(n) to the
     block entry (t, t''): one walk of the transversal per element y.
     """
-    sec, row = group.sectors, _row_e(h, group)
+    sec, row = group.sectors, _row_e(h, group.project)
     b = sec.block_size
     target = np.array([group.walk(sec.transversal, group.word(y)) for y in row], dtype=np.int64).reshape(-1)
     return BlockOperator(
@@ -363,26 +351,59 @@ def represent_blocks(h: AlgebraElement, group: QuotientGroup) -> BlockOperator:
     )
 
 
+def _inverse_table(gens):
+    """word -> bytes of its inverse's exact int64 right-multiplication table; equal tables, one element.
+
+    The table is the product of the letters' tables (mult_tables), each step refused (product_dtype) before it wraps.
+    """
+    letters = mult_tables([gens.token_matrix(t) for t in range(4)])
+
+    def table(word) -> bytes:
+        out = np.eye(len(letters[0]), dtype=np.int64)
+        for t in inverse_word(word):
+            product_dtype(int(np.abs(out).max()) * int(np.abs(letters[t]).sum(axis=0).max()))
+            out = out @ letters[t]
+        return out.tobytes()
+
+    return table
+
+
 def represent_open(h: AlgebraElement, ball: Ball) -> sp.csr_matrix:
     """Hard-truncated representation of h on a word-metric ball.
 
-    Matrix entries couple ball elements z, z' with z = z' g^-1; pairs
-    whose endpoint falls outside the ball are dropped.  Because the
-    model is Hermitian, surviving entries come in conjugate pairs, so
-    the truncation preserves Hermiticity.  Each term is one exact batched
-    product of the ball with g^-1 and one key lookup of the results.
+    Matrix entries couple ball elements z, z' with z = z' g^-1 for each
+    distinct element g that h's words name (_row_e over _inverse_table);
+    pairs whose endpoint falls outside the ball are dropped.  Because the
+    model is Hermitian, surviving entries come in conjugate pairs, so the
+    truncation preserves Hermiticity.  Each g is one exact batched product
+    of the ball with g^-1 and one key lookup of the results.
     """
-    n = len(ball)
-    dtype = np.float64 if _is_real(h) else np.complex128
-    rows_all, cols_all, vals_all = [], [], []
-    for w, c in h.items():
-        tables = mult_tables([word_to_matrix(inverse_word(w), ball.gens)])
-        target = ball.index.find(right_products(ball.batch(), tables)[:, 0])
-        cols = np.flatnonzero(target >= 0)
-        rows_all.append(target[cols])
-        cols_all.append(cols)
-        vals_all.append(np.full(len(cols), c if dtype == np.complex128 else c.real, dtype=dtype))
-    return _assemble(vals_all, rows_all, cols_all, n, dtype)
+    row, n, width = _row_e(h, _inverse_table(ball.gens)), len(ball), 3 * ball.gens.ctx.d
+    tables = [np.frombuffer(g, dtype=np.int64).reshape(width, width) for g in row]
+    # one product and lookup per g, not one for all: n x len(row) products at once raised the junction's peak RSS
+    found = np.array([ball.index.find(right_products(ball.batch(), [t])[:, 0]) for t in tables], dtype=np.int64)
+    found = found.reshape(len(row), n)
+    g, cols = np.nonzero(found >= 0)
+    weights = np.array(list(row.values()), dtype=np.float64 if _is_real(h) else np.complex128)
+    return sp.csr_matrix((weights[g], (found[g, cols], cols)), shape=(n, n))
+
+
+def _open_bonds(models, ball: Ball):
+    """The open ball's bond table for a list of models: rows, cols and a (bonds, models) weight array.
+
+    The models' words name distinct elements g, numbered 1, 2, ... in
+    order of first occurrence; represent_open of the element whose weight
+    at g is g's number (any word naming g will do) gives every bond once,
+    its entry naming its g.  Column m of the weights holds model m's row e
+    (_row_e) at the bond's g.
+    """
+    table = _inverse_table(ball.gens)
+    rows_e = [_row_e(h, table) for h in models]
+    words = {table(w): w for h in models for w, _ in h.items()}
+    bonds = represent_open(AlgebraElement({w: i + 1 for i, w in enumerate(words.values())}), ball).tocoo()
+    dtype = np.float64 if all(map(_is_real, models)) else np.complex128
+    coef = np.array([[row.get(g, 0) for row in rows_e] for g in words], dtype=dtype).reshape(len(words), len(models))
+    return bonds.row, bonds.col, coef[bonds.data.astype(np.int64) - 1]
 
 
 def hermiticity_defect(mat: sp.spmatrix) -> float:

@@ -375,7 +375,7 @@ def kpm_dos(
         raise ConfigError(f"moments must be at least 2, got {moments}")
     if grid_points < 2:
         raise ConfigError(f"grid_points must be at least 2, got {grid_points}")
-    row = _row_e(h, group)
+    row = _row_e(h, group.project)
     for y, c in row.items():
         defect = abs(row.get(group.project(inverse_word(group.word(y))), 0.0) - np.conj(c))
         if defect > HERMITICITY:

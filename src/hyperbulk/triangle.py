@@ -393,23 +393,48 @@ def unique_rows(rows: np.ndarray, keys: np.ndarray | None = None):
 
 
 class RowIndex:
-    """Exact lookup of distinct integer rows through their sorted 64-bit keys."""
+    """Exact lookup of distinct integer rows through their sorted 64-bit keys.
 
-    def __init__(self, rows: np.ndarray):
-        keys = row_keys(rows)
-        self.rows = rows
+    Each add keeps its rows as one more block, which find reads in place;
+    rows joins the blocks when it is first read.  So bfs, which adds a
+    layer at a time, never copies the rows it has indexed.
+    """
+
+    def __init__(self, rows: np.ndarray, keys: np.ndarray | None = None):
+        keys = row_keys(rows) if keys is None else keys
+        self._blocks, self._ends = [rows], [len(rows)]
         self.order = np.argsort(keys, kind="stable")
         self.keys = keys[self.order]
         if np.any(self.keys[1:] == self.keys[:-1]):
             raise NumericalContractError("two indexed rows share a 64-bit key")
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._ends[-1]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Every indexed row, in index order, as one array."""
+        if len(self._blocks) > 1:
+            self._blocks, self._ends = [np.concatenate(self._blocks)], self._ends[-1:]
+        return self._blocks[0]
+
+    def _take(self, idx: np.ndarray) -> np.ndarray:
+        """The rows at positions idx: one gather from each block that holds some of them."""
+        if len(self._blocks) == 1:
+            return self._blocks[0][idx]
+        block = np.searchsorted(self._ends, idx, side="right")
+        out = np.empty((len(idx), *self._blocks[0].shape[1:]), dtype=self._blocks[0].dtype)
+        for b in np.flatnonzero(np.bincount(block, minlength=len(self._blocks))):
+            sel = np.flatnonzero(block == b)
+            out[sel] = self._blocks[b][idx[sel] - (self._ends[b] - len(self._blocks[b]))]
+        return out
 
     def _slots(self, keys):
         """Insertion points of the keys among the sorted ones, and which keys are present."""
         at = np.searchsorted(self.keys, keys)
-        return at, self.keys[np.minimum(at, len(self.keys) - 1)] == keys
+        present = at < len(self.keys)
+        present[present] = self.keys[at[present]] == keys[present]
+        return at, present
 
     def find(self, rows: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
         """Index of each row, or -1 where it is not indexed.
@@ -418,19 +443,19 @@ class RowIndex:
         whose key collides with another row's is reported absent.  Rows of
         another dtype than the indexed ones raise TypeError.
         """
-        if rows.dtype != self.rows.dtype:
-            raise TypeError(f"{rows.dtype} rows queried in an index of {self.rows.dtype} rows")
+        if rows.dtype != self._blocks[0].dtype:
+            raise TypeError(f"{rows.dtype} rows queried in an index of {self._blocks[0].dtype} rows")
         keys = row_keys(rows) if keys is None else keys
         at, hit = self._slots(keys)
         hit = np.flatnonzero(hit)
         match = self.order[at[hit]]
-        same = np.all(self.rows[match] == rows[hit], axis=tuple(range(1, rows.ndim)))
+        same = np.all(self._take(match) == rows[hit], axis=tuple(range(1, rows.ndim)))
         idx = np.full(len(keys), -1, dtype=np.int64)
         idx[hit[same]] = match[same]
         return idx
 
     def add(self, rows: np.ndarray, keys: np.ndarray) -> None:
-        """Append rows with distinct keys, none of them indexed yet.
+        """Append rows with distinct keys, none of them indexed yet, as one block.
 
         A key that is already indexed belongs to another row here, so two
         distinct elements would share it: NumericalContractError.
@@ -440,8 +465,9 @@ class RowIndex:
         if np.any(taken):
             raise NumericalContractError("two distinct elements share a 64-bit row key")
         self.keys = np.insert(self.keys, at, keys[by_key])
-        self.order = np.insert(self.order, at, len(self.rows) + by_key)
-        self.rows = np.concatenate([self.rows, rows])
+        self.order = np.insert(self.order, at, len(self) + by_key)
+        self._blocks.append(rows)
+        self._ends.append(len(self) + len(rows))
 
 
 class DiscoveryTree:
@@ -514,35 +540,43 @@ def bfs(tables, ident: np.ndarray, modulus: int | None = None, radius: int | Non
         cap: int | None = None, what: str = "enumeration") -> Enumeration:
     """Breadth-first closure of ident under right multiplication by the tables.
 
-    One layer at a time: the frontier is multiplied by every table in one
-    matmul, the products are looked up by key, and the new ones are
-    numbered by first occurrence in (frontier position, token) order.
-    Stops at closure or after radius layers; more than cap elements raise
-    ResourceLimitError.  Rows are stored in ident's dtype.
+    One layer at a time, _CHUNK frontier rows at a time: a chunk's products
+    with every table (one matmul) are looked up by key in index, then in
+    fresh (the layer's new elements so far).  The rest are numbered by
+    first occurrence in (frontier position, token) order and join fresh,
+    which becomes the next frontier and one block of index.  Stops at
+    closure or after radius layers; a chunk that passes cap elements
+    raises ResourceLimitError.  Rows are stored in ident's dtype.
     """
-    index = RowIndex(ident[None])
+    index = fresh = RowIndex(ident[None])
     parents, tokens = [[-1]], [[-1]]
     perms = [np.zeros((len(tables), 0), dtype=np.int64)]
-    lo = 0
-    while lo < len(index) and (radius is None or len(parents) <= radius):
-        hi = len(index)
-        cand = right_products(index.rows[lo:hi], tables, modulus).reshape(-1, *ident.shape)
-        keys = row_keys(cand)
-        idx = index.find(cand, keys)
-        # the first occurrence of each distinct unknown product is a new element
-        miss = np.flatnonzero(idx < 0)
-        first, labels = unique_rows(cand[miss], keys[miss])
-        new = miss[first]
-        if cap is not None and hi + len(new) > cap:
-            raise ResourceLimitError(
-                f"{what} exceeded the element cap {cap} (BFS had {hi} elements with an unfinished frontier)"
-            )
-        idx[miss] = hi + labels
-        index.add(cand[new], keys[new])
-        parents.append(lo + new // len(tables))
-        tokens.append(new % len(tables))
-        perms.append(idx.reshape(hi - lo, len(tables)).T)
-        lo = hi
+    depth = 0
+    while len(fresh) and (radius is None or depth < radius):
+        hi, frontier = len(index), fresh.rows
+        fresh = RowIndex(ident[None][:0], np.zeros(0, dtype=np.uint64))
+        for start in range(0, len(frontier), _CHUNK):
+            cand = right_products(frontier[start : start + _CHUNK], tables, modulus).reshape(-1, *ident.shape)
+            keys = row_keys(cand)
+            idx = index.find(cand, keys)
+            miss = np.flatnonzero(idx < 0)
+            known = fresh.find(cand[miss], keys[miss])
+            idx[miss] = hi + known  # set again below where known < 0
+            # the first occurrence of each distinct product found in neither index is a new element
+            miss = miss[known < 0]
+            first, labels = unique_rows(cand[miss], keys[miss])
+            new = miss[first]
+            if cap is not None and hi + len(fresh) + len(new) > cap:
+                raise ResourceLimitError(
+                    f"{what} exceeded the element cap {cap} (BFS had {hi} elements with an unfinished frontier)"
+                )
+            idx[miss] = hi + len(fresh) + labels
+            fresh.add(cand[new], keys[new])
+            parents.append(hi - len(frontier) + start + new // len(tables))
+            tokens.append(new % len(tables))
+            perms.append(idx.reshape(-1, len(tables)).T)
+        index.add(fresh.rows, fresh.keys[np.argsort(fresh.order)])
+        depth += 1
     return Enumeration(
         index,
         np.concatenate(parents).astype(np.int64),

@@ -25,7 +25,7 @@ from hyperbulk.triangle import (
     word_to_matrix,
 )
 
-from conftest import check_layers
+from conftest import DUPLICATES, check_layers
 
 
 def reduced(mat: GroupMatrix, m: int) -> np.ndarray:
@@ -133,33 +133,52 @@ def test_reduce_to_from_g4_computes_no_element_rows(q54_k1, q54_k2, q54_k3):
 
 
 def reference_open(h, ball):
-    """Hard truncation site by site, with exact matrices as dict keys."""
-    where = {ball.matrix(i): i for i in range(len(ball))}
+    """Hard truncation site by site, with exact matrices as dict keys; real weights for a real h."""
+    mats = [ball.matrix(i) for i in range(len(ball))]
+    where = {m: i for i, m in enumerate(mats)}
     n = len(ball)
+    real = all(abs(c.imag) <= 1e-15 for _, c in h.items())
     rows, cols, vals = [], [], []
     for w, c in h.items():
         g_inv = word_to_matrix(inverse_word(w), ball.gens)
         for src in range(n):
-            tgt = where.get(ball.matrix(src) @ g_inv, -1)
+            tgt = where.get(mats[src] @ g_inv, -1)
             if tgt >= 0:
                 rows.append(tgt)
                 cols.append(src)
-                vals.append(c)
+                vals.append(c.real if real else c)
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-@pytest.mark.parametrize(
-    "h",
-    [operators.adjacency(5, 4), operators.model_hamiltonian(3, 1, 0.8, 5, 4)],
-    ids=["adj", "h3_1"],
-)
-def test_represent_open_matches_site_loop(h):
-    ball = triangle.ball_enumerate(5, 4, 6)
-    got = operators.represent_open(h, ball)
-    want = reference_open(h, ball)
-    assert got.nnz == want.nnz
-    # represent_open stores real models as float64; the reference keeps complex weights
-    assert np.array_equal(got.toarray(), want.toarray().real)
+def open_models(p, q):
+    """Adjacency, every h_alpha(kidx) at eps = 0.8, the empty word alone, the empty element and, on {5,4}, three
+    words that name one element (conftest.DUPLICATES), whose weights are summed in term order."""
+    models = {"adj": operators.adjacency(p, q), "e": operators.AlgebraElement.identity(),
+              "empty": operators.AlgebraElement()}
+    for alpha, nu in ((1, p), (2, q), (3, 2)):
+        models.update((f"h{alpha}_{kidx}", operators.model_hamiltonian(alpha, kidx, 0.8, p, q))
+                      for kidx in range(1, nu + 1))
+    if (p, q) == (5, 4):
+        models.update((f"dup_{name}", DUPLICATES[name]) for name in ("real", "complex"))
+    return models
+
+
+@pytest.fixture(scope="module")
+def open_balls():
+    return {(5, 4): triangle.ball_enumerate(5, 4, 6), (7, 3): triangle.ball_enumerate(7, 3, 4)}
+
+
+@pytest.mark.parametrize("pq, name", [pytest.param(pq, name, id=name if pq == (5, 4) else f"{name}_73")
+                                      for pq in ((5, 4), (7, 3)) for name in open_models(*pq)])
+def test_represent_open_matches_site_loop(open_balls, pq, name):
+    # h 1 1 and h 2 1 name A^-1 by 'aaaa' and 'A', and B^-1 by 'bbb' and 'B' on {5,4}: each pair is summed
+    h = open_models(*pq)[name]
+    got = operators.represent_open(h, open_balls[pq])
+    want = reference_open(h, open_balls[pq])
+    assert got.dtype == want.dtype
+    for part in ("indptr", "indices", "data"):
+        assert getattr(got, part).dtype == getattr(want, part).dtype
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
 
 
 def test_ball_rows_are_exact_int64():
@@ -212,6 +231,34 @@ def test_lookup_resolves_a_colliding_key_exactly(monkeypatch):
     assert list(index.find(ball.batch()[:3])) == [0, -1, -1]
     with pytest.raises(NumericalContractError, match="share a 64-bit"):
         triangle.RowIndex(ball.batch()[:2])
+
+
+def test_index_finds_rows_in_every_block_before_joining_them():
+    rows = triangle.ball_enumerate(5, 4, 3).batch()
+    keys = triangle.row_keys(rows)
+    index = triangle.RowIndex(rows[:0], keys[:0])
+    assert list(index.find(rows[:2])) == [-1, -1]
+    for lo, hi in ((0, 5), (5, 5), (5, 20), (20, len(rows))):
+        index.add(rows[lo:hi], keys[lo:hi])
+    shuffled = np.random.default_rng(1).permutation(len(rows))
+    assert len(index) == len(rows)
+    assert np.array_equal(index.find(rows[shuffled]), shuffled)
+    assert np.array_equal(index.rows, rows)  # joined on this first read
+    assert np.array_equal(index.find(rows[shuffled]), shuffled)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_bfs_in_small_chunks_numbers_as_in_one(monkeypatch, chunk):
+    # G_2 of {5,4} (1280 elements): each frontier is one chunk by default, many here, which share new rows
+    gens = triangle.build_generators(5, 4)
+    tables = triangle.mult_tables([gens.token_matrix(t) for t in range(4)], 4)
+    ident = quotient._identity(gens.ctx.d, 4)
+    want = triangle.bfs(tables, ident, modulus=4)
+    monkeypatch.setattr(triangle, "_CHUNK", chunk)
+    got = triangle.bfs(tables, ident, modulus=4)
+    for name in ("parents", "tokens", "gen_perm"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.index.rows, want.index.rows)
 
 
 @pytest.mark.parametrize("scale", [1, 2**50])

@@ -1,8 +1,10 @@
 import cmath
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -177,6 +179,62 @@ def test_identical_models_reduce_to_plain_open_operator(small_junction):
     h = operators.model_hamiltonian(1, 1, junction.DEFAULT_EPS, 5, 4)
     pure = operators.represent_open(h, ball)
     assert abs(ham - pure).max() < 1e-12
+
+
+def model_by_model(ball, pos, cfg):
+    """Each model's represent_open entries times its partition value at the bonds' midpoints, summed in model order."""
+    rays = junction.junction_rays(cfg.resolve_phi(5))
+    total = None
+    for i, (alpha, kidx) in enumerate(cfg.models):
+        mat = operators.represent_open(operators.model_hamiltonian(alpha, kidx, cfg.eps, 5, 4), ball).tocoo()
+        chi = junction.partition(geometry.midpoint(pos[mat.row], pos[mat.col]), rays, cfg.ell)[:, i]
+        part = sp.coo_matrix((mat.data * chi, (mat.row, mat.col)), shape=mat.shape)
+        total = part if total is None else total + part
+    return total.tocsr()
+
+
+@pytest.mark.parametrize("models", [junction.DEFAULT_MODELS, ((1, 1),) * 3], ids=["default", "h1_1"])
+@pytest.mark.parametrize("radius", [5, 8])
+def test_assembly_equals_the_model_by_model_sum_bit_for_bit(radius, models):
+    ball = triangle.ball_enumerate(5, 4, radius)
+    pos = geometry.site_positions(ball, geometry.incenter(5, 4))
+    cfg = junction.JunctionConfig(models=models)
+    got, want = junction.assemble_junction(ball, pos, cfg), model_by_model(ball, pos, cfg)
+    for part in ("indptr", "indices", "data"):
+        assert getattr(got, part).dtype == getattr(want, part).dtype
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+
+def test_assembly_multiplies_each_element_once(small_junction, monkeypatch):
+    ball, pos = small_junction
+    calls = defaultdict(list)
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((operators, "represent_open"), (operators, "right_products"), (triangle.RowIndex, "find"),
+                        (geometry, "midpoint"), (junction, "partition")):
+        counted(owner, name)
+    cfg = junction.JunctionConfig()
+    ham = junction.assemble_junction(ball, pos, cfg)
+    # the three default models write 20 words that name 9 distinct elements: one product and lookup each,
+    # in one represent_open of the element that numbers them
+    assert sum(len(operators.model_hamiltonian(a, k, cfg.eps, 5, 4)) for a, k in cfg.models) == 20
+    assert {name: len(args) for name, args in calls.items()} == {"represent_open": 1, "right_products": 9, "find": 9,
+                                                                 "midpoint": 1, "partition": 1}
+    (label, _), = calls["represent_open"]
+    assert sorted(c.real for _, c in label.items()) == list(range(1, 10))
+    assert all(rows is ball.batch() and len(tables) == 1 for rows, tables in calls["right_products"])
+    assert all(index is ball.index and len(found) == len(ball) for index, found in calls["find"])
+    (z, w), = calls["midpoint"]
+    (mu, _, _), = calls["partition"]
+    assert len(z) == len(w) == len(mu) >= ham.nnz
 
 
 def test_deep_sector_bonds_match_pure_model(small_junction):

@@ -1,10 +1,11 @@
-"""Traced memory of the quotient tables and of the periodic operator.
+"""Traced memory of the quotient tables, the periodic operator and a refused ball.
 
 tracemalloc counts numpy's buffers, so a peak above the memory traced at
 the start is the largest set of arrays a call held at once.  Building
 G_k should hold little beyond the tables it returns, and filling the
 periodic CSR little beyond the CSR; single-site KPM on the reflection
-orbits less than the full operator takes.  Each bound leaves room for noise
+orbits less than the full operator takes; a ball refused at the element
+cap less than its last layer's products would.  Each bound leaves room for noise
 but fails when int64 tables, wide chunk temporaries or a COO copy of
 the operator come back.
 """
@@ -14,7 +15,8 @@ import tracemalloc
 
 import pytest
 
-from hyperbulk import operators, quotient, spectral
+from hyperbulk import operators, quotient, spectral, triangle
+from hyperbulk.errors import ResourceLimitError
 
 MiB = 2**20
 
@@ -65,6 +67,24 @@ def test_kpm_on_the_reflection_orbits_holds_less_than_the_full_operator(g3):
     vars(g3).pop("reflection", None)
     _, peak = traced_peak(spectral.kpm_dos, operators.adjacency(5, 4), g3)
     assert peak <= 5 * MiB
+
+
+def test_a_refused_ball_layer_holds_one_chunk_of_products(monkeypatch):
+    # a cap one short of the {5,4} ball of radius 16 refuses layer 16 near its end; the frontier (layer 15)
+    # spans many 128-row chunks, and all its products at once would take 4 rows per frontier element
+    inside, whole = (triangle.ball_enumerate(5, 4, r) for r in (15, 16))
+    frontier, row_bytes = inside.layer_sizes[-1], inside.batch()[0].nbytes
+    monkeypatch.setattr(triangle, "_CHUNK", 128)
+    monkeypatch.setattr(triangle, "ELEMENT_CAP", len(whole) - 1)
+    assert frontier > 8 * 128
+
+    def refused():
+        with pytest.raises(ResourceLimitError, match="ball of radius 16 exceeded the element cap"):
+            triangle.ball_enumerate(5, 4, 16)
+
+    _, peak = traced_peak(refused)
+    # beyond the ball's own rows: the layer's new rows and one chunk's products
+    assert peak - len(inside) * row_bytes < 4 * frontier * row_bytes
 
 
 @pytest.mark.skipif(not os.environ.get("RUN_LONG"), reason="set RUN_LONG")
