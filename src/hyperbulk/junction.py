@@ -74,9 +74,7 @@ def sector_label(z, rays):
     assigned label 1 (all angles collapse there and any constant works).
     """
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    zv = np.atleast_1d(z)
-    k = kappa(zv, rays)
+    k = kappa(z, rays)
     k1, k2, k3 = k[..., 0], k[..., 1], k[..., 2]
     lab = np.select(
         [(k1 <= 0) & (k2 > 0), (k2 <= 0) & (k3 > 0), (k3 <= 0) & (k1 > 0)],
@@ -84,8 +82,8 @@ def sector_label(z, rays):
         default=1,
     )
     # signed zeros make arg(0 * Y) land on either branch end; pin the origin
-    lab = np.where(zv == 0, 1, lab)
-    return int(lab[0]) if scalar else lab
+    lab = np.where(z == 0, 1, lab)
+    return int(lab) if z.ndim == 0 else lab
 
 
 def boundary_distance(z, rays) -> np.ndarray:
@@ -112,15 +110,11 @@ def signed_distance(z, rays) -> np.ndarray:
     the minimum vanishes keeps every D_i continuous across the rays; returning
     the bare delta_i outside the own sector would jump there.
     """
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    zv = np.atleast_1d(z)
-    delta = boundary_distance(zv, rays)
+    delta = boundary_distance(z, rays)
     mag = np.minimum(delta, np.roll(delta, -1, axis=-1))
-    lab = np.asarray(sector_label(zv, rays))
+    lab = np.asarray(sector_label(z, rays))
     sign = np.where(np.arange(1, 4) == lab[..., None], -1.0, 1.0)
-    out = sign * mag
-    return out[0] if scalar else out
+    return sign * mag
 
 
 def partition(z, rays, ell: float = DEFAULT_WALL_WIDTH) -> np.ndarray:

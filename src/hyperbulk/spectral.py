@@ -67,11 +67,10 @@ BOUND_PAD = 0.01
 BOUND_TOL = 1e-6
 LANCZOS_STEPS = 2000
 # eigenpairs_near: columns per Krylov block, the norm fraction below which a
-# Gram-Schmidt remainder counts as lost, the move of a singular shift and the
-# outward step of a window edge without an inertia count as fractions of the
-# half-width, the edges tried per side, SuperLU's diagonal pivot threshold for
-# the shift (threshold pivoting; the inertia counts take diagonal pivots only),
-# and the bytes it may hold (see _footprint).  Thin blocks converge a
+# Gram-Schmidt remainder counts as lost, the step by which a window edge
+# without an inertia count, or a shift without stable factors, moves as a
+# fraction of the half-width, the points tried for each, and the bytes the
+# factors and arrays may hold (see _footprint).  Thin blocks converge a
 # window from fewer columns (the r = 12 junction's 260 pairs: 800 columns in
 # blocks of 32, 520 in blocks of 8), and the cost grows with the basis width:
 # as its square in Gram-Schmidt, its cube in the projected eigh.  A block
@@ -80,10 +79,8 @@ LANCZOS_STEPS = 2000
 # makes 82 full passes for its 65 blocks
 KRYLOV_BLOCK = 8
 RANK_DROP = 1e-10
-SHIFT_NUDGE = 0.125
 EDGE_STEP = 1.0 / 64
 EDGE_MOVES = 3
-PIVOT_THRESHOLD = 0.1
 EIGENPAIRS_MEMORY = 2 * 1024**3
 # the last Rayleigh-Ritz step takes this many columns of the Ritz vectors at a
 # time, or row blocks of as many entries
@@ -494,28 +491,23 @@ class WindowSpectrum(SpectrumResult):
     residual: float = 0.0
 
 
-def _factor(a, shift: float, rng, pivot_threshold: float):
-    """SuperLU factors of a - shift * I in symmetric mode, or None if it is exactly singular.
+def _factor(a, shift: float, rng):
+    """SuperLU factors of a - shift * I with diagonal pivots in a symmetric fill-reducing order.
 
-    The fill-reducing order is symmetric, and a diagonal pivot is kept
-    unless it is below pivot_threshold times its column's largest entry.
-    Refuses factors whose stored entries exceed EIGENPAIRS_MEMORY, and
-    factors whose seeded solve has a normwise backward error above
-    FACTOR_BACKWARD.
+    SuperLU leaves the diagonal only where its entry there is zero.
+    Refuses, with NumericalContractError, a matrix that is exactly
+    singular and factors whose seeded solve has a normwise backward
+    error above FACTOR_BACKWARD, and, with ResourceLimitError, factors
+    whose stored entries exceed EIGENPAIRS_MEMORY.
     """
     n = a.shape[0]
     shifted = (a - shift * sp.identity(n, dtype=a.dtype, format="csc")).tocsc()
     try:
-        lu = spla.splu(
-            shifted,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=pivot_threshold,
-            options={"SymmetricMode": True},
-        )
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
-        if "singular" in str(exc):
-            return None
-        raise
+        if "singular" not in str(exc):
+            raise
+        raise NumericalContractError(f"H - ({shift:.17g}) I is exactly singular") from None
     _check_memory(_lu_bytes(lu, a.dtype), "LU factors")
     rhs = shifted @ rng.standard_normal(n)
     sol = lu.solve(rhs)
@@ -561,9 +553,7 @@ def _count_below(a, x: float, rng) -> int:
     With diagonal pivots only, P (a - x) P^T = L U and U = D L^H, so the
     negative entries of D count the eigenvalues below x.
     """
-    lu = _factor(a, x, rng, pivot_threshold=0.0)
-    if lu is None:
-        raise NumericalContractError(f"no inertia count at {x:.17g}: H - x I is exactly singular")
+    lu = _factor(a, x, rng)
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise NumericalContractError(
             f"no inertia count at {x:.17g}: the factorization of H - x I pivoted off the diagonal"
@@ -571,25 +561,20 @@ def _count_below(a, x: float, rng) -> int:
     return int(np.count_nonzero(lu.U.diagonal().real < 0))
 
 
-def _counted_edge(a, x: float, outward: float, step: float, radius: float, rng) -> tuple[float, int]:
-    """The first edge e = x + outward * k * step, k < EDGE_MOVES, with an inertia count, and that count.
+def _first_accepted(x: float, step: float, attempt):
+    """The first point p = x + k * step, k < EDGE_MOVES, that attempt does not refuse, and attempt(p).
 
-    An edge outside the Gershgorin interval [-radius, radius], which
-    holds every eigenvalue, is counted without a factorization: 0 at or
-    below -radius, n above radius.  Raises the last refusal when no
-    tried edge gives a count.
+    Only a refusal's message is kept from one point to the next, so no
+    refused factorization outlives its attempt; after the last point
+    the last message is raised as a fresh NumericalContractError.
     """
     for k in range(EDGE_MOVES):
-        edge = x + outward * k * step
-        if edge <= -radius:
-            return edge, 0
-        if edge > radius:
-            return edge, a.shape[0]
+        point = x + k * step
         try:
-            return edge, _count_below(a, edge, rng)
+            return point, attempt(point)
         except NumericalContractError as exc:
-            refused = exc
-    raise refused
+            refused = str(exc)
+    raise NumericalContractError(refused)
 
 
 def _adjoint_times(v, w) -> np.ndarray:
@@ -711,20 +696,23 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
     counts; Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 228
     (1994)):
 
-    1. Two LDL^H factorizations with diagonal pivots count, by
-       Sylvester's law of inertia, the m eigenvalues in the closed
-       window.  A factorization that pivots off the diagonal or fails
-       its backward-error check gives no count: that edge moves outward
+    1. Every matrix H - x I is factored with diagonal pivots in a
+       symmetric fill-reducing order and checked by its backward error.
+       Two such LDL^H factorizations count, by Sylvester's law of
+       inertia, the m eigenvalues in the closed window.  An edge where
+       H - x I is exactly singular, or whose factorization pivots off
+       the diagonal or fails its check, gives no count: it moves outward
        by EDGE_STEP of the half-width, at most EDGE_MOVES - 1 times, and
        the counted window then holds the requested one.  m = 0 returns
        at once.
-    2. H - sigma I is factored once at sigma = center, moved by
-       SHIFT_NUDGE of the half-width when SuperLU finds it exactly
-       singular.  Every eigenvalue lies in the Gershgorin interval
-       [-g, g], g the largest absolute row sum: an edge outside it is
-       counted without a factorization (0 below -g, n above g), and a
-       center outside it gives way to the middle of the window's part
-       inside it, so H - sigma I never overflows.
+    2. H - sigma I is factored once at sigma = center.  A shift that is
+       exactly singular or fails the backward-error check moves up by
+       the edges' step, at most EDGE_MOVES - 1 times.  Every eigenvalue
+       lies in the Gershgorin interval [-g, g], g the largest absolute
+       row sum: an edge outside it is counted without a factorization
+       (0 below -g, n above g), and a center outside it gives way to the
+       middle of the window's part inside it, so H - sigma I never
+       overflows.
     3. A block Krylov basis of T = (H - sigma)^-1 grows in blocks of
        KRYLOV_BLOCK from a seeded start, in the operator's dtype.  T is
        Hermitian, so T q's large parts lie along q and the block before
@@ -751,8 +739,8 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
        column range of the Ritz vectors.
 
     Deterministic for a fixed seed.  Raises NumericalContractError when
-    no tried edge gives an inertia count, when the shift is singular
-    twice, when more than m Ritz values fall in the counted window, or
+    no tried edge gives an inertia count or no tried shift stable
+    factors, when more than m Ritz values fall in the counted window, or
     when a basis spanning the whole space still disagrees with the
     count; it never returns before all m pairs of the counted window
     are found.  Raises ResourceLimitError when the LU factors, or they
@@ -769,12 +757,17 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
     n = a.shape[0]
     rng = np.random.default_rng(seed)
     lo, hi = center - half_width, center + half_width
-    # count [lo, hi] as [lo, next float above hi), each edge moved outward if it must be
+    # count [lo, hi] as [lo, next float above hi), each edge moved outward and the shift up if they must be
     step = EDGE_STEP * half_width
     # Gershgorin: every eigenvalue lies in [-radius, radius]; n eps covers the row sums' rounding
     radius = float(abs(a).sum(axis=1).max()) * (1.0 + n * np.finfo(float).eps)
-    lo_count, below_lo = _counted_edge(a, lo, -1.0, step, radius, rng)
-    hi_count, below_hi = _counted_edge(a, np.nextafter(hi, np.inf), 1.0, step, radius, rng)
+
+    def counted(edge):
+        # an edge outside [-radius, radius] needs no factorization
+        return 0 if edge <= -radius else n if edge > radius else _count_below(a, edge, rng)
+
+    lo_count, below_lo = _first_accepted(lo, -step, counted)
+    hi_count, below_hi = _first_accepted(np.nextafter(hi, np.inf), step, counted)
     m = below_hi - below_lo
     if m == 0:
         return WindowSpectrum(np.empty(0), np.empty((n, 0), dtype))
@@ -782,12 +775,7 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
     # a center outside [-radius, radius] would put the shift far from every eigenvalue, or past
     # the float range: it moves to the middle of the window's part inside the interval
     shift = center if abs(center) <= radius else 0.5 * (max(lo, -radius) + min(hi, radius))
-    for sigma in (shift, shift + SHIFT_NUDGE * half_width):
-        lu = _factor(a, sigma, rng, PIVOT_THRESHOLD)
-        if lu is not None:
-            break
-    else:
-        raise NumericalContractError(f"H - sigma I is exactly singular at sigma = {shift} and at {sigma}")
+    sigma, lu = _first_accepted(shift, step, lambda x: _factor(a, x, rng))
 
     b = min(KRYLOV_BLOCK, n)
     size = min(n, 2 * m + 4 * b)

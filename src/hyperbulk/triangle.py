@@ -618,10 +618,6 @@ class Ball(DiscoveryTree):
         """All elements stacked as an (n, 3, 3d) int64 array."""
         return self.index.rows
 
-    def lookup(self, flat_row: np.ndarray) -> int:
-        """Index of an exact flat matrix, or -1 if outside the ball."""
-        return int(self.index.find(np.asarray(flat_row, dtype=np.int64)[None])[0])
-
 
 def ball_enumerate(p: int, q: int, radius: int, gens: Generators | None = None) -> Ball:
     """All group elements of word length <= radius, by exact BFS.

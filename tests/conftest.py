@@ -94,6 +94,21 @@ def fixing_0(n, seed=0):
     return np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(n - 1)])
 
 
+def window_and_factors(ham, **window):
+    """eigenpairs_near(ham, **window) and every LU it factored, in order: the shift's is the last."""
+    made = []
+    factor = spectral._factor
+
+    def recording(*args):
+        made.append(factor(*args))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_factor", recording)
+        pairs = spectral.eigenpairs_near(ham, **window)
+    return pairs, made
+
+
 def per_element_fill(tree, root, step):
     """value(e) = root and value(x t) = step(value(x), t), one element at a time: the oracle of tree.fill."""
     out = [root]

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hyperbulk import cli, geometry, junction, outputs, quotient, spectral, triangle
 from hyperbulk.errors import NumericalContractError
 
-from conftest import fixing_0, relabelled
+from conftest import fixing_0, relabelled, window_and_factors
 
 
 def run(argv):
@@ -557,9 +557,9 @@ def test_junction_ritz_step_beyond_the_memory_limit_exits_3(tmp_path, capsys, mo
     ball = triangle.ball_enumerate(5, 4, 5)
     pos = geometry.site_positions(ball, geometry.incenter(5, 4))
     ham = sp.csc_matrix(junction.assemble_junction(ball, pos, junction.JunctionConfig()))
-    n, m = ham.shape[0], spectral.eigenpairs_near(ham, center=0.0, half_width=0.25).count
+    pairs, factors = window_and_factors(ham, center=0.0, half_width=0.25)
+    n, m, lu = ham.shape[0], pairs.count, factors[-1]
     size = min(n, 2 * m + 4 * spectral.KRYLOV_BLOCK)
-    lu = spectral._factor(ham, 0.0, np.random.default_rng(0), spectral.PIVOT_THRESHOLD)
     lu_and_basis = spectral._lu_bytes(lu, ham.dtype) + (n + size) * size * ham.dtype.itemsize
     footprint = spectral._footprint(lu, ham.dtype, n, m, size)
     monkeypatch.setattr(spectral, "EIGENPAIRS_MEMORY", (lu_and_basis + footprint) // 2)

@@ -1,6 +1,8 @@
 """eigenpairs_near against dense scipy.linalg.eigh on the same window."""
 
+import gc
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ import scipy.sparse as sp
 from hyperbulk import geometry, junction, operators, spectral, triangle
 from hyperbulk.errors import ConfigError, NumericalContractError, ResourceLimitError
 from hyperbulk.tolerances import EIGENPAIR_RESIDUAL
+
+from conftest import window_and_factors
 
 
 def junction_hamiltonian(radius):
@@ -118,14 +122,13 @@ def test_basis_growth_charges_the_old_and_the_new_basis(monkeypatch):
     # the r = 8 window needs 168 columns, beyond its first room of 2m + 32 = 130: while the
     # basis doubles to 260, the old arrays are still held beside the new ones
     ham = junction_hamiltonian(8)
-    pairs = spectral.eigenpairs_near(ham, center=0.0, half_width=0.25, seed=11)
+    pairs, factors = window_and_factors(ham, center=0.0, half_width=0.25, seed=11)
     m, n = pairs.count, ham.shape[0]
     first = 2 * m + 4 * spectral.KRYLOV_BLOCK
     assert first < pairs.basis_size <= 2 * first <= n
-    a = sp.csc_matrix(ham)
-    lu = spectral._factor(a, 0.0, np.random.default_rng(0), spectral.PIVOT_THRESHOLD)
-    new_only = spectral._footprint(lu, a.dtype, n, m, 2 * first)
-    both = spectral._footprint(lu, a.dtype, n, m, 2 * first, first)
+    lu = factors[-1]
+    new_only = spectral._footprint(lu, ham.dtype, n, m, 2 * first)
+    both = spectral._footprint(lu, ham.dtype, n, m, 2 * first, first)
     assert new_only < both
     monkeypatch.setattr(spectral, "EIGENPAIRS_MEMORY", (new_only + both) // 2)
     with pytest.raises(ResourceLimitError, match="Krylov basis"):
@@ -195,6 +198,34 @@ def test_window_edge_without_a_count_moves_outward(center, half_width):
     assert_matches_dense(path6(), center, half_width)
 
 
+def test_exactly_singular_edge_moves_outward():
+    # 0 is a 20-fold eigenvalue: SuperLU finds H - 0 I exactly singular, and the edge moves below it
+    mat = sp.diags(np.repeat([-1.0, 0.0], 20), format="csc")
+    rng = np.random.default_rng(0)
+    with pytest.raises(NumericalContractError, match="exactly singular"):
+        spectral._count_below(mat, 0.0, rng)
+    assert spectral._first_accepted(0.0, -0.01, lambda x: spectral._count_below(mat, x, rng)) == (-0.01, 20)
+
+
+def test_shift_without_stable_factors_is_refused(monkeypatch):
+    # every shift tried is refused: it moves up by the edges' step, and the last refusal is raised
+    factor = spectral._factor
+    tried = []
+
+    def refusing(a, x, rng):
+        if abs(x) < 0.1:
+            tried.append(x)
+            raise NumericalContractError(f"refused at {x!r}")
+        return factor(a, x, rng)
+
+    monkeypatch.setattr(spectral, "_factor", refusing)
+    with pytest.raises(NumericalContractError) as refused:
+        spectral.eigenpairs_near(junction_hamiltonian(5), center=0.0, half_width=0.25)
+    step = spectral.EDGE_STEP * 0.25
+    assert tried == [k * step for k in range(spectral.EDGE_MOVES)]
+    assert str(refused.value) == f"refused at {tried[-1]!r}"
+
+
 def test_junction_edge_without_a_count():
     # the lower edge 0.05 has no stable inertia count, so the counted window reaches below it
     ham = junction_hamiltonian(6)
@@ -202,6 +233,63 @@ def test_junction_edge_without_a_count():
     want, _ = dense_window(ham, 0.3, 0.25)
     assert pairs.count > want.size
     np.testing.assert_allclose(pairs.eigenvalues, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("radius", [6, 8])
+def test_junction_window_sweep_matches_dense(monkeypatch, radius):
+    # windows across the band, some of whose edges and shifts must move; every inertia count
+    # taken must be the dense count below its edge
+    ham = junction_hamiltonian(radius)
+    vals = sla.eigvalsh(ham.toarray())
+    counts = []
+    first_accepted = spectral._first_accepted
+
+    def recording(x, step, attempt):
+        point, got = first_accepted(x, step, attempt)
+        if isinstance(got, int):
+            counts.append((point, got))
+        return point, got
+
+    monkeypatch.setattr(spectral, "_first_accepted", recording)
+    for center in np.linspace(-1.0, 1.0, 21):
+        counts.clear()
+        pairs = spectral.eigenpairs_near(ham, center=center, half_width=0.25, seed=11)
+        want = vals[np.abs(vals - center) <= 0.25]
+        assert pairs.eigenvalues.shape == want.shape
+        np.testing.assert_allclose(pairs.eigenvalues, want, rtol=0, atol=1e-12)
+        (lo, below_lo), (hi, below_hi) = counts
+        assert below_lo == np.count_nonzero(vals < lo) and below_hi == np.count_nonzero(vals < hi)
+        assert pairs.count == below_hi - below_lo
+
+
+@pytest.mark.parametrize("radius", [8, 10, 12])
+def test_shift_factors_are_no_larger_than_an_edge_count(radius):
+    # one diagonal-pivot factorization for every shifted matrix: the shift's LU fills no more
+    # than the inertia counts' do
+    pairs, factors = window_and_factors(junction_hamiltonian(radius), center=0.0, half_width=0.25, seed=11)
+    assert pairs.count > 0
+    assert factors[-1].nnz <= min(lu.nnz for lu in factors[:-1])
+
+
+@pytest.mark.parametrize("center", [0.3, 0.0])
+def test_refused_factorizations_do_not_outlive_the_solve(center):
+    # on r = 6 the lower edge of the window at 0.3 has no inertia count, and the shift 0.0 fails
+    # its backward-error check; neither refusal, nor the frames that held its factors, may stay
+    # alive in a reference cycle until the garbage collector runs
+    ham = junction_hamiltonian(6)
+    gc.collect()
+    gc.disable()
+    try:
+        spectral.eigenpairs_near(ham, center=center, half_width=0.25, seed=11)
+        alive = [
+            o
+            for o in gc.get_objects()
+            if type(o) is NumericalContractError
+            or (type(o) is types.FrameType and o.f_code.co_name in ("_factor", "_count_below"))
+        ]
+    finally:
+        gc.enable()
+    assert not alive
 
 
 @pytest.mark.parametrize("separation", [1e-6, 1e-8])

@@ -37,6 +37,19 @@ def test_origin_sits_in_sector_one():
     assert junction.sector_label(0j, RAYS) == 1
 
 
+@pytest.mark.parametrize("z", [0j, complex(-0.0, -0.0), -0.0, 0.0, 0.3 + 0.2j, -0.5j, 0.25 * RAYS[1]])
+def test_scalar_point_matches_its_array_row(z):
+    # a scalar gets a Python int label and one (3,) row of distances, the array case's entries for it
+    lab = junction.sector_label(z, RAYS)
+    assert type(lab) is int
+    assert lab == junction.sector_label(np.array([z, 0.5]), RAYS)[0]
+    dist = junction.signed_distance(z, RAYS)
+    assert isinstance(dist, np.ndarray) and dist.shape == (3,)
+    assert np.array_equal(dist, junction.signed_distance(np.array([z, 0.5]), RAYS)[0])
+    if z == 0:
+        assert lab == 1
+
+
 @settings(deadline=None, max_examples=80)
 @given(sector_points())
 def test_sector_labels_fill_wedges(labeled):
