@@ -9,7 +9,10 @@ success, 2 invalid config, 3 resource cap exceeded, 4 numerical
 contract violation.
 
 Thread pinning must happen before the numerics stack loads, so this module
-imports no numpy at the top level and the handlers import lazily.
+imports no numpy at the top level and the handlers import lazily.  The
+library modules import scipy inside the functions that use it, so group
+and minpoly never load it, and spectrum, flow and junction load it on
+first use.
 """
 
 from __future__ import annotations

@@ -12,14 +12,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 from . import geometry, operators
 from .errors import ConfigError
 from .outputs import write_csv
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_WALL_WIDTH = 0.1
 DEFAULT_EPS = 0.8
@@ -123,6 +125,8 @@ def partition(z, rays, ell: float = DEFAULT_WALL_WIDTH) -> np.ndarray:
     sigma_i = 1 / (1 + exp(D_i / ell)); the normalization makes the row sums
     exactly 1 in floating arithmetic up to rounding.
     """
+    from scipy.special import expit
+
     if ell <= 0:
         raise ConfigError(f"wall width ell must be positive, got {ell}")
     sig = expit(-signed_distance(z, rays) / ell)
@@ -142,6 +146,8 @@ def assemble_junction(ball, positions, config: JunctionConfig) -> sp.csr_matrix:
     summed in config order with exact zeros dropped.  The midpoint is
     symmetric in its arguments, so Hermiticity is preserved.
     """
+    from scipy.sparse import csr_matrix
+
     p, q = ball.gens.p, ball.gens.q
     positions = np.asarray(positions, dtype=complex)
     if positions.shape[0] != len(ball):
@@ -150,7 +156,7 @@ def assemble_junction(ball, positions, config: JunctionConfig) -> sp.csr_matrix:
     models = [operators.model_hamiltonian(alpha, kidx, config.eps, p, q) for alpha, kidx in config.models]
     rows, cols, coef = operators._open_bonds(models, ball)
     terms = coef * partition(geometry.midpoint(positions[rows], positions[cols]), rays, config.ell)
-    mat = sp.csr_matrix(((terms[:, 0] + terms[:, 1]) + terms[:, 2], (rows, cols)), shape=(len(ball), len(ball)))
+    mat = csr_matrix(((terms[:, 0] + terms[:, 1]) + terms[:, 2], (rows, cols)), shape=(len(ball), len(ball)))
     mat.eliminate_zeros()
     return mat
 

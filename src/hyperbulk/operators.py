@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.io
-import scipy.sparse as sp
 
 from .errors import ConfigError
 from .quotient import QuotientGroup, Sectors
@@ -39,6 +38,9 @@ from .triangle import (
     right_products,
     word_str,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "AlgebraElement",
@@ -228,10 +230,12 @@ def represent_periodic(h: AlgebraElement, group: QuotientGroup, fold: bool = Fal
     are summed.  Other models (sigma(AB) = BA, so no h_3, nor a complex
     h_1 or h_2) give the full operator.
     """
+    from scipy.sparse import csr_matrix
+
     row = _row_e(h, group.project)
     n, width, dtype = group.order, len(row), np.float64 if _is_real(h) else np.complex128
     if not width:
-        return sp.csr_matrix((n, n), dtype=dtype)
+        return csr_matrix((n, n), dtype=dtype)
     sigma = group.reflection if fold else None
     if sigma is None or not _reflection_fixes(row, sigma, conjugate=False):
         sigma, rows = None, np.arange(n, dtype=group.gen_perm.dtype)
@@ -252,7 +256,7 @@ def represent_periodic(h: AlgebraElement, group: QuotientGroup, fold: bool = Fal
             c = c * (root / root[indices[:, j]])
         data[:, j] = c
     indptr = np.arange(0, m * width + 1, width, dtype=index)
-    mat = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(m, m))
+    mat = csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(m, m))
     if sigma is None:
         mat.sort_indices()
     else:
@@ -378,6 +382,8 @@ def represent_open(h: AlgebraElement, ball: Ball) -> sp.csr_matrix:
     truncation preserves Hermiticity.  Each g is one exact batched product
     of the ball with g^-1 and one key lookup of the results.
     """
+    from scipy.sparse import csr_matrix
+
     row, n, width = _row_e(h, _inverse_table(ball.gens)), len(ball), 3 * ball.gens.ctx.d
     tables = [np.frombuffer(g, dtype=np.int64).reshape(width, width) for g in row]
     # one product and lookup per g, not one for all: n x len(row) products at once raised the junction's peak RSS
@@ -385,7 +391,7 @@ def represent_open(h: AlgebraElement, ball: Ball) -> sp.csr_matrix:
     found = found.reshape(len(row), n)
     g, cols = np.nonzero(found >= 0)
     weights = np.array(list(row.values()), dtype=np.float64 if _is_real(h) else np.complex128)
-    return sp.csr_matrix((weights[g], (found[g, cols], cols)), shape=(n, n))
+    return csr_matrix((weights[g], (found[g, cols], cols)), shape=(n, n))
 
 
 def _open_bonds(models, ball: Ball):
@@ -412,4 +418,6 @@ def hermiticity_defect(mat: sp.spmatrix) -> float:
 
 
 def save_matrix_market(mat: sp.spmatrix, path: str, comment: str = "") -> None:
-    scipy.io.mmwrite(path, mat, comment=comment)
+    from scipy.io import mmwrite
+
+    mmwrite(path, mat, comment=comment)

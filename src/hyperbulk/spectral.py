@@ -27,9 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, NumericalContractError, ResourceLimitError
 from .outputs import write_csv, write_json
@@ -142,13 +139,16 @@ def exact_spectrum(mat, overwrite: bool = False) -> SpectrumResult:
     Fortran-ordered), and skips the finiteness check: for a caller that
     fills a buffer of its own and has checked its entries (block_spectrum).
     """
+    from scipy.linalg import eigvalsh
+    from scipy.sparse import issparse
+
     n = mat.shape[0]
     if n > DENSE_CAP:
         raise ResourceLimitError(
             f"dimension {n} exceeds the dense diagonalization cap {DENSE_CAP}; use kpm_dos or eigenpairs_near"
         )
-    dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
-    return SpectrumResult(sla.eigvalsh(dense, overwrite_a=overwrite, check_finite=not overwrite))
+    dense = mat.toarray() if issparse(mat) else np.asarray(mat)
+    return SpectrumResult(eigvalsh(dense, overwrite_a=overwrite, check_finite=not overwrite))
 
 
 def block_spectrum(h, group) -> SpectrumResult:
@@ -250,8 +250,10 @@ def _lanczos(mat, start: np.ndarray, min_steps: int) -> LanczosRun:
     exact).  Edges still unconverged after max(min_steps, LANCZOS_STEPS)
     steps raise NumericalContractError.
     """
+    from scipy.linalg import eigh_tridiagonal, get_blas_funcs
+
     cap = max(min_steps, LANCZOS_STEPS)
-    axpy = sla.get_blas_funcs("axpy", (start,))
+    axpy = get_blas_funcs("axpy", (start,))
     alpha, beta = [], []
     v, v_prev, b = start, np.zeros_like(start), 0.0
     while True:
@@ -265,7 +267,7 @@ def _lanczos(mat, start: np.ndarray, min_steps: int) -> LanczosRun:
         beta.append(b)
         steps = len(alpha)
         if steps >= min_steps or b == 0.0:
-            ritz = [sla.eigh_tridiagonal(alpha, beta[:-1], select="i", select_range=(i, i)) for i in (0, steps - 1)]
+            ritz = [eigh_tridiagonal(alpha, beta[:-1], select="i", select_range=(i, i)) for i in (0, steps - 1)]
             edges = tuple(float(vals[0]) for vals, _ in ritz)
             residuals = tuple(b * abs(float(vecs[-1, 0])) for _, vecs in ritz)
             limit = BOUND_TOL * max(edges[1] - edges[0], 1e-12)
@@ -320,14 +322,16 @@ def _single_site_moments(mat, moments: int) -> tuple[np.ndarray, tuple[float, fl
     mu_0 and mu_2n+1 = 2 <T_n+1|T_n> - mu_1, takes two moments per
     product with J.
     """
+    from scipy.sparse import diags, identity
+
     start = np.zeros(mat.shape[0], dtype=mat.dtype)
     start[0] = 1.0
     run = _lanczos(mat, start, -(-moments // 2))
     off = run.beta[:-1]
-    jac = sp.diags([off, run.alpha, off], [-1, 0, 1], format="csr")
+    jac = diags([off, run.alpha, off], [-1, 0, 1], format="csr")
     lo, hi = spectral_bounds(mat, run=run)
     # J~ = (J - b) / a, so that its spectrum lies inside (-1, 1)
-    jac = (jac - (hi + lo) / 2.0 * sp.identity(run.alpha.size, format="csr")) / ((hi - lo) / 2.0)
+    jac = (jac - (hi + lo) / 2.0 * identity(run.alpha.size, format="csr")) / ((hi - lo) / 2.0)
     mu = np.empty(moments + 1)
     t_prev = np.zeros(run.alpha.size)
     t_prev[0] = 1.0
@@ -500,10 +504,13 @@ def _factor(a, shift: float, rng):
     error above FACTOR_BACKWARD, and, with ResourceLimitError, factors
     whose stored entries exceed EIGENPAIRS_MEMORY.
     """
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import splu
+
     n = a.shape[0]
-    shifted = (a - shift * sp.identity(n, dtype=a.dtype, format="csc")).tocsc()
+    shifted = (a - shift * identity(n, dtype=a.dtype, format="csc")).tocsc()
     try:
-        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         if "singular" not in str(exc):
             raise
@@ -636,6 +643,8 @@ def _ritz_in_window(a, basis, proj, sigma, lo, hi, m):
     raises NumericalContractError when more than m Ritz values of T lie
     in the window.
     """
+    from scipy.linalg import eigh
+
     # LAPACK's MRRR is not scale-invariant: at these projections' own scale (3e7 on the junction
     # windows) it fails on some and zheevr falls back to bisection and inverse iteration, four
     # times slower.  Dividing by a power of two brings proj to unit scale exactly, written
@@ -643,7 +652,7 @@ def _ritz_in_window(a, basis, proj, sigma, lo, hi, m):
     # the Rayleigh-Ritz on H, whose products set the peak memory
     scale = 2.0 ** np.frexp(np.abs(proj).max())[1]
     scaled = np.empty(proj.shape, proj.dtype, order="F")
-    theta, y = sla.eigh(np.divide(proj, scale, out=scaled), lower=False, overwrite_a=True)
+    theta, y = eigh(np.divide(proj, scale, out=scaled), lower=False, overwrite_a=True)
     del scaled
     theta *= scale
     lam = np.full_like(theta, np.inf)
@@ -674,7 +683,7 @@ def _ritz_in_window(a, basis, proj, sigma, lo, hi, m):
     g = np.empty((m, m), x.dtype, order="F")
     for c in cols:
         g[:, c] = _adjoint_times(x, a @ x[:, c])
-    vals, z = sla.eigh(g, overwrite_a=True)
+    vals, z = eigh(g, overwrite_a=True)
     del g
     for r in range(0, n, rows):
         x[r : r + rows] = x[r : r + rows] @ z
@@ -709,10 +718,10 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
        exactly singular or fails the backward-error check moves up by
        the edges' step, at most EDGE_MOVES - 1 times.  Every eigenvalue
        lies in the Gershgorin interval [-g, g], g the largest absolute
-       row sum: an edge outside it is counted without a factorization
-       (0 below -g, n above g), and a center outside it gives way to the
-       middle of the window's part inside it, so H - sigma I never
-       overflows.
+       row sum: an edge strictly outside it is counted without a
+       factorization (0 below -g, n above g), and a center outside it
+       gives way to the middle of the window's part inside it, so
+       H - sigma I never overflows.
     3. A block Krylov basis of T = (H - sigma)^-1 grows in blocks of
        KRYLOV_BLOCK from a seeded start, in the operator's dtype.  T is
        Hermitian, so T q's large parts lie along q and the block before
@@ -735,23 +744,31 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
        ||H x - lambda x|| <= EIGENPAIR_RESIDUAL.  That step holds one
        n x m array, the Ritz vectors, and forms x^H H x, the vectors and
        their residuals RITZ_CHUNK columns or rows at a time.  The pairs
-       inside [center - half_width, center + half_width] are returned, a
-       column range of the Ritz vectors.
+       whose value lies within its residual of the closed window
+       [center - half_width, center + half_width] are returned (an
+       eigenvalue on an edge may have its Ritz value a rounding error
+       outside), a column range of the Ritz vectors.
 
     Deterministic for a fixed seed.  Raises NumericalContractError when
     no tried edge gives an inertia count or no tried shift stable
     factors, when more than m Ritz values fall in the counted window, or
     when a basis spanning the whole space still disagrees with the
     count; it never returns before all m pairs of the counted window
-    are found.  Raises ResourceLimitError when the LU factors, or they
-    with the basis, the projection and the last Rayleigh-Ritz step's
-    arrays (_footprint, charged again with the old room whenever the
-    basis grows), would exceed EIGENPAIRS_MEMORY, and ConfigError unless
-    the center is finite and 0 < half_width < inf.
+    are found.  An eigenvalue exactly on the upper edge whose Ritz value
+    lands a rounding error above it lies outside the counted window
+    [lo, next float above hi) and raises NumericalContractError (the
+    zero operator with center -0.1 and half-width 0.1).  Raises
+    ResourceLimitError when the LU factors, or they with the basis, the
+    projection and the last Rayleigh-Ritz step's arrays (_footprint,
+    charged again with the old room whenever the basis grows), would
+    exceed EIGENPAIRS_MEMORY, and ConfigError unless the center is
+    finite and 0 < half_width < inf.
     """
+    from scipy.sparse import csc_matrix
+
     if not (np.isfinite(center) and 0 < half_width < np.inf):
         raise ConfigError(f"the window needs a finite center and finite half_width > 0, got {center}, {half_width}")
-    a = sp.csc_matrix(mat)
+    a = csc_matrix(mat)
     dtype = np.result_type(a.dtype, np.float64)
     a = a.astype(dtype, copy=False)
     n = a.shape[0]
@@ -763,8 +780,8 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
     radius = float(abs(a).sum(axis=1).max()) * (1.0 + n * np.finfo(float).eps)
 
     def counted(edge):
-        # an edge outside [-radius, radius] needs no factorization
-        return 0 if edge <= -radius else n if edge > radius else _count_below(a, edge, rng)
+        # an edge strictly outside [-radius, radius] needs no factorization
+        return 0 if edge < -radius else n if edge > radius else _count_below(a, edge, rng)
 
     lo_count, below_lo = _first_accepted(lo, -step, counted)
     hi_count, below_hi = _first_accepted(np.nextafter(hi, np.inf), step, counted)
@@ -815,8 +832,10 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
             pairs = _ritz_in_window(a, basis[:, :j], proj[:j, :j], sigma, lo_count, hi_count, m)
             if pairs is not None:
                 vals, vecs, residuals = pairs
-                # vals is sorted, so the pairs inside [lo, hi] are a column range of vecs
-                keep = slice(np.searchsorted(vals, lo, "left"), np.searchsorted(vals, hi, "right"))
+                # a pair within its residual of [lo, hi] may be an eigenvalue on an edge; vals is sorted,
+                # so these pairs are a column range of vecs unless rounding interleaves them with others
+                near = np.flatnonzero((vals >= lo - residuals) & (vals <= hi + residuals))
+                keep = slice(near[0], near[-1] + 1) if near.size and near[-1] - near[0] < near.size else near
                 return WindowSpectrum(
                     vals[keep],
                     vecs[:, keep],

@@ -17,6 +17,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -481,13 +482,13 @@ def test_reflection_that_breaks_the_coset_pairing_raises(q54_k2, move, message):
 
 def test_flow_solves_each_distinct_point_once(q54_k2, monkeypatch):
     solves = []
-    eigvalsh = spectral.sla.eigvalsh
+    eigvalsh = scipy.linalg.eigvalsh
 
     def counted(a, **kwargs):
         solves.append(a.dtype)
         return eigvalsh(a, **kwargs)
 
-    monkeypatch.setattr(spectral.sla, "eigvalsh", counted)
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", counted)
     models = [operators.model_hamiltonian(alpha, 1, EPS, 5, 4) for alpha in (1, 2, 3)]
     path = spectral.simplex_path(2)
     flows = spectral.spectral_flow(models, path, q54_k2)

@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -56,6 +58,38 @@ def test_group_reports_torsion(tmp_path, capsys):
     report = json.loads((tmp_path / "group_5_4_s2_k1.json").read_text())
     assert report["order"] == 160
     assert report["torsion_preserved"] is True
+
+
+# run in a fresh interpreter: argv[1] is the directory holding the hyperbulk package, argv[2] the output directory
+IMPORT_CONTRACT = """
+import sys
+
+sys.path.insert(0, sys.argv[1])
+from hyperbulk import cli
+
+assert "numpy" not in sys.modules, "hyperbulk.cli loaded numpy"
+from hyperbulk import geometry, junction, operators, quotient, spectral
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+assert not scipy_modules(), f"importing the modules loaded {scipy_modules()}"
+for argv in (["group", "5", "4", "--k", "3"], ["group", "7", "3", "--k", "2"], ["minpoly", "--pq", "5", "4"]):
+    assert cli.main(["--out", sys.argv[2], *argv]) == 0
+    assert not scipy_modules(), f"{argv} loaded {scipy_modules()}"
+# the check sees scipy once a command uses it
+assert cli.main(["--out", sys.argv[2], "spectrum", "5", "4"]) == 0
+assert "scipy.linalg" in scipy_modules(), scipy_modules()
+"""
+
+
+def test_quotient_tower_loads_no_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", IMPORT_CONTRACT, src, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_group_cache_round_trip(tmp_path, capsys):

@@ -207,6 +207,32 @@ def test_exactly_singular_edge_moves_outward():
     assert spectral._first_accepted(0.0, -0.01, lambda x: spectral._count_below(mat, x, rng)) == (-0.01, 20)
 
 
+@pytest.mark.parametrize("center", [0.1, 0.3])
+def test_zero_operator_with_its_eigenvalue_on_the_lower_edge(center):
+    # the Gershgorin radius is 0, so the lower edge 0 sits on -radius: it is factored, found exactly
+    # singular and moved below 0, and the Ritz values a rounding error below 0 stay in the counted window
+    pairs = assert_matches_dense(sp.csr_matrix((40, 40)), center, center)
+    assert np.array_equal(pairs.eigenvalues, np.zeros(40))
+
+
+def test_level_on_the_lower_edge_is_returned_whole():
+    # the 20-fold level 0 sits on the lower edge: half of its Ritz values round below 0, within their residuals
+    mat = np.diag(np.repeat([-1.0, 0.0, 1.0], [10, 20, 10]))
+    assert assert_matches_dense(mat, 0.25, 0.25).count == 20
+    # the 10-fold level 1 on the edge 1.1 - 0.1 = 1.0; dense_window's |E - 1.1| <= 0.1 misses it by rounding
+    pairs = spectral.eigenpairs_near(mat, center=1.1, half_width=0.1, seed=11)
+    assert pairs.count == pairs.eigenvalues.size == 10
+    np.testing.assert_allclose(pairs.eigenvalues, 1.0, rtol=0, atol=1e-12)
+    assert np.all(np.abs(pairs.eigenvalues - 1.0) <= pairs.residual)
+
+
+def test_zero_operator_with_its_eigenvalue_on_the_upper_edge_is_refused():
+    # the upper edge 0 is counted up to the next float above it, and the Ritz values of the zero level land a
+    # rounding error above that: the solve refuses, loudly, instead of returning part of the level
+    with pytest.raises(NumericalContractError, match="does not give the inertia count 40"):
+        spectral.eigenpairs_near(sp.csr_matrix((40, 40)), center=-0.1, half_width=0.1, seed=11)
+
+
 def test_shift_without_stable_factors_is_refused(monkeypatch):
     # every shift tried is refused: it moves up by the edges' step, and the last refusal is raised
     factor = spectral._factor
