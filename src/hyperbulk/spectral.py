@@ -699,7 +699,7 @@ def _ritz_in_window(a, basis, proj, sigma, lo, hi, m):
 
 
 def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: int = 0) -> WindowSpectrum:
-    """All eigenpairs of the Hermitian mat with |E - center| <= half_width.
+    """All eigenpairs of the Hermitian mat with |E - center| <= half_width, up to the largest residual.
 
     One sparse path for every size (shifted block Lanczos with inertia
     counts; Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 228
@@ -744,7 +744,7 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
        ||H x - lambda x|| <= EIGENPAIR_RESIDUAL.  That step holds one
        n x m array, the Ritz vectors, and forms x^H H x, the vectors and
        their residuals RITZ_CHUNK columns or rows at a time.  The pairs
-       whose value lies within its residual of the closed window
+       whose value lies within the largest residual of the closed window
        [center - half_width, center + half_width] are returned (an
        eigenvalue on an edge may have its Ritz value a rounding error
        outside), a column range of the Ritz vectors.
@@ -832,10 +832,10 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
             pairs = _ritz_in_window(a, basis[:, :j], proj[:j, :j], sigma, lo_count, hi_count, m)
             if pairs is not None:
                 vals, vecs, residuals = pairs
-                # a pair within its residual of [lo, hi] may be an eigenvalue on an edge; vals is sorted,
-                # so these pairs are a column range of vecs unless rounding interleaves them with others
-                near = np.flatnonzero((vals >= lo - residuals) & (vals <= hi + residuals))
-                keep = slice(near[0], near[-1] + 1) if near.size and near[-1] - near[0] < near.size else near
+                # a pair within the residual of [lo, hi] may be an eigenvalue on an edge; vals is sorted,
+                # so these pairs are a column range of vecs
+                tol = residuals.max()
+                keep = slice(np.searchsorted(vals, lo - tol, "left"), np.searchsorted(vals, hi + tol, "right"))
                 return WindowSpectrum(
                     vals[keep],
                     vecs[:, keep],
