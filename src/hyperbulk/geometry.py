@@ -255,18 +255,11 @@ def hyp_distance(z, w):
     return 2.0 * np.arctanh(np.minimum(ratio, 1.0 - 1e-16))
 
 
-def ahlfors_bracket(z, w):
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    az = 1.0 - (z.real**2 + z.imag**2)
-    aw = 1.0 - (w.real**2 + w.imag**2)
-    return az * aw + np.abs(z - w) ** 2
-
-
 def midpoint(z, w):
     """Geodesic midpoint in closed form.
 
-    The square root is taken over the full product A[z,w]*(1-|z|^2)*(1-|w|^2);
+    The square root is taken over the full product A[z,w]*(1-|z|^2)*(1-|w|^2),
+    A[z,w] = (1-|z|^2)*(1-|w|^2) + |z-w|^2 the Ahlfors bracket (bracket below);
     this variant satisfies midpoint(z, z) = z and the equal-distance property
     d(z, mu) = d(w, mu) = d(z, w)/2, which is the contract enforced by tests.
     """

@@ -419,6 +419,8 @@ class Sectors:
     maps the chi sector onto the chi^g sector and commutes with the
     operator, so all blocks of one orbit are isospectral (Clifford's
     theorem): a spectrum needs one block per orbit, repeated |O| times.
+    On N's base-s coordinates conjugation by g is an integer matrix M_g,
+    and character a (exp(2 pi i a.n / s) on n) goes to a M_g mod s.
 
     The reflection sigma: A -> A^-1, B -> B^-1 maps N onto itself, so
     the antiunitary C = K sigma, (C psi)(x) = conj(psi(sigma(x))), maps
@@ -481,13 +483,16 @@ def _sectors(group: QuotientGroup) -> Sectors:
     exp(2 pi i a.n / s) on n.  One linear pass checks
     (t, n) g = (t g, n + c(t, g)) for every x and generator g, with t g
     and c(t, g) read at (t, 0); with one (t, 0) per coset, that makes the
-    coordinates a bijection and n a homomorphism on N.  The reflection
-    (QuotientGroup.reflection) must map N onto itself and pair the cosets
-    by an involution c <-> c' whose kernel parts satisfy
-    m_c' = sigma(m_c)^-1, so that C's phases conj(chi(m_c)) agree on a
-    pair for every character C fixes; both are linear checks.  Coordinates
-    or a reflection that fail raise NumericalContractError.  A composite
-    s takes N trivial.
+    coordinates a bijection and n a homomorphism on N.  An automorphism
+    that maps N's basis e_i = (0, s^i) into N is then the integer matrix
+    M whose column i holds e_i's image, and takes character a to a M
+    mod s: conjugation by A and B gives the orbits (_character_orbits),
+    the reflection sigma the characters C fixes, a M_sigma + a = 0.
+    sigma must also pair the cosets by an involution c <-> c' whose
+    kernel parts satisfy m_c' = sigma(m_c)^-1, so that C's phases
+    conj(chi(m_c)) agree on a pair for every character C fixes.
+    Coordinates or a reflection that fail raise NumericalContractError.
+    A composite s takes N trivial.
     """
     s, order = group.s, group.order
     lift, size = (group.lift, group.kernel_order) if _is_prime(s) else (np.arange(order), 1)
@@ -518,17 +523,17 @@ def _sectors(group: QuotientGroup) -> Sectors:
         chars = np.where(phase == 0, 1.0, -1.0)
     else:
         chars = np.exp(2j * np.pi * phase / s)
-    orbit = _character_orbits(group, members, np.where(coset == 0, kernel, -1), phase)
+    basis = members[rank[s ** np.arange(places)]]  # e_i, whose coordinates are unit vectors
+    orbit = _character_orbits(group, basis, np.where(coset == 0, n, -1), digits)
 
     sigma = group.reflection
     mirror, image = coset[sigma[transversal]], n[sigma[transversal]]  # c' and m_c's coordinates
-    reflected = kernel[sigma[members]]  # position of sigma(n) for N's n, in N's BFS order
-    if np.any(coset[sigma[members]] != 0) or np.any(mirror[mirror] != np.arange(count)):
+    if np.any(coset[sigma[basis]] != 0) or np.any(mirror[mirror] != np.arange(count)):
         raise NumericalContractError("the reflection does not map the kernel onto itself and pair its cosets")
     if np.any(_digit_sum(image[mirror], n[sigma[members[rank[image]]]], s, size) != 0):
         raise NumericalContractError("the reflection's kernel parts break m_c' = sigma(m_c)^-1: the phases of "
                                      "a coset pair do not match")
-    fixed = np.all((phase + phase[:, reflected]) % s == 0, axis=1)
+    fixed = np.all((digits @ digits[n[sigma[basis]]].T + digits) % s == 0, axis=1)
     return Sectors(transversal, coset, kernel, chars, orbit, mirror, rank[image], fixed)
 
 
@@ -541,31 +546,28 @@ def _digit_sum(a: np.ndarray, b: np.ndarray, s: int, size: int) -> np.ndarray:
     return out
 
 
-def _character_orbits(group: QuotientGroup, members, position, phase) -> np.ndarray:
+def _character_orbits(group: QuotientGroup, basis, coordinates, digits) -> np.ndarray:
     """Orbit label of each character under conjugation by A and B, which generate G.
 
-    g^-1 n g is n's word walked from g^-1, then g; the conjugate of
-    character j is the row phase[j] read at those positions, looked up in
-    phase.  The orbits are the connected components of the graph joining
-    each character to its conjugates, numbered in order of their smallest
-    character.
+    g^-1 e_i g, e_i's word walked from g^-1 and then g, must lie in N
+    (coordinates[x] >= 0), and its coordinates are column i of M_g.  The
+    orbits are the closures of the maps a -> a M_g mod s on the
+    characters, numbered in order of their smallest character.
     """
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import connected_components
-
-    gens = np.array([GEN_A, GEN_B])
-    starts = group.gen_perm[[inverse_token(t) for t in gens], 0]
-    conj = np.array([group.gen_perm[gens, group.walk(starts, group.word(int(n)))] for n in members])
-    conj = position[conj.T]
-    if np.any(conj < 0):
-        raise NumericalContractError("conjugation by a generator left the kernel; group tables are corrupt")
-    table = RowIndex(phase)
-    image = np.concatenate([table.find(phase[:, perm]) for perm in conj])
-    if np.any(image < 0):
-        raise NumericalContractError("a conjugated character is not a row of the character table")
-    n = len(phase)
-    edges = coo_array((np.ones(image.size), (np.tile(np.arange(n), len(conj)), image)), shape=(n, n))
-    return connected_components(edges, directed=False)[1]
+    s, radix = group.s, group.s ** np.arange(digits.shape[1])
+    maps = []
+    for g in (GEN_A, GEN_B):
+        start = group.gen_perm[inverse_token(g), 0]
+        conj = [coordinates[group.gen_perm[g, group.walk(start, group.word(int(x)))]] for x in basis]
+        if min(conj, default=0) < 0:
+            raise NumericalContractError("conjugation by a generator left the kernel; group tables are corrupt")
+        maps.append(digits @ digits[conj].T % s @ radix)
+    label = np.arange(len(digits))
+    while True:
+        new = np.minimum.reduce([label, *(label[image] for image in maps)])
+        if np.array_equal(new, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = new
 
 
 def build_quotient(

@@ -140,14 +140,13 @@ def exact_spectrum(mat, overwrite: bool = False) -> SpectrumResult:
     fills a buffer of its own and has checked its entries (block_spectrum).
     """
     from scipy.linalg import eigvalsh
-    from scipy.sparse import issparse
 
     n = mat.shape[0]
     if n > DENSE_CAP:
         raise ResourceLimitError(
             f"dimension {n} exceeds the dense diagonalization cap {DENSE_CAP}; use kpm_dos or eigenpairs_near"
         )
-    dense = mat.toarray() if issparse(mat) else np.asarray(mat)
+    dense = mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat)  # a sparse matrix or array
     return SpectrumResult(eigvalsh(dense, overwrite_a=overwrite, check_finite=not overwrite))
 
 
@@ -554,18 +553,20 @@ def _check_memory(nbytes: int, what: str) -> None:
         )
 
 
-def _count_below(a, x: float, rng) -> int:
-    """Number of eigenvalues of the Hermitian a below x, by Sylvester's law of inertia.
+def _count_below(a, x: float, rng) -> tuple[int, int]:
+    """Numbers of eigenvalues of the Hermitian a below and above x, by Sylvester's law of inertia.
 
     With diagonal pivots only, P (a - x) P^T = L U and U = D L^H, so the
-    negative entries of D count the eigenvalues below x.
+    negative and positive entries of D count the eigenvalues below and
+    above x; _factor refuses an x where H - x I is exactly singular.
     """
     lu = _factor(a, x, rng)
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise NumericalContractError(
             f"no inertia count at {x:.17g}: the factorization of H - x I pivoted off the diagonal"
         )
-    return int(np.count_nonzero(lu.U.diagonal().real < 0))
+    pivots = lu.U.diagonal().real
+    return int(np.count_nonzero(pivots < 0)), int(np.count_nonzero(pivots > 0))
 
 
 def _first_accepted(x: float, step: float, attempt):
@@ -635,7 +636,7 @@ def _orthonormal_block(basis, block, coeffs, rng, norms=None) -> np.ndarray:
 
 
 def _ritz_in_window(a, basis, proj, sigma, lo, hi, m):
-    """Rayleigh-Ritz of T = (H - sigma)^-1 on the basis, then of H on the Ritz pairs in [lo, hi).
+    """Rayleigh-Ritz of T = (H - sigma)^-1 on the basis, then of H on the Ritz pairs in [lo, hi].
 
     proj holds V^H T V in its upper triangle.  Returns the pairs and
     their residuals ||H x - lambda x|| once exactly m lie in the window
@@ -658,11 +659,11 @@ def _ritz_in_window(a, basis, proj, sigma, lo, hi, m):
     lam = np.full_like(theta, np.inf)
     nonzero = theta != 0
     lam[nonzero] = sigma + 1.0 / theta[nonzero]
-    inside = (lam >= lo) & (lam < hi)
+    inside = (lam >= lo) & (lam <= hi)
     found = int(np.count_nonzero(inside))
     if found > m:
         raise NumericalContractError(
-            f"{found} Ritz values in [{lo:.17g}, {hi:.17g}) exceed its inertia count {m}"
+            f"{found} Ritz values in [{lo:.17g}, {hi:.17g}] exceed its inertia count {m}"
         )
     if found < m:
         return None
@@ -693,7 +694,7 @@ def _ritz_in_window(a, basis, proj, sigma, lo, hi, m):
         defect = a @ x[:, c]
         defect -= x[:, c] * vals[c]
         residuals[c] = np.linalg.norm(defect, axis=0)
-    if vals[0] < lo or vals[-1] >= hi or residuals.max() > EIGENPAIR_RESIDUAL:
+    if vals[0] < lo or vals[-1] > hi or residuals.max() > EIGENPAIR_RESIDUAL:
         return None
     return vals, x, residuals
 
@@ -708,19 +709,20 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
     1. Every matrix H - x I is factored with diagonal pivots in a
        symmetric fill-reducing order and checked by its backward error.
        Two such LDL^H factorizations count, by Sylvester's law of
-       inertia, the m eigenvalues in the closed window.  An edge where
-       H - x I is exactly singular, or whose factorization pivots off
-       the diagonal or fails its check, gives no count: it moves outward
-       by EDGE_STEP of the half-width, at most EDGE_MOVES - 1 times, and
-       the counted window then holds the requested one.  m = 0 returns
-       at once.
+       inertia, the eigenvalues below the lower edge and above the upper
+       one, and so the m in the closed window.  An edge where H - x I is
+       exactly singular (an eigenvalue on it), or whose factorization
+       pivots off the diagonal or fails its check, gives no count: it
+       moves outward by EDGE_STEP of the half-width, at most
+       EDGE_MOVES - 1 times, and the counted window then holds the
+       requested one.  m = 0 returns at once.
     2. H - sigma I is factored once at sigma = center.  A shift that is
        exactly singular or fails the backward-error check moves up by
        the edges' step, at most EDGE_MOVES - 1 times.  Every eigenvalue
        lies in the Gershgorin interval [-g, g], g the largest absolute
        row sum: an edge strictly outside it is counted without a
-       factorization (0 below -g, n above g), and a center outside it
-       gives way to the middle of the window's part inside it, so
+       factorization (none below -g, none above g), and a center outside
+       it gives way to the middle of the window's part inside it, so
        H - sigma I never overflows.
     3. A block Krylov basis of T = (H - sigma)^-1 grows in blocks of
        KRYLOV_BLOCK from a seeded start, in the operator's dtype.  T is
@@ -754,15 +756,11 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
     factors, when more than m Ritz values fall in the counted window, or
     when a basis spanning the whole space still disagrees with the
     count; it never returns before all m pairs of the counted window
-    are found.  An eigenvalue exactly on the upper edge whose Ritz value
-    lands a rounding error above it lies outside the counted window
-    [lo, next float above hi) and raises NumericalContractError (the
-    zero operator with center -0.1 and half-width 0.1).  Raises
-    ResourceLimitError when the LU factors, or they with the basis, the
-    projection and the last Rayleigh-Ritz step's arrays (_footprint,
-    charged again with the old room whenever the basis grows), would
-    exceed EIGENPAIRS_MEMORY, and ConfigError unless the center is
-    finite and 0 < half_width < inf.
+    are found.  Raises ResourceLimitError when the LU factors, or they
+    with the basis, the projection and the last Rayleigh-Ritz step's
+    arrays (_footprint, charged again with the old room whenever the
+    basis grows), would exceed EIGENPAIRS_MEMORY, and ConfigError unless
+    the center is finite and 0 < half_width < inf.
     """
     from scipy.sparse import csc_matrix
 
@@ -774,18 +772,18 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
     n = a.shape[0]
     rng = np.random.default_rng(seed)
     lo, hi = center - half_width, center + half_width
-    # count [lo, hi] as [lo, next float above hi), each edge moved outward and the shift up if they must be
+    # count [lo, hi] as all but the eigenvalues below lo and above hi; edges move outward, the shift up, if they must
     step = EDGE_STEP * half_width
     # Gershgorin: every eigenvalue lies in [-radius, radius]; n eps covers the row sums' rounding
     radius = float(abs(a).sum(axis=1).max()) * (1.0 + n * np.finfo(float).eps)
 
     def counted(edge):
         # an edge strictly outside [-radius, radius] needs no factorization
-        return 0 if edge < -radius else n if edge > radius else _count_below(a, edge, rng)
+        return (0, n) if edge < -radius else (n, 0) if edge > radius else _count_below(a, edge, rng)
 
-    lo_count, below_lo = _first_accepted(lo, -step, counted)
-    hi_count, below_hi = _first_accepted(np.nextafter(hi, np.inf), step, counted)
-    m = below_hi - below_lo
+    lo_count, (below_lo, _) = _first_accepted(lo, -step, counted)
+    hi_count, (_, above_hi) = _first_accepted(hi, step, counted)
+    m = n - below_lo - above_hi
     if m == 0:
         return WindowSpectrum(np.empty(0), np.empty((n, 0), dtype))
 
@@ -846,7 +844,7 @@ def eigenpairs_near(mat, center: float = 0.0, half_width: float = 0.25, seed: in
             if j == n:
                 raise NumericalContractError(
                     f"a Krylov basis spanning all {n} dimensions does not give the inertia count "
-                    f"{m} of pairs in [{lo_count:.17g}, {hi_count:.17g}) with residuals <= {EIGENPAIR_RESIDUAL:.0e}"
+                    f"{m} of pairs in [{lo_count:.17g}, {hi_count:.17g}] with residuals <= {EIGENPAIR_RESIDUAL:.0e}"
                 )
             check = j + max(b, m // 8)
 

@@ -279,9 +279,15 @@ def test_orbit_sizes_54(q54_k2, q54_k3):
         assert np.array_equal(sec.orbit[sec.representatives], np.arange(len(sec.representatives)))
 
 
-@pytest.mark.parametrize("key", [(5, 4, 2, 1), (5, 4, 2, 2), (6, 4, 2, 2), (6, 6, 3, 1), (6, 6, 3, 2)])
-def test_orbit_map_matches_exact_left_translations(groups, key):
-    group = groups[key]
+@pytest.fixture(scope="module")
+def orbit_groups(groups, fold_groups, q54_k3):
+    return {**groups, **fold_groups, (5, 4, 2, 3): q54_k3}
+
+
+@pytest.mark.parametrize("key", [(5, 4, 2, 1), (5, 4, 2, 2), (6, 4, 2, 2), (6, 6, 3, 1), (6, 6, 3, 2),
+                                 (5, 4, 2, 3), (6, 4, 3, 2), (7, 3, 2, 2), (8, 4, 2, 2)])
+def test_orbit_map_matches_exact_left_translations(orbit_groups, key):
+    group = orbit_groups[key]
     sec = group.sectors
     perms = exact_conjugations(group)
     want = closure_labels([character_images(sec.chars, perm) for perm in perms], sec.count)
@@ -316,21 +322,12 @@ def test_exact_spectrum_at_k3(q54_k3):
 
 
 def test_conjugation_leaving_the_kernel_raises(q54_k2):
-    members = np.flatnonzero(q54_k2.sectors.coset == 0)
-    position = np.full(q54_k2.order, -1)
-    position[0] = 0  # only the identity is left in N
+    coordinates = np.full(q54_k2.order, -1)
+    coordinates[0] = 0  # only the identity is left in N
+    basis = np.argsort(q54_k2.lift)[2 ** np.arange(4)]  # the elements with coordinates 1, 2, 4 and 8
+    digits = np.arange(16)[:, None] // 2 ** np.arange(4) % 2
     with pytest.raises(NumericalContractError, match="left the kernel"):
-        quotient._character_orbits(q54_k2, members, position, np.zeros((1, len(members)), dtype=np.int64))
-
-
-def test_conjugate_outside_the_character_table_raises(q54_k2):
-    members = np.flatnonzero(q54_k2.sectors.coset == 0)
-    position = np.full(q54_k2.order, -1)
-    position[members] = np.arange(len(members))
-    phase = np.where(q54_k2.sectors.chars == 1.0, 0, 1)
-    # keep the trivial character and one from an orbit of size 5: its conjugates are missing
-    with pytest.raises(NumericalContractError, match="not a row of the character table"):
-        quotient._character_orbits(q54_k2, members, position, phase[:2])
+        quotient._character_orbits(q54_k2, basis, coordinates, digits)
 
 
 # families with character blocks that K sigma folds: every {5,4} orbit and some orbits of the others
@@ -438,6 +435,17 @@ def test_representatives_are_fixed_characters_where_the_orbit_has_one(fold_group
         assert j == (fixed.min() if fixed.size else members.min()), o
 
 
+@pytest.mark.parametrize("key", FOLD_KEYS, ids=lambda key: "{}_{}_s{}_k{}".format(*key))
+def test_fixed_characters_match_the_reflection(fold_groups, key):
+    # C fixes chi exactly when conj(chi(sigma(n))) = chi(n) on N, read from the character table and sigma
+    group = fold_groups[key]
+    sec = group.sectors
+    reflected = group.reflection[np.flatnonzero(sec.coset == 0)]
+    assert np.all(sec.coset[reflected] == 0)
+    want = np.abs(sec.chars[:, sec.kernel[reflected]].conj() - sec.chars).max(axis=1) < 1e-12
+    assert np.array_equal(sec.fixed, want)
+
+
 @pytest.mark.parametrize("key", [(5, 4, 2, 1), (5, 4, 2, 2), (6, 4, 3, 2), (6, 6, 3, 2), (8, 4, 2, 2)],
                          ids=lambda key: "{}_{}_s{}_k{}".format(*key))
 def test_mirror_and_fixed_characters_match_exact_reflections(fold_groups, key):
@@ -467,7 +475,7 @@ def test_reflection_that_breaks_the_coset_pairing_raises(q54_k2, move, message):
     sec = q54_k2.sectors
     sigma = q54_k2.reflection.copy()
     if move == "kernel":
-        # a kernel element sent out of N
+        # a kernel element sent out of N: N's second element in BFS order is the basis element e_0
         sigma[np.flatnonzero(sec.coset == 0)[1]] = sec.transversal[1]
     else:
         # sigma(t_5) moved within its coset: m_5 changes, m_(5') does not

@@ -79,9 +79,12 @@ assert not scipy_modules(), f"importing the modules loaded {scipy_modules()}"
 for argv in (["group", "5", "4", "--k", "3"], ["group", "7", "3", "--k", "2"], ["minpoly", "--pq", "5", "4"]):
     assert cli.main(["--out", sys.argv[2], *argv]) == 0
     assert not scipy_modules(), f"{argv} loaded {scipy_modules()}"
-# the check sees scipy once a command uses it
-assert cli.main(["--out", sys.argv[2], "spectrum", "5", "4"]) == 0
-assert "scipy.linalg" in scipy_modules(), scipy_modules()
+# the check sees scipy once a command uses it: exact spectra and flows load scipy.linalg and no scipy.sparse
+for argv in (["spectrum", "5", "4", "--k", "1", "2"], ["flow", "5", "4", "--k", "2", "--samples", "2"]):
+    assert cli.main(["--out", sys.argv[2], *argv]) == 0
+    assert "scipy.linalg" in scipy_modules(), scipy_modules()
+    sparse = [m for m in scipy_modules() if m.startswith("scipy.sparse")]
+    assert not sparse, f"{argv} loaded {sparse}"
 """
 
 
@@ -616,10 +619,20 @@ def test_junction_releases_each_energy_before_the_next(tmp_path):
     assert peak("0", "0") <= peak("0") + 128 * 1024
 
 
-def test_junction_count_mismatch_exits_4(tmp_path, capsys, monkeypatch):
+def miscount(monkeypatch):
+    """One eigenvalue fewer above each positive edge: one more in the window than there is."""
     count = spectral._count_below
-    # one eigenvalue more in the window than there is: no basis can reproduce the count
-    monkeypatch.setattr(spectral, "_count_below", lambda a, x, rng: count(a, x, rng) + (x > 0))
+
+    def miscounting(a, x, rng):
+        below, above = count(a, x, rng)
+        return below, above - (x > 0)
+
+    monkeypatch.setattr(spectral, "_count_below", miscounting)
+
+
+def test_junction_count_mismatch_exits_4(tmp_path, capsys, monkeypatch):
+    # no basis can reproduce the count
+    miscount(monkeypatch)
     assert run(["--out", str(tmp_path), "junction", "--radius", "5"]) == 4
     assert "inertia count" in capsys.readouterr().err
     assert not (tmp_path / "junction_5_4_r5_report.json").exists()
@@ -838,8 +851,7 @@ def _flow_past_the_cap(tmp_path, monkeypatch):
 
 
 def _count_mismatch(tmp_path, monkeypatch):
-    count = spectral._count_below
-    monkeypatch.setattr(spectral, "_count_below", lambda a, x, rng: count(a, x, rng) + (x > 0))
+    miscount(monkeypatch)
     return ["junction", "--radius", "5"], 4
 
 

@@ -162,7 +162,8 @@ def test_count_mismatch_is_refused(monkeypatch, shift):
     count = spectral._count_below
 
     def miscount(a, x, rng):
-        return count(a, x, rng) + (shift if x > 0 else 0)
+        below, above = count(a, x, rng)
+        return below, above - (shift if x > 0 else 0)
 
     monkeypatch.setattr(spectral, "_count_below", miscount)
     with pytest.raises(NumericalContractError, match="inertia count"):
@@ -199,12 +200,13 @@ def test_window_edge_without_a_count_moves_outward(center, half_width):
 
 
 def test_exactly_singular_edge_moves_outward():
-    # 0 is a 20-fold eigenvalue: SuperLU finds H - 0 I exactly singular, and the edge moves below it
+    # 0 is a 20-fold eigenvalue: SuperLU finds H - 0 I exactly singular, and the edge moves below or above it
     mat = sp.diags(np.repeat([-1.0, 0.0], 20), format="csc")
     rng = np.random.default_rng(0)
     with pytest.raises(NumericalContractError, match="exactly singular"):
         spectral._count_below(mat, 0.0, rng)
-    assert spectral._first_accepted(0.0, -0.01, lambda x: spectral._count_below(mat, x, rng)) == (-0.01, 20)
+    assert spectral._first_accepted(0.0, -0.01, lambda x: spectral._count_below(mat, x, rng)) == (-0.01, (20, 20))
+    assert spectral._first_accepted(0.0, 0.01, lambda x: spectral._count_below(mat, x, rng)) == (0.01, (40, 0))
 
 
 @pytest.mark.parametrize("center", [0.1, 0.3])
@@ -226,11 +228,11 @@ def test_level_on_the_lower_edge_is_returned_whole():
     assert np.all(np.abs(pairs.eigenvalues - 1.0) <= pairs.residual)
 
 
-def test_zero_operator_with_its_eigenvalue_on_the_upper_edge_is_refused():
-    # the upper edge 0 is counted up to the next float above it, and the Ritz values of the zero level land a
-    # rounding error above that: the solve refuses, loudly, instead of returning part of the level
-    with pytest.raises(NumericalContractError, match="does not give the inertia count 40"):
-        spectral.eigenpairs_near(sp.csr_matrix((40, 40)), center=-0.1, half_width=0.1, seed=11)
+def test_zero_operator_with_its_eigenvalue_on_the_upper_edge():
+    # the upper edge 0 is factored, found exactly singular and moved above 0, so the Ritz values of the zero
+    # level, a rounding error either side of 0, stay in the counted window
+    pairs = assert_matches_dense(sp.csr_matrix((40, 40)), -0.1, 0.1)
+    assert np.array_equal(pairs.eigenvalues, np.zeros(40))
 
 
 def test_shift_without_stable_factors_is_refused(monkeypatch):
@@ -264,7 +266,7 @@ def test_junction_edge_without_a_count():
 @pytest.mark.parametrize("radius", [6, 8])
 def test_junction_window_sweep_matches_dense(monkeypatch, radius):
     # windows across the band, some of whose edges and shifts must move; every inertia count
-    # taken must be the dense count below its edge
+    # taken must be the dense count below and above its edge
     ham = junction_hamiltonian(radius)
     vals = sla.eigvalsh(ham.toarray())
     counts = []
@@ -272,7 +274,7 @@ def test_junction_window_sweep_matches_dense(monkeypatch, radius):
 
     def recording(x, step, attempt):
         point, got = first_accepted(x, step, attempt)
-        if isinstance(got, int):
+        if isinstance(got, tuple):
             counts.append((point, got))
         return point, got
 
@@ -283,9 +285,10 @@ def test_junction_window_sweep_matches_dense(monkeypatch, radius):
         want = vals[np.abs(vals - center) <= 0.25]
         assert pairs.eigenvalues.shape == want.shape
         np.testing.assert_allclose(pairs.eigenvalues, want, rtol=0, atol=1e-12)
-        (lo, below_lo), (hi, below_hi) = counts
-        assert below_lo == np.count_nonzero(vals < lo) and below_hi == np.count_nonzero(vals < hi)
-        assert pairs.count == below_hi - below_lo
+        for x, (below, above) in counts:
+            assert below == np.count_nonzero(vals < x) and above == np.count_nonzero(vals > x)
+        (lo, (below_lo, _)), (hi, (_, above_hi)) = counts
+        assert pairs.count == vals.size - below_lo - above_hi
 
 
 @pytest.mark.parametrize("radius", [8, 10, 12])

@@ -137,12 +137,6 @@ def test_hyp_distance_basics():
     assert geometry.hyp_distance(a, c) <= geometry.hyp_distance(a, b) + geometry.hyp_distance(b, c) + 1e-12
 
 
-def test_ahlfors_bracket_diagonal():
-    for z in (0.0, 0.3 + 0.1j, -0.7j):
-        want = (1.0 - abs(z) ** 2) ** 2
-        assert geometry.ahlfors_bracket(z, z) == pytest.approx(want, abs=1e-14)
-
-
 def test_midpoint_known_value():
     # mu(0, 0.6) = tanh(artanh(0.6) / 2) = 1/3
     assert geometry.midpoint(0.0, 0.6) == pytest.approx(1.0 / 3.0, abs=1e-12)
