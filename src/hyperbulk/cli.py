@@ -181,13 +181,13 @@ def cmd_spectrum(args) -> dict:
     for k in args.k:
         group = _load_quotient(args.p, args.q, args.s, k, args.cache_dir)
         name = f"{tag}_{args.p}_{args.q}_s{args.s}_k{k}"
+        # auto solves exactly when the blocks it diagonalizes, one per character orbit, span at most DENSE_CAP rows
         use_kpm = args.method == "kpm" or (
-            args.method == "auto" and group.order > spectral.DENSE_CAP
+            args.method == "auto"
+            and len(group.sectors.representatives) * group.sectors.block_size > spectral.DENSE_CAP
         )
         if use_kpm:
-            density = spectral.kpm_dos(
-                element, group, moments=args.moments, grid_points=args.grid, seed=args.seed
-            )
+            density = spectral.kpm_dos(element, group, moments=args.moments, grid_points=args.grid)
             idos = spectral.cumulative_curve(density)
             spectral.write_curve_csv(density, os.path.join(out, f"dos_kpm_{name}.csv"))
             spectral.write_curve_csv(idos, os.path.join(out, f"idos_kpm_{name}.csv"))
@@ -448,7 +448,7 @@ def main(argv=None) -> int:
             os.environ[var] = str(args.threads)
         elif args.command == "spectrum" and args.method != "exact":
             # KPM's Lanczos vectors gain nothing from BLAS threads and lose much to their overhead;
-            # auto runs exact only on orders up to DENSE_CAP, whose blocks are small
+            # auto runs exact only where its blocks span at most DENSE_CAP rows in all, so each is small
             os.environ.setdefault(var, "1")
     from .outputs import write_json  # loads numpy, so only after the threads are pinned
 

@@ -213,8 +213,7 @@ def _ball_numeric_matrices(ball: Ball) -> np.ndarray:
     """(N,3,3) float matrices from the exact coefficient batch."""
     ctx = ball.gens.ctx
     pows = ctx.xi_numeric ** np.arange(ctx.d)
-    flats = ball.batch()  # (N, 3, 3d) int64
-    coeffs = np.asarray(flats, dtype=float).reshape(len(ball), 3, 3, ctx.d)
+    coeffs = np.asarray(ball.index.rows, dtype=float).reshape(len(ball), 3, 3, ctx.d)
     return coeffs @ pows
 
 

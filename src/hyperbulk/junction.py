@@ -28,6 +28,8 @@ DEFAULT_EPS = 0.8
 # one model per cyclic subgroup, first nontrivial character each
 DEFAULT_MODELS = ((1, 1), (2, 1), (3, 1))
 INTERFACE_RADIUS = 0.75
+# bulk sites lie at least this many word layers inside the ball's rim
+BULK_MARGIN = 2
 
 
 @dataclass(frozen=True)
@@ -161,17 +163,15 @@ def assemble_junction(ball, positions, config: JunctionConfig) -> sp.csr_matrix:
     return mat
 
 
-def bulk_sites(ball, margin: int = 2) -> np.ndarray:
-    """Mask of sites at word distance >= margin from the ball truncation edge.
+def bulk_sites(ball) -> np.ndarray:
+    """Mask of sites at word distance >= BULK_MARGIN from the ball truncation edge.
 
     Open boundaries host their own in-gap edge states (the rim is an
     interface with vacuum); interface-localization measurements suppress
-    them by restricting to word layers <= radius - margin.
+    them by restricting to word layers <= radius - BULK_MARGIN.
     """
-    if margin < 0:
-        raise ConfigError("margin must be nonnegative")
     layers = np.repeat(np.arange(len(ball.layer_sizes)), ball.layer_sizes)
-    return layers <= ball.radius - margin
+    return layers <= ball.radius - BULK_MARGIN
 
 
 def export_partition_csv(path, chi) -> None:

@@ -591,7 +591,7 @@ class Ball(DiscoveryTree):
     Elements are stored exactly as int64 rows; index 0 is the identity and
     layers are ordered by increasing word length, with the generator
     order A, A^-1, B, B^-1 fixing the order inside a layer.  index looks
-    rows up exactly.
+    rows up exactly; index.rows holds them as an (n, 3, 3d) int64 array.
     """
 
     def __init__(self, gens: Generators, radius: int, found: Enumeration):
@@ -608,18 +608,11 @@ class Ball(DiscoveryTree):
     def layer_sizes(self) -> list:  # elements per word length 0..radius
         return np.diff(self.layers).tolist()
 
-    def flat(self, i: int) -> np.ndarray:
-        return self.index.rows[i]
-
     def matrix(self, i: int) -> GroupMatrix:
-        return flat_to_matrix(self.gens.ctx, self.flat(i))
-
-    def batch(self) -> np.ndarray:
-        """All elements stacked as an (n, 3, 3d) int64 array."""
-        return self.index.rows
+        return flat_to_matrix(self.gens.ctx, self.index.rows[i])
 
 
-def ball_enumerate(p: int, q: int, radius: int, gens: Generators | None = None) -> Ball:
+def ball_enumerate(p: int, q: int, radius: int) -> Ball:
     """All group elements of word length <= radius, by exact BFS.
 
     A ball of more than ELEMENT_CAP elements raises ResourceLimitError.
@@ -627,8 +620,7 @@ def ball_enumerate(p: int, q: int, radius: int, gens: Generators | None = None) 
     TessellationParams(p, q)
     if radius < 0:
         raise ConfigError("radius must be nonnegative")
-    if gens is None:
-        gens = build_generators(p, q)
+    gens = build_generators(p, q)
     tables = mult_tables([gens.token_matrix(t) for t in range(4)])
     ident = matrix_to_flat(GroupMatrix.identity(gens.ctx)).astype(np.int64)
     return Ball(gens, radius, bfs(tables, ident, radius=radius, cap=ELEMENT_CAP, what=f"ball of radius {radius}"))
@@ -643,7 +635,7 @@ def export_ball_jsonl(ball: Ball, path: str) -> None:
     d = ball.gens.ctx.d
     with open(path, "w") as fh:
         for i in range(len(ball)):
-            flat = ball.flat(i)
+            flat = ball.index.rows[i]
             entries = [
                 [str(int(c)) for c in flat[row, l * d : (l + 1) * d]]
                 for row in range(3)

@@ -183,9 +183,9 @@ def test_represent_open_matches_site_loop(open_balls, pq, name):
 
 def test_ball_rows_are_exact_int64():
     ball = triangle.ball_enumerate(5, 4, 6)
-    assert ball.batch().dtype == np.int64
+    assert ball.index.rows.dtype == np.int64
     for i in range(len(ball)):
-        assert np.array_equal(ball.flat(i), matrix_to_flat(word_to_matrix(ball.word(i), ball.gens)))
+        assert np.array_equal(ball.index.rows[i], matrix_to_flat(word_to_matrix(ball.word(i), ball.gens)))
 
 
 def first_entry_keys(rows):
@@ -226,15 +226,15 @@ def test_forced_key_collision_exits_4(tmp_path, capsys, monkeypatch):
 def test_lookup_resolves_a_colliding_key_exactly(monkeypatch):
     ball = triangle.ball_enumerate(5, 4, 2)
     monkeypatch.setattr(triangle, "row_keys", lambda rows: np.zeros(len(rows), dtype=np.uint64))
-    index = triangle.RowIndex(ball.batch()[:1])
+    index = triangle.RowIndex(ball.index.rows[:1])
     # same key, other row: absent, not merged with the identity
-    assert list(index.find(ball.batch()[:3])) == [0, -1, -1]
+    assert list(index.find(ball.index.rows[:3])) == [0, -1, -1]
     with pytest.raises(NumericalContractError, match="share a 64-bit"):
-        triangle.RowIndex(ball.batch()[:2])
+        triangle.RowIndex(ball.index.rows[:2])
 
 
 def test_index_finds_rows_in_every_block_before_joining_them():
-    rows = triangle.ball_enumerate(5, 4, 3).batch()
+    rows = triangle.ball_enumerate(5, 4, 3).index.rows
     keys = triangle.row_keys(rows)
     index = triangle.RowIndex(rows[:0], keys[:0])
     assert list(index.find(rows[:2])) == [-1, -1]

@@ -137,6 +137,26 @@ def test_spectrum_reports_diagonalized_blocks(tmp_path, capsys):
     assert not any("character blocks" in path.read_text() for path in tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("cap, method", [(640, "exact"), (639, "kpm")])
+def test_auto_decides_on_the_rows_its_blocks_span(tmp_path, monkeypatch, cap, method):
+    # {5,4} G_2 has 2560 elements, but its 16 characters fall into 4 orbits of blocks of 160: 640 rows
+    monkeypatch.setattr(spectral, "DENSE_CAP", cap)
+    assert run(["--out", str(tmp_path), "spectrum", "5", "4", "--k", "2", "--moments", "16", "--grid", "8"]) == 0
+    names = {path.name for path in tmp_path.iterdir()}
+    assert ("spectrum_adj_5_4_s2_k2.csv" in names) == (method == "exact")
+    assert ("dos_kpm_adj_5_4_s2_k2.csv" in names) == (method == "kpm")
+
+
+def test_auto_solves_7_3_g2_exactly(tmp_path, capsys):
+    # 32256 elements, over DENSE_CAP, whose 64 characters fall into 2 orbit blocks of 504: 1008 rows to diagonalize
+    argv = ["spectrum", "7", "3", "--k", "2", "--grid", "8"]
+    assert run(["--out", str(tmp_path / "auto")] + argv) == 0
+    assert "k=2: dim 32256, 2 of 64 character blocks of 504," in capsys.readouterr().out
+    assert run(["--out", str(tmp_path / "exact")] + argv + ["--method", "exact"]) == 0
+    name = "spectrum_adj_7_3_s2_k2.csv"
+    assert (tmp_path / "auto" / name).read_bytes() == (tmp_path / "exact" / name).read_bytes()
+
+
 def test_spectrum_model_selection(tmp_path):
     code = run(
         [

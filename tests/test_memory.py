@@ -73,7 +73,7 @@ def test_a_refused_ball_layer_holds_one_chunk_of_products(monkeypatch):
     # a cap one short of the {5,4} ball of radius 16 refuses layer 16 near its end; the frontier (layer 15)
     # spans many 128-row chunks, and all its products at once would take 4 rows per frontier element
     inside, whole = (triangle.ball_enumerate(5, 4, r) for r in (15, 16))
-    frontier, row_bytes = inside.layer_sizes[-1], inside.batch()[0].nbytes
+    frontier, row_bytes = inside.layer_sizes[-1], inside.index.rows[0].nbytes
     monkeypatch.setattr(triangle, "_CHUNK", 128)
     monkeypatch.setattr(triangle, "ELEMENT_CAP", len(whole) - 1)
     assert frontier > 8 * 128

@@ -145,7 +145,7 @@ def test_ball_words_consistent():
         w = ball.word(i)
         assert len(w) <= 3
         assert word_to_matrix(w, ball.gens) == ball.matrix(i)
-        assert ball.index.find(ball.flat(i)[None])[0] == i
+        assert ball.index.find(ball.index.rows[i][None])[0] == i
 
 
 def test_ball_export_jsonl(tmp_path):
