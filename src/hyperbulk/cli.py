@@ -448,7 +448,8 @@ def main(argv=None) -> int:
             os.environ[var] = str(args.threads)
         elif args.command == "spectrum" and args.method != "exact":
             # KPM's Lanczos vectors gain nothing from BLAS threads and lose much to their overhead;
-            # auto runs exact only where its blocks span at most DENSE_CAP rows in all, so each is small
+            # auto runs exact only where its blocks span at most DENSE_CAP rows in all, so none is wider than
+            # DENSE_CAP; at {7,7} k = 2 (10 blocks of 448) two threads gained nothing over one
             os.environ.setdefault(var, "1")
     from .outputs import write_json  # loads numpy, so only after the threads are pinned
 

@@ -373,38 +373,43 @@ def _inverse_table(gens):
 
 
 def represent_open(h: AlgebraElement, ball: Ball) -> sp.csr_matrix:
-    """Hard-truncated representation of h on a word-metric ball: the CSR of _open_bonds([h], ball).
+    """Hard-truncated representation of h on a word-metric ball.
 
-    Because the model is Hermitian, surviving entries come in conjugate
-    pairs, so the truncation preserves Hermiticity.
+    Matrix entries couple ball elements z, z' with z = z' g^-1 for each
+    distinct element g that h's words name (_row_e over _inverse_table);
+    pairs whose endpoint falls outside the ball are dropped.  Because the
+    model is Hermitian, surviving entries come in conjugate pairs, so the
+    truncation preserves Hermiticity.  Each g is one exact batched product
+    of the ball with g^-1 and one key lookup of the results.
     """
     from scipy.sparse import csr_matrix
 
-    rows, cols, coef = _open_bonds([h], ball)
-    return csr_matrix((coef[:, 0], (rows, cols)), shape=(len(ball), len(ball)))
+    row, n, width = _row_e(h, _inverse_table(ball.gens)), len(ball), 3 * ball.gens.ctx.d
+    tables = [np.frombuffer(g, dtype=np.int64).reshape(width, width) for g in row]
+    # one product and lookup per g, not one for all: n x len(row) products at once raised the junction's peak RSS
+    found = np.array([ball.index.find(right_products(ball.index.rows, [t])[:, 0]) for t in tables], dtype=np.int64)
+    found = found.reshape(len(row), n)
+    g, cols = np.nonzero(found >= 0)
+    weights = np.array(list(row.values()), dtype=np.float64 if _is_real(h) else np.complex128)
+    return csr_matrix((weights[g], (found[g, cols], cols)), shape=(n, n))
 
 
 def _open_bonds(models, ball: Ball):
     """The open ball's bond table for a list of models: rows, cols and a (bonds, models) weight array.
 
-    A bond couples ball elements z, z' with z = z' g^-1 for each distinct
-    element g that the models' words name (_row_e over _inverse_table),
-    in order of first occurrence; bonds whose endpoint falls outside the
-    ball are dropped.  Each g is one exact batched product of the ball
-    with g^-1 and one key lookup of the results.  Column m of the
-    weights holds model m's row e at the bond's g.
+    The models' words name distinct elements g, numbered 1, 2, ... in
+    order of first occurrence; represent_open of the element whose weight
+    at g is g's number (any word naming g will do) gives every bond once,
+    its entry naming its g.  Column m of the weights holds model m's row e
+    (_row_e) at the bond's g.
     """
-    table, n, width = _inverse_table(ball.gens), len(ball), 3 * ball.gens.ctx.d
+    table = _inverse_table(ball.gens)
     rows_e = [_row_e(h, table) for h in models]
-    elements = list(dict.fromkeys(g for row in rows_e for g in row))
-    tables = [np.frombuffer(g, dtype=np.int64).reshape(width, width) for g in elements]
-    # one product and lookup per g, not one for all: n x len(tables) products at once raised the junction's peak RSS
-    found = np.array([ball.index.find(right_products(ball.index.rows, [t])[:, 0]) for t in tables], dtype=np.int64)
-    found = found.reshape(len(elements), n)
-    g, cols = np.nonzero(found >= 0)
+    words = {table(w): w for h in models for w, _ in h.items()}
+    bonds = represent_open(AlgebraElement({w: i + 1 for i, w in enumerate(words.values())}), ball).tocoo()
     dtype = np.float64 if all(map(_is_real, models)) else np.complex128
-    coef = np.array([[row.get(y, 0) for row in rows_e] for y in elements], dtype=dtype)
-    return found[g, cols], cols, coef.reshape(len(elements), len(models))[g]
+    coef = np.array([[row.get(g, 0) for row in rows_e] for g in words], dtype=dtype).reshape(len(words), len(models))
+    return bonds.row, bonds.col, coef[bonds.data.astype(np.int64) - 1]
 
 
 def hermiticity_defect(mat: sp.spmatrix) -> float:

@@ -282,21 +282,20 @@ def _lanczos(mat, start: np.ndarray, min_steps: int) -> LanczosRun:
         v_prev, v = v, w
 
 
-def _padded(edges: tuple[float, float]) -> tuple[float, float]:
-    """The edges (lo, hi) moved outward by BOUND_PAD of their span."""
-    lo, hi = edges
-    span = max(hi - lo, 1e-12)
-    return lo - BOUND_PAD * span, hi + BOUND_PAD * span
-
-
-def spectral_bounds(mat, seed: int = 0) -> tuple[float, float]:
+def spectral_bounds(mat, seed: int = 0, run: LanczosRun | None = None) -> tuple[float, float]:
     """Deterministic spectral interval of a Hermitian operator.
 
     The converged extreme Ritz values of one Lanczos run from a seeded
     unit vector (see _lanczos), padded by BOUND_PAD of their span.
+    Given run, a Lanczos run of mat already made, its edges are padded
+    and no new run is made.
     """
-    start = np.random.default_rng(seed).standard_normal(mat.shape[0]).astype(np.result_type(mat.dtype, float))
-    return _padded(_lanczos(mat, start / np.linalg.norm(start), 1).edges)
+    if run is None:
+        start = np.random.default_rng(seed).standard_normal(mat.shape[0]).astype(np.result_type(mat.dtype, float))
+        run = _lanczos(mat, start / np.linalg.norm(start), 1)
+    lo, hi = run.edges
+    span = max(hi - lo, 1e-12)
+    return lo - BOUND_PAD * span, hi + BOUND_PAD * span
 
 
 def _jackson_kernel(m: int) -> np.ndarray:
@@ -314,13 +313,13 @@ def _single_site_moments(mat, moments: int) -> tuple[np.ndarray, tuple[float, fl
     Jacobi matrix J with e_0^T p(J) e_0 = <delta_e|p(H)|delta_e> for every
     polynomial p of degree below moments (Gauss quadrature; Golub &
     Meurant, Matrices, Moments and Quadrature (2010)), so the recursion
-    runs on the small J from e_0.  The bounds are that same run's edges,
-    padded as spectral_bounds pads its own run's (_padded): J's
-    eigenvalues are the Ritz values, whose extremes are the run's edges,
-    converged to H's, so the padded edges enclose the spectra of both H
-    and J without a second Lanczos run.  Chebyshev doubling (Weisse et
-    al., RMP 78, 275 (2006)), mu_2n = 2 <T_n|T_n> - mu_0 and mu_2n+1 =
-    2 <T_n+1|T_n> - mu_1, takes two moments per product with J.
+    runs on the small J from e_0.  The bounds are spectral_bounds of
+    that same run: J's eigenvalues are the Ritz values, whose extremes
+    are the run's edges, converged to H's, so the padded edges enclose
+    the spectra of both H and J without a second Lanczos run.  Chebyshev
+    doubling (Weisse et al., RMP 78, 275 (2006)), mu_2n = 2 <T_n|T_n> -
+    mu_0 and mu_2n+1 = 2 <T_n+1|T_n> - mu_1, takes two moments per
+    product with J.
     """
     from scipy.sparse import diags, identity
 
@@ -329,7 +328,7 @@ def _single_site_moments(mat, moments: int) -> tuple[np.ndarray, tuple[float, fl
     run = _lanczos(mat, start, -(-moments // 2))
     off = run.beta[:-1]
     jac = diags([off, run.alpha, off], [-1, 0, 1], format="csr")
-    lo, hi = _padded(run.edges)
+    lo, hi = spectral_bounds(mat, run=run)
     # J~ = (J - b) / a, so that its spectrum lies inside (-1, 1)
     jac = (jac - (hi + lo) / 2.0 * identity(run.alpha.size, format="csr")) / ((hi - lo) / 2.0)
     mu = np.empty(moments + 1)

@@ -147,16 +147,6 @@ def test_auto_decides_on_the_rows_its_blocks_span(tmp_path, monkeypatch, cap, me
     assert ("dos_kpm_adj_5_4_s2_k2.csv" in names) == (method == "kpm")
 
 
-def test_auto_solves_7_3_g2_exactly(tmp_path, capsys):
-    # 32256 elements, over DENSE_CAP, whose 64 characters fall into 2 orbit blocks of 504: 1008 rows to diagonalize
-    argv = ["spectrum", "7", "3", "--k", "2", "--grid", "8"]
-    assert run(["--out", str(tmp_path / "auto")] + argv) == 0
-    assert "k=2: dim 32256, 2 of 64 character blocks of 504," in capsys.readouterr().out
-    assert run(["--out", str(tmp_path / "exact")] + argv + ["--method", "exact"]) == 0
-    name = "spectrum_adj_7_3_s2_k2.csv"
-    assert (tmp_path / "auto" / name).read_bytes() == (tmp_path / "exact" / name).read_bytes()
-
-
 def test_spectrum_model_selection(tmp_path):
     code = run(
         [

@@ -237,10 +237,12 @@ def test_assembly_multiplies_each_element_once(small_junction, monkeypatch):
     cfg = junction.JunctionConfig()
     ham = junction.assemble_junction(ball, pos, cfg)
     # the three default models write 20 words that name 9 distinct elements: one product and lookup each,
-    # read straight into the bond table, with no represent_open between
+    # in one represent_open of the element that numbers them
     assert sum(len(operators.model_hamiltonian(a, k, cfg.eps, 5, 4)) for a, k in cfg.models) == 20
-    assert {name: len(args) for name, args in calls.items()} == {"right_products": 9, "find": 9,
+    assert {name: len(args) for name, args in calls.items()} == {"represent_open": 1, "right_products": 9, "find": 9,
                                                                  "midpoint": 1, "partition": 1}
+    (label, _), = calls["represent_open"]
+    assert sorted(c.real for _, c in label.items()) == list(range(1, 10))
     assert all(rows is ball.index.rows and len(tables) == 1 for rows, tables in calls["right_products"])
     assert all(index is ball.index and len(found) == len(ball) for index, found in calls["find"])
     (z, w), = calls["midpoint"]

@@ -164,15 +164,6 @@ def test_ritz_edges_match_exact_extremes(groups, k, name, monkeypatch):
     assert dos.metadata["bounds"] == [run.edges[0] - pad, run.edges[1] + pad]
 
 
-def test_kpm_pads_its_own_run_without_spectral_bounds(q54_k2, monkeypatch):
-    monkeypatch.setattr(spectral, "spectral_bounds", lambda *args, **kw: pytest.fail("kpm_dos called spectral_bounds"))
-    dos = spectral.kpm_dos(operators.adjacency(5, 4), q54_k2, moments=64, grid_points=16)
-    lo, hi = dos.lanczos.edges
-    pad = spectral.BOUND_PAD * (hi - lo)
-    assert dos.metadata["bounds"] == [lo - pad, hi + pad]
-    assert "seed" not in dos.metadata
-
-
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_few_moments_still_enclose_spectrum(q54_k2, name):
     # 8 steps leave the edges unconverged, so the run goes on until they converge
