@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalContractError
 from .quotient import QuotientGroup, Sectors
 from .tolerances import HERMITICITY
 from .triangle import (
@@ -48,6 +48,7 @@ __all__ = [
     "cyclic_projection",
     "model_hamiltonian",
     "interpolate",
+    "check_hermitian",
     "represent_periodic",
     "BlockOperator",
     "represent_blocks",
@@ -62,10 +63,10 @@ _COEFF_EPS = 1e-15
 class AlgebraElement:
     """Formal complex combination of free words in A, A^-1, B, B^-1.
 
-    Terms with negligible coefficients are dropped; words are kept as
-    written (no group-relation rewriting), so distinct words that happen
-    to represent the same group element simply accumulate when the
-    element is represented on a concrete group.
+    Terms with negligible coefficients are dropped, one that is not finite
+    raises ConfigError; words are kept as written (no group-relation
+    rewriting), so distinct words that happen to represent the same group
+    element simply accumulate when it is represented on a concrete group.
     """
 
     __slots__ = ("terms",)
@@ -75,6 +76,8 @@ class AlgebraElement:
         if terms:
             for w, c in dict(terms).items():
                 c = complex(c)
+                if not cmath.isfinite(c):
+                    raise ConfigError(f"the weight {c} of word '{word_str(tuple(w))}' is not finite")
                 if abs(c) > _COEFF_EPS:
                     self.terms[tuple(w)] = c
 
@@ -203,14 +206,35 @@ def _row_e(h: AlgebraElement, project) -> dict:
     return row
 
 
-def _reflection_fixes(row: dict, sigma: np.ndarray, conjugate: bool) -> bool:
-    """Whether row e's weight at sigma(y) is w_y, or conj(w_y) with conjugate, for every y (to within HERMITICITY).
+def _unfixed(row: dict, involution, conjugate: bool):
+    """(y, defect) for the first y whose weight at involution(y) is not w_y, or conj(w_y) with conjugate; else None.
 
-    Without conjugate this says sigma fixes the model, with it that the
-    antiunitary K sigma does.
+    Defects up to HERMITICITY pass, a NaN one does not.  On element
+    indices, y -> y^-1 with conjugate tests Hermiticity, sigma whether
+    sigma fixes the model, and sigma with conjugate whether K sigma does.
     """
-    return not any(abs(row.get(int(sigma[y]), 0.0) - (c.conjugate() if conjugate else c)) > HERMITICITY
-                   for y, c in row.items())
+    for y, c in row.items():
+        defect = abs(row.get(involution(y), 0.0) - (c.conjugate() if conjugate else c))
+        if not defect <= HERMITICITY:
+            return y, defect
+    return None
+
+
+def check_hermitian(h: AlgebraElement, group: QuotientGroup) -> None:
+    """NumericalContractError, naming the element, its tree word and the defect, unless h's row e is Hermitian.
+
+    The operator on group, and so each of its character blocks, is
+    Hermitian exactly when row e is (_row_e): its weight at y^-1 is the
+    conjugate of its weight at y, to within HERMITICITY.
+    """
+    row = _row_e(h, group.project)
+    if (bad := _unfixed(row, lambda y: group.project(inverse_word(group.word(y))), conjugate=True)) is not None:
+        y, defect = bad
+        raise NumericalContractError(
+            f"the model is not Hermitian: its weight {row[y]:.6g} at element {y} (word '{word_str(group.word(y))}') "
+            f"and the conjugate of its weight at the inverse differ by {defect:.2e} > {HERMITICITY:.0e}, "
+            "the Hermiticity tolerance"
+        )
 
 
 def represent_periodic(h: AlgebraElement, group: QuotientGroup, fold: bool = False) -> sp.csr_matrix:
@@ -237,7 +261,7 @@ def represent_periodic(h: AlgebraElement, group: QuotientGroup, fold: bool = Fal
     if not width:
         return csr_matrix((n, n), dtype=dtype)
     sigma = group.reflection if fold else None
-    if sigma is None or not _reflection_fixes(row, sigma, conjugate=False):
+    if sigma is None or _unfixed(row, lambda y: int(sigma[y]), conjugate=False) is not None:
         sigma, rows = None, np.arange(n, dtype=group.gen_perm.dtype)
     else:
         rep = np.arange(n, dtype=sigma.dtype) <= sigma
@@ -351,7 +375,7 @@ def represent_blocks(h: AlgebraElement, group: QuotientGroup) -> BlockOperator:
         sec.coset[target],
         sec.kernel[target],
         np.repeat(list(row.values()), b),
-        _reflection_fixes(row, group.reflection, conjugate=True),
+        _unfixed(row, lambda y: int(group.reflection[y]), conjugate=True) is None,
     )
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalContractError, ResourceLimitError
 from .outputs import write_csv, write_json
-from .tolerances import EIGENPAIR_RESIDUAL, FACTOR_BACKWARD, HERMITICITY, IDOS_LEVEL
+from .tolerances import EIGENPAIR_RESIDUAL, FACTOR_BACKWARD, IDOS_LEVEL
 
 __all__ = [
     "SpectrumResult",
@@ -137,7 +137,7 @@ def exact_spectrum(mat, overwrite: bool = False) -> SpectrumResult:
     for larger operators.  overwrite=True lets LAPACK work in a dense
     input's own memory, which it destroys (no copy when the input is
     Fortran-ordered), and skips the finiteness check: for a caller that
-    fills a buffer of its own and has checked its entries (block_spectrum).
+    fills a buffer of its own from finite weights (block_spectrum).
     """
     from scipy.linalg import eigvalsh
 
@@ -165,14 +165,14 @@ def block_spectrum(h, group) -> SpectrumResult:
     the representatives are chosen among the characters C fixes where
     the orbit has one.  Other blocks stay complex Hermitian.  Every
     block is filled into one buffer, reused from block to block and
-    overwritten by the eigensolver, and its Hermiticity is checked a
-    few rows at a time.  DENSE_CAP applies to the block size, checked
-    before the buffer is allocated.
-    Raises NumericalContractError when a diagonalized block is not
-    Hermitian (or not finite).
+    overwritten by the eigensolver.  DENSE_CAP applies to the block
+    size, checked before the buffer is allocated.
+    An h whose row e is not Hermitian raises NumericalContractError
+    before any block is built (operators.check_hermitian).
     """
-    from .operators import represent_blocks
+    from .operators import check_hermitian, represent_blocks
 
+    check_hermitian(h, group)
     op = represent_blocks(h, group)
     sec = op.sectors
     b = sec.block_size
@@ -187,24 +187,8 @@ def block_spectrum(h, group) -> SpectrumResult:
             block = op.real_block(j, buffer.view(np.float64)[: b * b].reshape(b, b))
         else:
             block = op.block(j, buffer.reshape(b, b))
-        defect = _hermiticity_defect(block)
-        if not defect <= HERMITICITY:
-            raise NumericalContractError(
-                f"sector block {j} has Hermiticity defect {defect:.2e} > {HERMITICITY:.0e}"
-            )
         vals.append(np.tile(exact_spectrum(block, overwrite=True).eigenvalues, size))
     return SpectrumResult(np.sort(np.concatenate(vals)))
-
-
-def _hermiticity_defect(block: np.ndarray) -> float:
-    """max |B - B^H| over a square block (NaN for non-finite entries).
-
-    Strips of 64 rows right of the diagonal are compared with the
-    columns below it, so no temporary is larger than 64 x b.
-    """
-    with np.errstate(invalid="ignore"):  # inf - inf is the NaN that reports a non-finite entry
-        return float(np.max([np.abs(block[i : i + 64, i:] - block[i:, i : i + 64].conj().T).max()
-                             for i in range(0, len(block), 64)]))
 
 
 def idos_curve(spec: SpectrumResult, grid: np.ndarray) -> DOSCurve:
@@ -363,25 +347,16 @@ def kpm_dos(
     the run is made on represent_periodic(h, group, fold=True), whose
     rows are the sigma-orbits, and run.dim is their number.  Jackson
     damping suppresses Gibbs oscillations.  Nothing is random, so no
-    seed is taken.  An h whose row e is not Hermitian (the
-    weight at y^-1 the conjugate of the weight at y, to within
-    HERMITICITY) raises NumericalContractError before the run.
+    seed is taken.  A non-Hermitian h raises NumericalContractError
+    before the operator is built (operators.check_hermitian).
     """
-    from .operators import _row_e, represent_periodic
-    from .triangle import inverse_word, word_str
+    from .operators import check_hermitian, represent_periodic
 
     if moments < 2:
         raise ConfigError(f"moments must be at least 2, got {moments}")
     if grid_points < 2:
         raise ConfigError(f"grid_points must be at least 2, got {grid_points}")
-    row = _row_e(h, group.project)
-    for y, c in row.items():
-        defect = abs(row.get(group.project(inverse_word(group.word(y))), 0.0) - np.conj(c))
-        if defect > HERMITICITY:
-            raise NumericalContractError(
-                f"the model is not Hermitian: its weight {c:.6g} at element {y} (word '{word_str(group.word(y))}') "
-                f"and the conjugate of its weight at the inverse differ by {defect:.2e} > {HERMITICITY:.0e}"
-            )
+    check_hermitian(h, group)
     mu, (lo, hi), run = _single_site_moments(represent_periodic(h, group, fold=True), moments)
     a, b = (hi - lo) / 2.0, (hi + lo) / 2.0
 

@@ -169,26 +169,25 @@ def test_built_and_loaded_groups_give_the_same_sectors(groups, q54_k3, key, tmp_
         assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
-def test_non_hermitian_block_raises(q54_k2):
-    hop = operators.AlgebraElement({(GEN_A,): 1.0})
-    with pytest.raises(NumericalContractError, match="Hermiticity"):
-        spectral.block_spectrum(hop, q54_k2)
-
-
 @pytest.mark.parametrize(
     "hop, folds",
     [
+        (operators.AlgebraElement({(GEN_A,): 1.0}), False),
         # K sigma fixes it (weight -i at sigma(A^2 B) = A^-2 B^-1), but (A^2 B)^-1 has no weight
         (operators.AlgebraElement({(GEN_A, GEN_A, GEN_B): 1.0j, (GEN_A_INV, GEN_A_INV, GEN_B_INV): -1.0j}), True),
-        (operators.AlgebraElement({(): float("inf")}), False),  # inf - inf on the diagonal: a NaN defect
+        (operators.AlgebraElement({(GEN_A,): 0.5, (GEN_B,): 0.5}), False),
     ],
-    ids=["real-block", "infinite"],
+    ids=["A", "real-block", "A+B"],
 )
-def test_real_or_infinite_block_that_is_not_hermitian_raises(q54_k2, hop, folds):
+@pytest.mark.parametrize("solve", [spectral.block_spectrum, spectral.kpm_dos], ids=["blocks", "kpm"])
+def test_non_hermitian_block_raises(q54_k2, monkeypatch, solve, hop, folds):
     op = operators.represent_blocks(hop, q54_k2)
     assert op.folds(op.sectors.representatives[0]) == folds
+    # both solvers refuse on row e, before they assemble an operator
+    for name in ("represent_blocks", "represent_periodic"):
+        monkeypatch.setattr(operators, name, lambda *args, **kwargs: pytest.fail("an operator was assembled"))
     with pytest.raises(NumericalContractError, match="Hermiticity"):
-        spectral.block_spectrum(hop, q54_k2)
+        solve(hop, q54_k2)
 
 
 def test_dense_cap_applies_to_block_size(q54_k2, monkeypatch):

@@ -75,6 +75,18 @@ def test_interpolate_simplex_validation():
         operators.interpolate(models, (0.5, 0.5))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+def test_non_finite_weights_raise(bad):
+    # NaN fails abs(c) > eps, so without the finiteness check a NaN weight would vanish and the model be solved without it
+    adj = operators.adjacency(5, 4)
+    with pytest.raises(ConfigError, match="not finite"):
+        operators.AlgebraElement({(): bad, (GEN_A,): 0.25})
+    with pytest.raises(ConfigError, match="not finite"):
+        bad * adj
+    with pytest.raises(ConfigError):
+        operators.interpolate([adj, adj], (bad, 1.0))
+
+
 def test_representation_is_algebra_homomorphism(q54_k1):
     # rep(a + b) = rep(a) + rep(b), rep(dagger) = adjoint
     a = operators.adjacency(5, 4)
